@@ -1,0 +1,61 @@
+"""Byte-for-byte regression of the README figure mix against committed outputs.
+
+Each case replays one CLI command in-process at default sizes and seed 42 and
+compares stdout with ``tests/golden/<name>.<format>``.  The golden files were
+written by the code before the single-pass metrics refactor; regenerate them
+only for an intended output change, with ``python tests/test_golden.py``.
+"""
+
+import io
+import os
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from photocount.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "posterior_qc_1": ["posterior", "--counter", "qc", "--outcome", "1"],
+    "posterior_qqc_0": ["posterior", "--counter", "qqc", "--outcome", "0"],
+    "posterior_joint_11": ["posterior", "--counter", "joint", "--outcome", "11"],
+    **{f"metrics_{c}": ["metrics", "--counter", c] for c in ("pc", "qc", "qpc", "qqc", "joint")},
+    "sweep_qqc": ["sweep", "--counter", "qqc", "--steps", "11"],
+    "sweep_joint": ["sweep", "--counter", "joint", "--steps", "11"],
+    "reverse_qc": ["reverse", "--counter", "qc"],
+    "reverse_qqc": ["reverse", "--counter", "qqc"],
+    "haar_d3": ["haar", "--d", "3"],
+}
+FORMATS = ("csv", "json")
+
+
+def _clear_env():
+    for name in [k for k in os.environ if k.startswith("PHOTOCOUNT_")]:
+        del os.environ[name]
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, fmt, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("PHOTOCOUNT_")]:
+        monkeypatch.delenv(key)
+    expected = (GOLDEN / f"{name}.{fmt}").read_text()
+    assert _run(CASES[name] + ["--format", fmt]) == expected
+
+
+if __name__ == "__main__":
+    _clear_env()
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        for fmt in FORMATS:
+            (GOLDEN / f"{name}.{fmt}").write_text(_run(argv + ["--format", fmt]))
