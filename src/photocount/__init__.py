@@ -42,9 +42,7 @@ from .fock import (
     polar_decompose,
 )
 from .metrics import (
-    MOMENTS,
     CounterReport,
-    MomentFunctions,
     OutcomeMetrics,
     OutcomeStats,
     background,

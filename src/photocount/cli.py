@@ -360,6 +360,12 @@ def cmd_reverse(config: RunConfig):
     model = resolve_model(config.counter, config.gamma, config.dim)
     analytic = reversibility(model, ens, "1")
     sim = trajectory_sim(kind, config.gamma, ens, trials=config.samples, seed=config.seed)
+    # The rate and the recovery fidelity are conditional means; without a
+    # one-count or a success they are undefined rather than empty fields.
+    if sim.one_counts == 0:
+        raise PhotocountError(f"no one-count in {sim.trials} trials")
+    if sim.successes == 0:
+        raise PhotocountError(f"no successful reversal in {sim.one_counts} one-counts")
 
     results = {
         "analytic_reversibility": analytic,

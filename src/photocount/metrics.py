@@ -8,12 +8,20 @@ is independent of the discretization.  Reversibility of an outcome is the
 posterior-weighted maximal success probability background/p(m|a) of a
 reversing measurement.  Averages over outcomes use the exact outcome
 probabilities of the truncated operators.
+
+Each (model, ensemble) pair is evaluated once: one outcome_statistics call
+and one background per outcome give every per-outcome figure and mean, and
+the two identities (mean information equals the mutual-information double
+sum; mean reversibility equals the sum of backgrounds) are checked once, to
+1e-10, in that pass.  full_report and the per-figure functions
+fidelity_after, reversibility and mean_* are views of that one evaluation,
+so each raises ZeroProbability when some outcome has zero total probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +36,6 @@ from .errors import FidelityOne, NumericInconsistency, ZeroProbability
 from .fock import Operator, StateVector, min_eigenvalue
 
 __all__ = [
-    "MomentFunctions",
-    "MOMENTS",
     "OutcomeStats",
     "OutcomeMetrics",
     "CounterReport",
@@ -74,16 +80,6 @@ def moment_n3(state: StateVector) -> float:
     """Sum_n (n+1)^2 |c_n|^2."""
     probs = np.abs(state.amplitudes) ** 2
     return float(np.sum((np.arange(state.dim) + 1) ** 2 * probs))
-
-
-@dataclass(frozen=True)
-class MomentFunctions:
-    n1: Callable[[StateVector], float]
-    n2: Callable[[StateVector], float]
-    n3: Callable[[StateVector], float]
-
-
-MOMENTS = MomentFunctions(n1=moment_n1, n2=moment_n2, n3=moment_n3)
 
 
 @dataclass(frozen=True)
@@ -163,57 +159,87 @@ def information_gain(stats: OutcomeStats) -> float:
         return 0.0
     mask = stats.conditional > 0.0
     ratio = stats.conditional[mask] / stats.total
-    return float(np.sum(stats.posterior[mask] * np.log2(ratio)))
+    # Non-negative by Gibbs' inequality; clamp the rounding residue (NaN
+    # passes through max unchanged).
+    return max(float(np.sum(stats.posterior[mask] * np.log2(ratio))), 0.0)
+
+
+def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> CounterReport:
+    """Every figure of merit of (model, ensemble) from one outcome_statistics
+    call and one background per outcome; both identities are checked here.
+
+    Samples an outcome cannot occur on carry zero posterior weight and are
+    skipped.  Raises ZeroProbability if some outcome has zero total
+    probability, since its fidelity and reversibility are undefined.
+    """
+    stats = outcome_statistics(model, ensemble)
+    support = support_projector(ensemble)
+    per_outcome: dict[str, OutcomeMetrics] = {}
+    backgrounds: dict[str, float] = {}
+    double_sum = 0.0
+    for s, op in zip(stats, model.operators):
+        if s.total <= 0.0:
+            raise ZeroProbability(f"outcome {s.outcome!r} has zero total probability")
+        mask = s.conditional > 0.0
+        cond, post = s.conditional[mask], s.posterior[mask]
+        info = information_gain(s)
+        double_sum += float(np.sum(post * s.total * np.log2(cond / s.total)))
+        # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.
+        images = ensemble.states @ op.entries.T
+        overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=1))
+        fid = float(np.sum(post * (overlaps[mask] / np.sqrt(cond))))
+        # Reversibility: posterior average of background / p(m|a).
+        b = background(model, s.outcome, support)
+        rev = 0.0 if b == 0.0 else float(np.sum(post * (b / cond)))
+        try:
+            eff = efficiency(info, fid)
+        except FidelityOne:
+            eff = None
+        per_outcome[s.outcome] = OutcomeMetrics(
+            probability=s.total,
+            information_gain=info,
+            fidelity=fid,
+            reversibility=rev,
+            efficiency=eff,
+        )
+        backgrounds[s.outcome] = b
+
+    mean_info = sum(m.probability * m.information_gain for m in per_outcome.values())
+    mean_fid = sum(m.probability * m.fidelity for m in per_outcome.values())
+    mean_rev = sum(m.probability * m.reversibility for m in per_outcome.values())
+    background_sum = sum(backgrounds.values())
+    if abs(mean_info - double_sum) > _IDENTITY_TOL:
+        raise NumericInconsistency(
+            f"mutual-information identity violated: {mean_info!r} vs {double_sum!r}"
+        )
+    if abs(mean_rev - background_sum) > _IDENTITY_TOL:
+        raise NumericInconsistency(
+            "reversibility/background identity violated: "
+            f"{mean_rev!r} vs {background_sum!r}"
+        )
+    return CounterReport(
+        label=label,
+        gamma=model.gamma,
+        per_outcome=per_outcome,
+        mean_information=float(mean_info),
+        mean_fidelity=float(mean_fid),
+        mean_reversibility=float(mean_rev),
+        backgrounds=backgrounds,
+    )
 
 
 def mean_information(model: MeasurementModel, ensemble: Ensemble) -> float:
-    """Outcome-averaged information gain; cross-checked against the
-    mutual-information double sum."""
-    stats = outcome_statistics(model, ensemble)
-    by_outcome = sum(s.total * information_gain(s) for s in stats)
-    double_sum = 0.0
-    for s in stats:
-        if s.total <= 0.0:
-            continue
-        mask = s.conditional > 0.0
-        double_sum += float(
-            np.sum(s.posterior[mask] * s.total * np.log2(s.conditional[mask] / s.total))
-        )
-    if abs(by_outcome - double_sum) > _IDENTITY_TOL:
-        raise NumericInconsistency(
-            "mutual-information identity violated: "
-            f"{by_outcome!r} vs {double_sum!r}"
-        )
-    return float(by_outcome)
-
-
-def _stats_for(model: MeasurementModel, ensemble: Ensemble, outcome: str) -> OutcomeStats:
-    idx = model.outcomes.index(outcome)
-    return outcome_statistics(model, ensemble)[idx]
+    """Outcome-averaged information gain, equal to the mutual information."""
+    return _evaluate(model, ensemble, model.label).mean_information
 
 
 def fidelity_after(model: MeasurementModel, ensemble: Ensemble, outcome: str) -> float:
-    """Posterior-averaged overlap |<psi(a)|psi(m,a)>| after the outcome.
-
-    Samples the outcome cannot occur on carry zero posterior weight and are
-    skipped.
-    """
-    op = model.operator_for(outcome)
-    stats = _stats_for(model, ensemble, outcome)
-    if stats.total <= 0.0:
-        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    images = ensemble.states @ op.entries.T
-    overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=1))
-    mask = stats.conditional > 0.0
-    per_sample = overlaps[mask] / np.sqrt(stats.conditional[mask])
-    return float(np.sum(stats.posterior[mask] * per_sample))
+    """Posterior-averaged overlap |<psi(a)|psi(m,a)>| after the outcome."""
+    return _evaluate(model, ensemble, model.label).per_outcome[outcome].fidelity
 
 
 def mean_fidelity(model: MeasurementModel, ensemble: Ensemble) -> float:
-    stats = outcome_statistics(model, ensemble)
-    return float(
-        sum(s.total * fidelity_after(model, ensemble, s.outcome) for s in stats)
-    )
+    return _evaluate(model, ensemble, model.label).mean_fidelity
 
 
 def background(model: MeasurementModel, outcome: str, support: Operator) -> float:
@@ -224,31 +250,12 @@ def background(model: MeasurementModel, outcome: str, support: Operator) -> floa
 
 def reversibility(model: MeasurementModel, ensemble: Ensemble, outcome: str) -> float:
     """Posterior-averaged maximal success probability of undoing the outcome."""
-    stats = _stats_for(model, ensemble, outcome)
-    if stats.total <= 0.0:
-        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    b = background(model, outcome, support_projector(ensemble))
-    if b == 0.0:
-        return 0.0
-    mask = stats.conditional > 0.0
-    return float(np.sum(stats.posterior[mask] * (b / stats.conditional[mask])))
+    return _evaluate(model, ensemble, model.label).per_outcome[outcome].reversibility
 
 
 def mean_reversibility(model: MeasurementModel, ensemble: Ensemble) -> float:
-    """Outcome-averaged reversibility; cross-checked against the sum of
-    backgrounds."""
-    stats = outcome_statistics(model, ensemble)
-    support = support_projector(ensemble)
-    weighted = sum(
-        s.total * reversibility(model, ensemble, s.outcome) for s in stats
-    )
-    background_sum = sum(background(model, s.outcome, support) for s in stats)
-    if abs(weighted - background_sum) > _IDENTITY_TOL:
-        raise NumericInconsistency(
-            "reversibility/background identity violated: "
-            f"{weighted!r} vs {background_sum!r}"
-        )
-    return float(weighted)
+    """Outcome-averaged reversibility, equal to the sum of backgrounds."""
+    return _evaluate(model, ensemble, model.label).mean_reversibility
 
 
 def efficiency(information: float, fidelity: float) -> float:
@@ -270,51 +277,7 @@ def resolve_model(label: str, gamma: float, dim: int) -> MeasurementModel:
 
 def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     """All per-outcome and mean figures of merit for one counter at one gamma."""
-    model = resolve_model(label, gamma, ensemble.dim)
-    stats = outcome_statistics(model, ensemble)
-    support = support_projector(ensemble)
-
-    per_outcome: dict[str, OutcomeMetrics] = {}
-    backgrounds: dict[str, float] = {}
-    for s in stats:
-        info = information_gain(s)
-        fid = fidelity_after(model, ensemble, s.outcome)
-        rev = reversibility(model, ensemble, s.outcome)
-        try:
-            eff = efficiency(info, fid)
-        except FidelityOne:
-            eff = None
-        per_outcome[s.outcome] = OutcomeMetrics(
-            probability=s.total,
-            information_gain=info,
-            fidelity=fid,
-            reversibility=rev,
-            efficiency=eff,
-        )
-        backgrounds[s.outcome] = background(model, s.outcome, support)
-
-    mean_info = sum(m.probability * m.information_gain for m in per_outcome.values())
-    mean_fid = sum(m.probability * m.fidelity for m in per_outcome.values())
-    mean_rev = sum(m.probability * m.reversibility for m in per_outcome.values())
-
-    # The dedicated mean functions carry their own identity checks; the
-    # weighted sums above must agree with them.
-    for computed, reference in (
-        (mean_info, mean_information(model, ensemble)),
-        (mean_rev, mean_reversibility(model, ensemble)),
-    ):
-        if abs(computed - reference) > _IDENTITY_TOL:
-            raise NumericInconsistency("per-outcome sums disagree with mean functions")
-
-    return CounterReport(
-        label=label,
-        gamma=gamma,
-        per_outcome=per_outcome,
-        mean_information=float(mean_info),
-        mean_fidelity=float(mean_fid),
-        mean_reversibility=float(mean_rev),
-        backgrounds=backgrounds,
-    )
+    return _evaluate(resolve_model(label, gamma, ensemble.dim), ensemble, label)
 
 
 def batched_information(
@@ -328,7 +291,7 @@ def batched_information(
     The full-sample value is the point estimate; the spread of the batch
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
     """
-    stats = _stats_for(model, ensemble, outcome)
+    stats = outcome_statistics(model, ensemble)[model.outcomes.index(outcome)]
     full = information_gain(stats)
     batches = []
     for idx in np.array_split(np.arange(ensemble.n_samples), n_batches):

@@ -163,6 +163,22 @@ class TestReverse:
         assert abs(empirical - analytic) < 4 * sigma
         assert fidelity > 1 - 1e-10
 
+    def test_no_one_count_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(
+            ["reverse", "--counter", "qc", "--gamma", "1e-4", "--samples", "10000"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "no one-count in 10000 trials" in err
+
+    def test_no_successful_reversal_is_numeric_failure(self, capsys):
+        # This seed draws a single one-count, and its reversal fails.
+        argv = ["reverse", "--counter", "qc", "--gamma", "0.005", "--samples", "10000"]
+        code, out, err = run_cli(argv + ["--seed", "25"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "no successful reversal in 1 one-counts" in err
+
     def test_absorbing_counter_exits_nonreversible(self, capsys):
         code, _, err = run_cli(["reverse", "--counter", "pc"], capsys)
         assert code == 3

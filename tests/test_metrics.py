@@ -3,6 +3,7 @@ import pytest
 
 from photocount import (
     CounterKind,
+    Ensemble,
     FidelityOne,
     StateVector,
     ZeroProbability,
@@ -150,6 +151,13 @@ class TestInformationGain:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_gains_are_nonnegative(self, bloch, label):
         model = resolve_model(label, 0.3, 5)
+        for s in outcome_statistics(model, bloch):
+            assert information_gain(s) >= 0.0
+
+    @pytest.mark.parametrize("label", ALL_LABELS + ("joint",))
+    def test_gains_are_nonnegative_at_tiny_coupling(self, bloch, label):
+        # At gamma = 1e-4 the no-count relative entropy rounds to about -8e-17.
+        model = resolve_model(label, 1e-4, 5)
         for s in outcome_statistics(model, bloch):
             assert information_gain(s) >= 0.0
 
@@ -342,6 +350,25 @@ class TestFullReport:
         assert abs(both.fidelity - one.fidelity) < 1e-12
         assert abs(both.reversibility - one.reversibility) < 1e-12
         assert abs(both.probability - 0.09 * one.probability) < 1e-14
+
+    def test_zero_total_outcome_raises_from_every_figure_function(self):
+        vacuum = Ensemble(
+            kind="vacuum",
+            support_dim=1,
+            dim=5,
+            states=np.eye(5)[:1],
+            weights=np.ones(1),
+            measure_kind="point",
+        )
+        model = resolve_model("pc", 0.3, 5)
+        with pytest.raises(ZeroProbability):
+            full_report("pc", 0.3, vacuum)
+        for figure in (fidelity_after, reversibility):
+            with pytest.raises(ZeroProbability):
+                figure(model, vacuum, "0")
+        for figure in (mean_information, mean_fidelity, mean_reversibility):
+            with pytest.raises(ZeroProbability):
+                figure(model, vacuum)
 
     def test_absorbing_and_qnd_photon_coincide_on_two_levels(self, bloch):
         pc = full_report("pc", 0.3, bloch)
