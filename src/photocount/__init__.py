@@ -9,7 +9,6 @@ constructs reversing measurements that undo a one-count on its support.
 from .counters import (
     CounterKind,
     MeasurementModel,
-    ProbeModel,
     build_counter,
     completeness_residual,
     compose_models,
@@ -19,7 +18,6 @@ from .counters import (
 )
 from .ensemble import (
     Ensemble,
-    EnsembleSample,
     bloch_two_state_ensemble,
     expectation,
     haar_ensemble,

@@ -6,6 +6,9 @@ the same flags and seed the output is byte-identical across runs.  Every
 flag can be preset through an environment variable with the ``PHOTOCOUNT_``
 prefix (e.g. ``PHOTOCOUNT_SEED``).
 
+Each command returns one results record: the JSON output prints it, and the
+CSV output is a table view of it, so no value is named twice.
+
 Exit codes: 0 success, 2 usage error, 3 non-reversible counter requested
 for reversal, 4 numeric failure.
 """
@@ -19,15 +22,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .counters import CounterKind
-from .ensemble import bloch_two_state_ensemble, haar_ensemble
-from .errors import NonReversible, PhotocountError
+from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_ensemble
+from .errors import NonReversible, PhotocountError, ZeroProbability
 from .metrics import (
     batched_information,
     full_report,
@@ -44,6 +47,8 @@ PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The flags every command shares; echoed as the JSON ``config``."""
+
     counter: str = "pc"
     gamma: float = 0.3
     theta_nodes: int = 64
@@ -51,8 +56,6 @@ class RunConfig:
     format: str = "csv"
     seed: int = 42
     samples: int = 100_000
-    threads: int = 1
-    output: Optional[str] = None
 
     def validate(self) -> None:
         if self.counter not in COUNTER_CHOICES:
@@ -65,20 +68,6 @@ class RunConfig:
             raise ValueError("dim must be at least 4")
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-
-    def echo(self) -> dict:
-        # threads and output are execution details, not part of the result.
-        return {
-            "counter": self.counter,
-            "gamma": self.gamma,
-            "theta_nodes": self.theta_nodes,
-            "dim": self.dim,
-            "format": self.format,
-            "seed": self.seed,
-            "samples": self.samples,
-        }
 
 
 def _env(name: str, cast, fallback):
@@ -116,18 +105,10 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return format(v, ".12g") if math.isfinite(v) else "null"
+    # JSON differs from CSV only in quoting strings and writing null for "".
     if isinstance(value, str):
         return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    return format_number(value) or "null"
 
 
 def _json_emit(value, level: int) -> str:
@@ -151,133 +132,69 @@ def render_json(obj: dict) -> str:
     return _json_emit(obj, 0) + "\n"
 
 
-def _bloch_states(degrees: np.ndarray, dim: int) -> np.ndarray:
-    thetas = np.deg2rad(degrees)
-    states = np.zeros((degrees.size, dim), dtype=complex)
-    states[:, 0] = np.cos(thetas / 2.0)
-    states[:, 1] = np.sin(thetas / 2.0)
-    return states
-
-
-def cmd_posterior(config: RunConfig, outcome: str):
+def cmd_posterior(config: RunConfig, outcome: str) -> dict:
     """Prior and posterior angular densities for one outcome on a theta grid."""
     model = resolve_model(config.counter, config.gamma, config.dim)
     if outcome not in model.outcomes:
         raise ValueError(f"outcome must be one of {model.outcomes}")
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
-    stats = outcome_statistics(model, ens)
-    total = stats[model.outcomes.index(outcome)].total
+    total = outcome_statistics(model, ens)[model.outcomes.index(outcome)].total
+    if total <= 0.0:
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
 
     degrees = np.linspace(0.0, 180.0, 181)
     op = model.operator_for(outcome)
-    images = _bloch_states(degrees, config.dim) @ op.entries.T
+    images = _bloch_states(np.deg2rad(degrees), config.dim) @ op.entries.T
     conditional = np.sum(np.abs(images) ** 2, axis=1)
-    posterior_density = PRIOR_DENSITY * conditional / total
-
-    results = {
+    return {
         "outcome": outcome,
         "total_probability": total,
         "theta_degrees": degrees,
         "prior_density": [PRIOR_DENSITY] * degrees.size,
-        "posterior_density": posterior_density,
+        "posterior_density": PRIOR_DENSITY * conditional / total,
     }
+
+
+def _posterior_table(results: dict):
     header = ["theta_degrees", "prior_density", "posterior_density"]
-    rows = [
-        [float(d), PRIOR_DENSITY, float(p)]
-        for d, p in zip(degrees, posterior_density)
-    ]
-    return {"outcome": outcome}, results, (header, rows)
+    return header, list(zip(*(results[name] for name in header)))
 
 
-def cmd_metrics(config: RunConfig):
+def cmd_metrics(config: RunConfig) -> dict:
     """Per-outcome and mean figures of merit for one counter."""
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
     report = full_report(config.counter, config.gamma, ens)
-    outcomes = {}
-    header = [
-        "outcome",
-        "probability",
-        "information_gain",
-        "fidelity",
-        "reversibility",
-        "efficiency",
-        "background",
-    ]
-    rows = []
-    for label, m in report.per_outcome.items():
-        b = report.backgrounds[label]
-        outcomes[label] = {
-            "probability": m.probability,
-            "information_gain": m.information_gain,
-            "fidelity": m.fidelity,
-            "reversibility": m.reversibility,
-            "efficiency": m.efficiency,
-            "background": b,
-        }
-        rows.append(
-            [label, m.probability, m.information_gain, m.fidelity, m.reversibility, m.efficiency, b]
-        )
-    total_p = sum(m.probability for m in report.per_outcome.values())
-    rows.append(
-        [
-            "mean",
-            total_p,
-            report.mean_information,
-            report.mean_fidelity,
-            report.mean_reversibility,
-            None,
-            None,
-        ]
-    )
-    results = {
-        "outcomes": outcomes,
+    return {
+        "outcomes": {
+            label: {**asdict(m), "background": report.backgrounds[label]}
+            for label, m in report.per_outcome.items()
+        },
         "means": {
-            "probability": total_p,
+            "probability": sum(m.probability for m in report.per_outcome.values()),
             "information_gain": report.mean_information,
             "fidelity": report.mean_fidelity,
             "reversibility": report.mean_reversibility,
         },
     }
-    return {}, results, (header, rows)
 
 
-def cmd_sweep(config: RunConfig, gamma_min: float, gamma_max: float, steps: int):
+def _metrics_table(results: dict):
+    outcomes = results["outcomes"]
+    header = ["outcome", *next(iter(outcomes.values()))]
+    rows = [[label, *m.values()] for label, m in outcomes.items()]
+    rows.append(["mean", *(results["means"].get(name) for name in header[1:])])
+    return header, rows
+
+
+def cmd_sweep(config: RunConfig, gamma_min: float, gamma_max: float, steps: int) -> dict:
     """Mean quantities across couplings plus fitted gamma^2 coefficients."""
     if not 0.0 < gamma_min < gamma_max <= 0.3:
         raise ValueError("require 0 < gamma-min < gamma-max <= 0.3")
     if steps < 5:
         raise ValueError("at least 5 sweep steps are required")
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
-    gammas = np.linspace(gamma_min, gamma_max, steps)
-    sweep = gamma_sweep(config.counter, gammas, ens)
-    fits = sweep.fits()
-
-    header = ["gamma", "mean_information", "mean_fidelity", "mean_reversibility"]
-    rows = [
-        [float(g), float(i), float(f), float(r)]
-        for g, i, f, r in zip(
-            sweep.gammas, sweep.mean_information, sweep.mean_fidelity, sweep.mean_reversibility
-        )
-    ]
-    # Coefficient rows refer to mean information, fidelity loss (1 - F), and
-    # reversibility loss (1 - R) in the respective columns.
-    rows.append(
-        [
-            "gamma2_coefficient",
-            fits["information"][0],
-            fits["fidelity_loss"][0],
-            fits["reversibility_loss"][0],
-        ]
-    )
-    rows.append(
-        [
-            "fit_residual_rms",
-            fits["information"][1],
-            fits["fidelity_loss"][1],
-            fits["reversibility_loss"][1],
-        ]
-    )
-    results = {
+    sweep = gamma_sweep(config.counter, np.linspace(gamma_min, gamma_max, steps), ens)
+    return {
         "rows": {
             "gamma": sweep.gammas,
             "mean_information": sweep.mean_information,
@@ -285,24 +202,23 @@ def cmd_sweep(config: RunConfig, gamma_min: float, gamma_max: float, steps: int)
             "mean_reversibility": sweep.mean_reversibility,
         },
         "fits": {
-            "information": {
-                "gamma2_coefficient": fits["information"][0],
-                "residual_rms": fits["information"][1],
-            },
-            "fidelity_loss": {
-                "gamma2_coefficient": fits["fidelity_loss"][0],
-                "residual_rms": fits["fidelity_loss"][1],
-            },
-            "reversibility_loss": {
-                "gamma2_coefficient": fits["reversibility_loss"][0],
-                "residual_rms": fits["reversibility_loss"][1],
-            },
+            name: {"gamma2_coefficient": coefficient, "residual_rms": rms}
+            for name, (coefficient, rms) in sweep.fits().items()
         },
     }
-    return {"gamma_min": gamma_min, "gamma_max": gamma_max, "steps": steps}, results, (header, rows)
 
 
-def cmd_haar(config: RunConfig, d: int):
+def _sweep_table(results: dict):
+    columns = results["rows"]
+    rows = [list(row) for row in zip(*columns.values())]
+    # Coefficient rows refer to mean information, fidelity loss (1 - F), and
+    # reversibility loss (1 - R) in the respective columns.
+    for label, key in (("gamma2_coefficient", "gamma2_coefficient"), ("fit_residual_rms", "residual_rms")):
+        rows.append([label, *(fit[key] for fit in results["fits"].values())])
+    return list(columns), rows
+
+
+def cmd_haar(config: RunConfig, d: int) -> dict:
     """Monte Carlo one-count information gains on a d-level superposition."""
     if d not in (2, 3, 4):
         raise ValueError("d must be 2, 3, or 4")
@@ -311,45 +227,39 @@ def cmd_haar(config: RunConfig, d: int):
     if config.dim < d + 2:
         raise ValueError("dim must be at least d + 2")
     ens = haar_ensemble(d, config.samples, config.seed, config.dim)
-    values = {}
-    batches = {}
+    values, batches = {}, {}
     for label in ("pc", "qpc"):
         model = resolve_model(label, config.gamma, config.dim)
-        value, batch = batched_information(model, ens, outcome="1")
-        values[label] = value
-        batches[label] = batch
-    n_batches = batches["pc"].size
-    se = {
-        label: float(np.std(batches[label], ddof=1) / np.sqrt(n_batches))
-        for label in ("pc", "qpc")
-    }
-    diff_batches = batches["qpc"] - batches["pc"]
-    diff = values["qpc"] - values["pc"]
-    diff_se = float(np.std(diff_batches, ddof=1) / np.sqrt(n_batches))
+        values[label], batches[label] = batched_information(model, ens, outcome="1")
 
-    results = {
+    def standard_error(batch: np.ndarray) -> float:
+        return float(np.std(batch, ddof=1) / np.sqrt(batch.size))
+
+    diff = values["qpc"] - values["pc"]
+    return {
         "d": d,
         "samples": config.samples,
         "information_gain": {
-            "pc": {"value": values["pc"], "standard_error": se["pc"]},
-            "qpc": {"value": values["qpc"], "standard_error": se["qpc"]},
+            label: {"value": values[label], "standard_error": standard_error(batches[label])}
+            for label in ("pc", "qpc")
         },
         "difference_qpc_minus_pc": {
             "value": diff,
-            "standard_error": diff_se,
+            "standard_error": standard_error(batches["qpc"] - batches["pc"]),
             "sign": int(np.sign(diff)),
         },
     }
-    header = ["quantity", "value", "standard_error"]
-    rows = [
-        ["information_gain_pc", values["pc"], se["pc"]],
-        ["information_gain_qpc", values["qpc"], se["qpc"]],
-        ["difference_qpc_minus_pc", diff, diff_se],
-    ]
-    return {"d": d}, results, (header, rows)
 
 
-def cmd_reverse(config: RunConfig):
+def _haar_table(results: dict):
+    gains = results["information_gain"]
+    rows = [[f"information_gain_{label}", g["value"], g["standard_error"]] for label, g in gains.items()]
+    diff = results["difference_qpc_minus_pc"]
+    rows.append(["difference_qpc_minus_pc", diff["value"], diff["standard_error"]])
+    return ["quantity", "value", "standard_error"], rows
+
+
+def cmd_reverse(config: RunConfig) -> dict:
     """Analytic and Monte Carlo reversal statistics for a reversible counter."""
     if config.counter not in ("qc", "qqc"):
         raise NonReversible(
@@ -366,8 +276,7 @@ def cmd_reverse(config: RunConfig):
         raise PhotocountError(f"no one-count in {sim.trials} trials")
     if sim.successes == 0:
         raise PhotocountError(f"no successful reversal in {sim.one_counts} one-counts")
-
-    results = {
+    return {
         "analytic_reversibility": analytic,
         "empirical_success_rate": sim.empirical_success_rate,
         "mean_recovery_fidelity": sim.mean_recovery_fidelity,
@@ -376,27 +285,20 @@ def cmd_reverse(config: RunConfig):
         "trials": sim.trials,
         "seed": sim.seed,
     }
-    header = [
-        "analytic_reversibility",
-        "empirical_success_rate",
-        "mean_recovery_fidelity",
-        "one_counts",
-        "successes",
-        "trials",
-        "seed",
-    ]
-    rows = [
-        [
-            analytic,
-            sim.empirical_success_rate,
-            sim.mean_recovery_fidelity,
-            sim.one_counts,
-            sim.successes,
-            sim.trials,
-            sim.seed,
-        ]
-    ]
-    return {}, results, (header, rows)
+
+
+def _reverse_table(results: dict):
+    return list(results), [list(results.values())]
+
+
+# name -> (command, names of the command's own flags, CSV view of its results)
+COMMANDS = {
+    "posterior": (cmd_posterior, ("outcome",), _posterior_table),
+    "metrics": (cmd_metrics, (), _metrics_table),
+    "sweep": (cmd_sweep, ("gamma_min", "gamma_max", "steps"), _sweep_table),
+    "haar": (cmd_haar, ("d",), _haar_table),
+    "reverse": (cmd_reverse, (), _reverse_table),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,45 +353,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace):
-    config = RunConfig(
-        counter=args.counter,
-        gamma=args.gamma,
-        theta_nodes=args.theta_nodes,
-        dim=args.dim,
-        format=args.format,
-        seed=args.seed,
-        samples=args.samples,
-        threads=args.threads,
-        output=args.output,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     config.validate()
-    if args.command == "posterior":
-        extra, results, table = cmd_posterior(config, args.outcome)
-    elif args.command == "metrics":
-        extra, results, table = cmd_metrics(config)
-    elif args.command == "sweep":
-        extra, results, table = cmd_sweep(config, args.gamma_min, args.gamma_max, args.steps)
-    elif args.command == "haar":
-        extra, results, table = cmd_haar(config, args.d)
-    elif args.command == "reverse":
-        extra, results, table = cmd_reverse(config)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
+    # Every command runs in one thread, so --threads is validated but cannot
+    # change the output.
+    if args.threads < 1:
+        raise ValueError("threads must be positive")
+    command, own_flags, table = COMMANDS[args.command]
+    own = {name: getattr(args, name) for name in own_flags}
+    results = command(config, **own)
 
     if config.format == "json":
         payload = {
             "command": args.command,
-            "config": {**config.echo(), **extra},
+            "config": {**asdict(config), **own},
             "results": results,
             "version": __version__,
         }
         text = render_json(payload)
     else:
-        header, rows = table
-        text = render_csv(header, rows)
+        text = render_csv(*table(results))
 
-    if config.output:
-        with open(config.output, "w", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -503,7 +389,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _dispatch(args)
+        # Overflow, division by zero and invalid operations raise
+        # FloatingPointError instead of printing inf or NaN as empty fields.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _dispatch(args)
     except NonReversible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -34,7 +34,6 @@ from .fock import (
 __all__ = [
     "CounterKind",
     "MeasurementModel",
-    "ProbeModel",
     "build_counter",
     "completeness_residual",
     "compose_models",
@@ -81,19 +80,6 @@ class MeasurementModel:
             return self.operators[self.outcomes.index(outcome)]
         except ValueError:
             raise KeyError(f"unknown outcome {outcome!r}") from None
-
-
-@dataclass(frozen=True)
-class ProbeModel:
-    """Joint-space description: field coupled to a two-level probe."""
-
-    kind: CounterKind
-    joint_dim: int
-    hamiltonian: Operator
-
-    def __post_init__(self):
-        if not self.hamiltonian.is_hermitian(1e-12):
-            raise ValueError("probe Hamiltonian must be Hermitian")
 
 
 def _quadratic_form(kind: CounterKind, dim: int) -> Operator:
@@ -171,7 +157,7 @@ def compose_models(first: MeasurementModel, second: MeasurementModel) -> Measure
     )
 
 
-def probe_hamiltonian(kind: CounterKind, dim: int) -> ProbeModel:
+def probe_hamiltonian(kind: CounterKind, dim: int) -> Operator:
     """Field-probe coupling with the energy scale factored out.
 
     The joint basis is field-major: index 2n + p with p the probe level.
@@ -189,7 +175,7 @@ def probe_hamiltonian(kind: CounterKind, dim: int) -> ProbeModel:
         joint = np.kron(ladder("number", dim).entries, flip)
     else:
         joint = np.kron(ladder("antinormal_number", dim).entries, flip)
-    return ProbeModel(kind=kind, joint_dim=2 * dim, hamiltonian=Operator(joint))
+    return Operator(joint)
 
 
 def probe_model_operators(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel:
@@ -202,8 +188,7 @@ def probe_model_operators(kind: CounterKind, gamma: float, dim: int) -> Measurem
     phase of -i on the one-count branch.
     """
     _validate(gamma, dim, allow_zero_gamma=True)
-    probe = probe_hamiltonian(kind, dim)
-    joint_unitary = matrix_exponential(probe.hamiltonian, -1j * gamma).entries
+    joint_unitary = matrix_exponential(probe_hamiltonian(kind, dim), -1j * gamma).entries
     init = 1 if kind is CounterKind.QC else 0
     count_on = 1 - init
     blocks = {

@@ -18,21 +18,11 @@ from .fock import Operator, StateVector
 
 __all__ = [
     "Ensemble",
-    "EnsembleSample",
     "bloch_two_state_ensemble",
     "haar_ensemble",
     "expectation",
     "support_projector",
 ]
-
-
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One member state with its weight; coords holds (theta, phi) when polar."""
-
-    state: StateVector
-    weight: float
-    coords: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -70,17 +60,13 @@ class Ensemble:
     def n_samples(self) -> int:
         return self.weights.size
 
-    @property
-    def samples(self) -> list[EnsembleSample]:
-        """Materialized sample list; intended for quadrature-sized families."""
-        coords = self.thetas
-        out = []
-        for i in range(self.n_samples):
-            c = (float(coords[i]), 0.0) if coords is not None else None
-            out.append(
-                EnsembleSample(StateVector(self.states[i]), float(self.weights[i]), c)
-            )
-        return out
+
+def _bloch_states(thetas: np.ndarray, dim: int) -> np.ndarray:
+    """Rows cos(t/2)|0> + sin(t/2)|1> for each polar angle t, in radians."""
+    states = np.zeros((thetas.size, dim), dtype=complex)
+    states[:, 0] = np.cos(thetas / 2.0)
+    states[:, 1] = np.sin(thetas / 2.0)
+    return states
 
 
 def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
@@ -100,14 +86,11 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     thetas = (x + 1.0) * (np.pi / 2.0)
     weights = (np.pi / 2.0) * w * np.sin(thetas) / 2.0
     weights = weights / weights.sum()
-    states = np.zeros((nodes, dim), dtype=complex)
-    states[:, 0] = np.cos(thetas / 2.0)
-    states[:, 1] = np.sin(thetas / 2.0)
     return Ensemble(
         kind="bloch_two_state",
         support_dim=2,
         dim=dim,
-        states=states,
+        states=_bloch_states(thetas, dim),
         weights=weights,
         measure_kind="quadrature",
         thetas=thetas,
@@ -141,9 +124,9 @@ def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
     )
 
 
-def expectation(ensemble: Ensemble, f: Callable[[EnsembleSample], float]) -> float:
-    """Weighted average of f over the family."""
-    values = np.array([f(s) for s in ensemble.samples], dtype=float)
+def expectation(ensemble: Ensemble, f: Callable[[StateVector], float]) -> float:
+    """Weighted average of f over the member states."""
+    values = np.array([f(StateVector(row)) for row in ensemble.states], dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand produced a non-finite value")
     return float(np.sum(ensemble.weights * values))

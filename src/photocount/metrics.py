@@ -290,8 +290,11 @@ def batched_information(
 
     The full-sample value is the point estimate; the spread of the batch
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
+    Raises ZeroProbability if the outcome has zero total probability.
     """
     stats = outcome_statistics(model, ensemble)[model.outcomes.index(outcome)]
+    if stats.total <= 0.0:
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     full = information_gain(stats)
     batches = []
     for idx in np.array_split(np.arange(ensemble.n_samples), n_batches):

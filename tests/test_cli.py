@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from photocount import cli
 from photocount.cli import format_number, main
 
 
@@ -63,6 +64,14 @@ class TestPosterior:
         code, _, err = run_cli(["posterior", "--outcome", "7"], capsys)
         assert code == 2
         assert "outcome" in err
+
+    def test_zero_probability_outcome_is_numeric_failure(self, capsys):
+        # gamma^2 underflows, so the one-count has zero total probability.
+        argv = ["posterior", "--counter", "pc", "--outcome", "1", "--gamma", "1e-170"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert "outcome '1' has zero total probability" in err
 
 
 class TestMetricsCommand:
@@ -147,6 +156,12 @@ class TestHaar:
     def test_sample_floor(self, capsys):
         code, _, _ = run_cli(["haar", "--samples", "1000"], capsys)
         assert code == 2
+
+    def test_zero_probability_outcome_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(["haar", "--d", "2", "--gamma", "1e-170"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "outcome '1' has zero total probability" in err
 
 
 class TestReverse:
@@ -238,6 +253,23 @@ class TestOutputDiscipline:
     def test_gamma_validation_is_usage_error(self, capsys):
         code, _, _ = run_cli(["metrics", "--gamma", "0.7"], capsys)
         assert code == 2
+
+    def test_threads_validation_is_usage_error(self, capsys):
+        code, out, err = run_cli(["metrics", "--threads", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "threads must be positive" in err
+
+    def test_floating_point_error_is_numeric_failure(self, capsys, monkeypatch):
+        def divide_by_zero(config):
+            return {"value": np.float64(1.0) / np.float64(0.0)}
+
+        _, own_flags, table = cli.COMMANDS["metrics"]
+        monkeypatch.setitem(cli.COMMANDS, "metrics", (divide_by_zero, own_flags, table))
+        code, out, err = run_cli(["metrics"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "divide by zero" in err
 
 
 class TestFreshProcess:

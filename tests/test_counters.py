@@ -13,6 +13,7 @@ from photocount import (
     proportionality_deviation,
     unitary_part_deviation,
 )
+from photocount.counters import probe_hamiltonian
 
 ALL_KINDS = tuple(CounterKind)
 
@@ -162,6 +163,10 @@ def phase_aligned_deviation(probe_op, closed_op, support):
 
 
 class TestProbeModels:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_probe_hamiltonian_is_hermitian(self, kind):
+        assert probe_hamiltonian(kind, 5).is_hermitian(1e-12)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exact_operators_match_block_rotation_oracle(self, kind):
         model = probe_model_operators(kind, 0.1, 5)

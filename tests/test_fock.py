@@ -165,7 +165,7 @@ class TestMatrixExponential:
 
     def test_exchange_coupling_block_against_series(self):
         gamma = 0.3
-        h = probe_hamiltonian(CounterKind.PC, 4).hamiltonian
+        h = probe_hamiltonian(CounterKind.PC, 4)
         out = matrix_exponential(h, -1j * gamma)
         oracle = series_exponential(h.entries, -1j * gamma)
         assert np.max(np.abs(out.entries - oracle)) < 1e-13
