@@ -21,7 +21,6 @@ from .ensemble import (
     bloch_two_state_ensemble,
     expectation,
     haar_ensemble,
-    support_projector,
 )
 from .errors import (
     FidelityOne,

@@ -28,7 +28,6 @@ from .fock import (
     matrix_exponential,
     polar_decompose,
     support_projector_of,
-    range_basis,
 )
 
 __all__ = [
@@ -122,14 +121,13 @@ def build_counter(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel
     )
 
 
-def completeness_residual(model: MeasurementModel, support: Operator) -> float:
-    """Spectral norm of P (I - sum_m M_m^dag M_m) P on the given support."""
+def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
+    """Spectral norm of I - sum_m M_m^dag M_m on the lowest support_dim levels."""
     total = np.zeros((model.dim, model.dim), dtype=complex)
     for op in model.operators:
         total += op.adjoint().entries @ op.entries
     defect = np.eye(model.dim) - total
-    p = support.entries
-    return float(np.linalg.norm(p @ defect @ p, 2))
+    return float(np.linalg.norm(defect[:support_dim, :support_dim], 2))
 
 
 def compose_models(first: MeasurementModel, second: MeasurementModel) -> MeasurementModel:
@@ -219,19 +217,18 @@ def unitary_part_deviation(op: Operator) -> float:
 
 
 def proportionality_deviation(
-    a: Operator, b: Operator, support: Optional[Operator] = None
+    a: Operator, b: Operator, support_dim: Optional[int] = None
 ) -> float:
     """Normalized cross-product test for A = const * B.
 
     Returns max_{ij,kl} |A_ij B_kl - A_kl B_ij| / (max|A| max|B|), optionally
-    after compressing both operators to a support subspace; zero iff the
-    compressions are proportional.
+    after compressing both operators to the lowest support_dim levels; zero
+    iff the compressions are proportional.
     """
     ma, mb = a.entries, b.entries
-    if support is not None:
-        basis = range_basis(support.entries)
-        ma = basis.conj().T @ ma @ basis
-        mb = basis.conj().T @ mb @ basis
+    if support_dim is not None:
+        ma = ma[:support_dim, :support_dim]
+        mb = mb[:support_dim, :support_dim]
     fa, fb = ma.ravel(), mb.ravel()
     scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
     if scale == 0.0:

@@ -14,14 +14,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import Operator, StateVector
+from .fock import StateVector
 
 __all__ = [
     "Ensemble",
     "bloch_two_state_ensemble",
     "haar_ensemble",
     "expectation",
-    "support_projector",
 ]
 
 
@@ -30,12 +29,12 @@ class Ensemble:
     """Immutable weighted state family.
 
     ``states`` has one normalized state per row, supported on the first
-    ``support_dim`` basis vectors; ``weights`` are positive and sum to one.
+    ``support_dim`` basis vectors (every later amplitude is exactly zero);
+    ``weights`` are positive and sum to one.
     """
 
     kind: str
     support_dim: int
-    dim: int
     states: np.ndarray
     weights: np.ndarray
     measure_kind: str
@@ -47,6 +46,10 @@ class Ensemble:
         weights = np.asarray(self.weights, dtype=float)
         if states.ndim != 2 or states.shape[0] != weights.size:
             raise ValueError("states and weights are inconsistent")
+        if not 1 <= self.support_dim <= states.shape[1]:
+            raise ValueError(f"support dimension {self.support_dim} outside [1, dim]")
+        if np.any(states[:, self.support_dim :]):
+            raise ValueError(f"states have amplitudes above level {self.support_dim - 1}")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -55,6 +58,10 @@ class Ensemble:
         weights.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[1]
 
     @property
     def n_samples(self) -> int:
@@ -89,7 +96,6 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     return Ensemble(
         kind="bloch_two_state",
         support_dim=2,
-        dim=dim,
         states=_bloch_states(thetas, dim),
         weights=weights,
         measure_kind="quadrature",
@@ -116,7 +122,6 @@ def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
     return Ensemble(
         kind="haar",
         support_dim=d,
-        dim=dim,
         states=states,
         weights=weights,
         measure_kind="monte_carlo",
@@ -130,10 +135,3 @@ def expectation(ensemble: Ensemble, f: Callable[[StateVector], float]) -> float:
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand produced a non-finite value")
     return float(np.sum(ensemble.weights * values))
-
-
-def support_projector(ensemble: Ensemble) -> Operator:
-    """Projector onto the subspace the family is supported on."""
-    diag = np.zeros(ensemble.dim)
-    diag[: ensemble.support_dim] = 1.0
-    return Operator(np.diag(diag))

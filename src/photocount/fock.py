@@ -26,7 +26,6 @@ __all__ = [
 LADDER_KINDS = ("annihilation", "creation", "number", "antinormal_number")
 
 _HERMITIAN_TOL = 1e-12
-_PROJECTOR_TOL = 1e-10
 _SUPPORT_TOL = 1e-10
 
 
@@ -162,14 +161,6 @@ def ladder(kind: str, dim: int) -> Operator:
     raise ValueError(f"unknown ladder kind {kind!r}; expected one of {LADDER_KINDS}")
 
 
-def _check_projector(support: Operator) -> None:
-    p = support.entries
-    if np.max(np.abs(p - p.conj().T)) > _PROJECTOR_TOL:
-        raise ValueError("support must be Hermitian")
-    if np.max(np.abs(p @ p - p)) > _PROJECTOR_TOL:
-        raise ValueError("support must be idempotent (an orthogonal projector)")
-
-
 def range_basis(projector: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis for the range of a projector.
 
@@ -190,18 +181,16 @@ def range_basis(projector: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def min_eigenvalue(op: Operator, support: Operator) -> float:
-    """Smallest eigenvalue of the compression of a Hermitian op to a subspace.
+def min_eigenvalue(op: Operator, support_dim: int) -> float:
+    """Smallest eigenvalue of a Hermitian op on span{|0>, ..., |support_dim-1>}.
 
-    Equals the infimum of <psi|op|psi> over unit states in the support.
+    Equals the infimum of <psi|op|psi> over unit states in that span.
     """
     if not op.is_hermitian():
         raise ValueError("operator must be Hermitian")
-    _check_projector(support)
-    basis = range_basis(support.entries)
-    if basis.shape[1] == 0:
-        raise ValueError("support projector has zero rank")
-    compression = basis.conj().T @ op.entries @ basis
+    if not 1 <= support_dim <= op.dim:
+        raise ValueError(f"support dimension {support_dim} outside [1, {op.dim}]")
+    compression = op.entries[:support_dim, :support_dim]
     return float(np.linalg.eigvalsh(compression)[0])
 
 

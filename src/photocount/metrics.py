@@ -31,7 +31,7 @@ from .counters import (
     build_counter,
     compose_models,
 )
-from .ensemble import Ensemble, support_projector
+from .ensemble import Ensemble
 from .errors import FidelityOne, NumericInconsistency, ZeroProbability
 from .fock import Operator, StateVector, min_eigenvalue
 
@@ -154,9 +154,12 @@ def outcome_statistics(model: MeasurementModel, ensemble: Ensemble) -> list[Outc
 
 
 def information_gain(stats: OutcomeStats) -> float:
-    """Relative entropy (bits) of the posterior with respect to the prior."""
+    """Relative entropy (bits) of the posterior with respect to the prior.
+
+    Raises ZeroProbability if the outcome has zero total probability.
+    """
     if stats.total <= 0.0:
-        return 0.0
+        raise ZeroProbability(f"outcome {stats.outcome!r} has zero total probability")
     mask = stats.conditional > 0.0
     ratio = stats.conditional[mask] / stats.total
     # Non-negative by Gibbs' inequality; clamp the rounding residue (NaN
@@ -173,24 +176,22 @@ def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> Counte
     probability, since its fidelity and reversibility are undefined.
     """
     stats = outcome_statistics(model, ensemble)
-    support = support_projector(ensemble)
     per_outcome: dict[str, OutcomeMetrics] = {}
     backgrounds: dict[str, float] = {}
     double_sum = 0.0
     for s, op in zip(stats, model.operators):
-        if s.total <= 0.0:
-            raise ZeroProbability(f"outcome {s.outcome!r} has zero total probability")
+        info = information_gain(s)
         mask = s.conditional > 0.0
         cond, post = s.conditional[mask], s.posterior[mask]
-        info = information_gain(s)
         double_sum += float(np.sum(post * s.total * np.log2(cond / s.total)))
-        # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.
+        # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.  It and reversibility
+        # are at most 1; clamp the rounding residue (NaN passes through min).
         images = ensemble.states @ op.entries.T
         overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=1))
-        fid = float(np.sum(post * (overlaps[mask] / np.sqrt(cond))))
+        fid = min(float(np.sum(post * (overlaps[mask] / np.sqrt(cond)))), 1.0)
         # Reversibility: posterior average of background / p(m|a).
-        b = background(model, s.outcome, support)
-        rev = 0.0 if b == 0.0 else float(np.sum(post * (b / cond)))
+        b = background(model, s.outcome, ensemble.support_dim)
+        rev = 0.0 if b == 0.0 else min(float(np.sum(post * (b / cond))), 1.0)
         try:
             eff = efficiency(info, fid)
         except FidelityOne:
@@ -242,10 +243,10 @@ def mean_fidelity(model: MeasurementModel, ensemble: Ensemble) -> float:
     return _evaluate(model, ensemble, model.label).mean_fidelity
 
 
-def background(model: MeasurementModel, outcome: str, support: Operator) -> float:
-    """Infimum of p(m|psi) over unit states in the support subspace."""
+def background(model: MeasurementModel, outcome: str, support_dim: int) -> float:
+    """Infimum of p(m|psi) over unit states on the lowest support_dim levels."""
     op = model.operator_for(outcome)
-    return max(0.0, min_eigenvalue(op.adjoint() @ op, support))
+    return max(0.0, min_eigenvalue(op.adjoint() @ op, support_dim))
 
 
 def reversibility(model: MeasurementModel, ensemble: Ensemble, outcome: str) -> float:
@@ -293,8 +294,6 @@ def batched_information(
     Raises ZeroProbability if the outcome has zero total probability.
     """
     stats = outcome_statistics(model, ensemble)[model.outcomes.index(outcome)]
-    if stats.total <= 0.0:
-        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     full = information_gain(stats)
     batches = []
     for idx in np.array_split(np.arange(ensemble.n_samples), n_batches):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import CounterKind, build_counter
-from .ensemble import Ensemble, support_projector
+from .ensemble import Ensemble
 from .errors import NonReversible, ZeroProbability
 from .fock import Operator, StateVector, min_eigenvalue
 from .metrics import outcome_statistics, post_measurement_state
@@ -42,24 +42,26 @@ class ReversingMeasurement:
 
 
 def build_reversing(
-    op: Operator, support: Operator, eta_fraction: float = 1.0
+    op: Operator, support_dim: int, eta_fraction: float = 1.0
 ) -> ReversingMeasurement:
-    """Reversing measurement for one outcome operator on a support subspace.
+    """Reversing measurement for one outcome operator on the lowest
+    support_dim levels.
 
-    The success operator is eta * pinv(op restricted to the support), zero
+    The success operator is eta * pinv(op restricted to those levels), zero
     off the support image; |eta|^2 = eta_fraction * background keeps the pair
     {success, fail} a valid measurement, with equality at eta_fraction = 1
     giving the maximal success probability.
     """
     if not 0.0 < eta_fraction <= 1.0:
         raise ValueError("eta_fraction must lie in (0, 1]")
-    floor = min_eigenvalue(op.adjoint() @ op, support)
+    floor = min_eigenvalue(op.adjoint() @ op, support_dim)
     if floor <= _INVERSE_FLOOR:
         raise NonReversible(
             f"background = {max(floor, 0.0):.3g}; no bounded left inverse on the support"
         )
     eta_sq = eta_fraction * floor
-    restricted = op.entries @ support.entries
+    restricted = op.entries.copy()
+    restricted[:, support_dim:] = 0.0
     success = np.sqrt(eta_sq) * np.linalg.pinv(restricted)
     defect = np.eye(op.dim) - success.conj().T @ success
     eigvals, eigvecs = np.linalg.eigh(defect)
@@ -121,8 +123,7 @@ def trajectory_sim(
 
     model = build_counter(kind, gamma, ensemble.dim)
     one_count_op = model.operator_for("1")
-    support = support_projector(ensemble)
-    rev = build_reversing(one_count_op, support, eta_fraction=1.0)
+    rev = build_reversing(one_count_op, ensemble.support_dim, eta_fraction=1.0)
 
     stats = outcome_statistics(model, ensemble)
     cond_one = stats[model.outcomes.index("1")].conditional

@@ -136,7 +136,7 @@ def test_05_sweep_fit_coefficients(bloch):
 
 
 def test_06_identity_suite(bloch):
-    support = pc.support_projector(bloch)
+    support_dim = bloch.support_dim
     worst_mi, worst_ku, worst_norm = 0.0, 0.0, 0.0
     ok = True
     for label in LABELS:
@@ -156,9 +156,9 @@ def test_06_identity_suite(bloch):
                 )
             worst_mi = max(worst_mi, abs(by_outcome - double))
             mean_rev = pc.mean_reversibility(model, bloch)
-            bg_sum = sum(pc.background(model, m, support) for m in model.outcomes)
+            bg_sum = sum(pc.background(model, m, support_dim) for m in model.outcomes)
             worst_ku = max(worst_ku, abs(mean_rev - bg_sum))
-            residual = pc.completeness_residual(model, support)
+            residual = pc.completeness_residual(model, support_dim)
             deviation = abs(sum(s.total for s in stats) - 1.0)
             worst_norm = max(worst_norm, deviation - 2 * residual)
             ok = ok and worst_mi <= 1e-10 and worst_ku <= 1e-10 and deviation <= 2 * residual
@@ -200,8 +200,7 @@ def test_08_joint_measurement_proportionality():
         pc.build_counter(pc.CounterKind.PC, 0.3, 6),
     )
     reference = pc.build_counter(pc.CounterKind.QQC, 0.3, 6).operator_for("1")
-    support = pc.Operator(np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-    dev = pc.proportionality_deviation(joint.operator_for("11"), reference, support)
+    dev = pc.proportionality_deviation(joint.operator_for("11"), reference, 2)
     check("08 double count implements the QND quantum counter", dev <= 1e-12, f"dev = {dev:.2e}")
 
 
@@ -221,7 +220,7 @@ def test_09_reversal_end_to_end(bloch):
         details.append(f"{label}: mc={sim.empirical_success_rate:.5f} ({sigma:.1e} sd)")
 
         op = model.operator_for("1")
-        rev = pc.build_reversing(op, pc.support_projector(bloch))
+        rev = pc.build_reversing(op, bloch.support_dim)
         success = np.array(
             [
                 pc.verify_recovery(pc.StateVector(s), op, rev)

@@ -8,7 +8,6 @@ from photocount import (
     fidelity_after,
     haar_ensemble,
     resolve_model,
-    support_projector,
 )
 from photocount.metrics import moment_n1, moment_n3
 
@@ -63,7 +62,6 @@ class TestBlochEnsemble:
         phased = Ensemble(
             kind=bloch64.kind,
             support_dim=2,
-            dim=bloch64.dim,
             states=states,
             weights=bloch64.weights,
             measure_kind="quadrature",
@@ -124,10 +122,25 @@ class TestExpectationAndSupport:
         with pytest.raises(ValueError):
             expectation(bloch64, lambda s: float("inf"))
 
-    def test_support_projectors(self, bloch64):
-        proj = support_projector(bloch64)
-        assert np.allclose(np.diag(proj.entries), [1, 1, 0, 0, 0])
-        haar = haar_ensemble(3, 10_000, 1, 5)
-        hp = support_projector(haar)
-        assert np.allclose(np.diag(hp.entries), [1, 1, 1, 0, 0])
-        assert abs(np.trace(hp.entries).real - haar.support_dim) < 1e-12
+    @pytest.mark.parametrize("support_dim", [0, 6])
+    def test_support_dim_outside_truncation_rejected(self, support_dim):
+        with pytest.raises(ValueError, match="support dimension"):
+            Ensemble(
+                kind="point",
+                support_dim=support_dim,
+                states=np.eye(5)[:1],
+                weights=np.ones(1),
+                measure_kind="point",
+            )
+
+    def test_amplitude_above_support_rejected(self):
+        # |2> is outside span{|0>, |1>}; a 1e-300 amplitude counts too
+        for row in (np.eye(5)[2], np.array([1.0, 0.0, 1e-300, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="above level 1"):
+                Ensemble(
+                    kind="point",
+                    support_dim=2,
+                    states=row[None, :],
+                    weights=np.ones(1),
+                    measure_kind="point",
+                )

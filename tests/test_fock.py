@@ -20,12 +20,6 @@ def brute_force_creation(dim):
     return mat
 
 
-def support_01(dim):
-    diag = np.zeros(dim)
-    diag[:2] = 1.0
-    return Operator(np.diag(diag))
-
-
 class TestLadder:
     def test_annihilation_on_one_photon(self):
         a = ladder("annihilation", 3)
@@ -75,20 +69,19 @@ class TestOperatorAlgebra:
 class TestMinEigenvalue:
     def test_absorbing_one_count_has_zero_floor(self):
         op = 0.3 * ladder("annihilation", 5)
-        assert abs(min_eigenvalue(op.adjoint() @ op, support_01(5))) < 1e-14
+        assert abs(min_eigenvalue(op.adjoint() @ op, 2)) < 1e-14
 
     def test_emitting_one_count_floor_is_gamma_squared(self):
         op = 0.3 * ladder("creation", 5)
-        assert abs(min_eigenvalue(op.adjoint() @ op, support_01(5)) - 0.09) < 1e-14
+        assert abs(min_eigenvalue(op.adjoint() @ op, 2) - 0.09) < 1e-14
 
     def test_identity_floor_is_one(self):
-        assert abs(min_eigenvalue(Operator.identity(4), support_01(4)) - 1.0) < 1e-14
+        assert abs(min_eigenvalue(Operator.identity(4), 2) - 1.0) < 1e-14
 
     def test_lower_bounds_expectation_on_random_states(self):
         rng = np.random.default_rng(11)
         op = ladder("number", 6)
-        support = support_01(6)
-        floor = min_eigenvalue(op, support)
+        floor = min_eigenvalue(op, 2)
         for _ in range(1000):
             amps = np.zeros(6, dtype=complex)
             raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -98,9 +91,11 @@ class TestMinEigenvalue:
 
     def test_rejects_zero_rank_support_and_non_hermitian(self):
         with pytest.raises(ValueError):
-            min_eigenvalue(Operator.identity(4), Operator(np.zeros((4, 4))))
+            min_eigenvalue(Operator.identity(4), 0)
         with pytest.raises(ValueError):
-            min_eigenvalue(ladder("annihilation", 4), support_01(4))
+            min_eigenvalue(Operator.identity(4), 5)
+        with pytest.raises(ValueError):
+            min_eigenvalue(ladder("annihilation", 4), 2)
 
 
 class TestPolarDecompose:

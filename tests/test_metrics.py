@@ -23,7 +23,6 @@ from photocount import (
     post_measurement_state,
     resolve_model,
     reversibility,
-    support_projector,
 )
 from photocount.fock import Operator
 from photocount.metrics import moment_n1, moment_n2, moment_n3
@@ -136,7 +135,7 @@ class TestOutcomeStatistics:
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
     def test_totals_sum_to_one_within_completeness_defect(self, bloch, label, gamma):
         model = resolve_model(label, gamma, 5)
-        residual = completeness_residual(model, support_projector(bloch))
+        residual = completeness_residual(model, bloch.support_dim)
         total = sum(s.total for s in outcome_statistics(model, bloch))
         assert abs(total - 1.0) <= 2 * residual + 1e-12
 
@@ -236,10 +235,10 @@ class TestFidelity:
 
 class TestBackgroundAndReversibility:
     def test_backgrounds(self, bloch):
-        support = support_projector(bloch)
-        assert background(resolve_model("pc", 0.3, 5), "1", support) < 1e-14
-        assert abs(background(resolve_model("qc", 0.3, 5), "1", support) - 0.09) < 1e-14
-        assert abs(background(resolve_model("qqc", 0.3, 5), "1", support) - 0.09) < 1e-14
+        d = bloch.support_dim
+        assert background(resolve_model("pc", 0.3, 5), "1", d) < 1e-14
+        assert abs(background(resolve_model("qc", 0.3, 5), "1", d) - 0.09) < 1e-14
+        assert abs(background(resolve_model("qqc", 0.3, 5), "1", d) - 0.09) < 1e-14
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_reversibilities(self, bloch, label):
@@ -254,7 +253,7 @@ class TestBackgroundAndReversibility:
     def test_background_is_a_pointwise_floor(self, bloch):
         for label in ALL_LABELS:
             model = resolve_model(label, 0.3, 5)
-            b = background(model, "1", support_projector(bloch))
+            b = background(model, "1", bloch.support_dim)
             stats = outcome_statistics(model, bloch)[1]
             assert b <= stats.conditional.min() + 1e-12
             rev = reversibility(model, bloch, "1")
@@ -264,8 +263,7 @@ class TestBackgroundAndReversibility:
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
     def test_mean_reversibility_equals_background_sum(self, bloch, label, gamma):
         model = resolve_model(label, gamma, 5)
-        support = support_projector(bloch)
-        total = sum(background(model, m, support) for m in model.outcomes)
+        total = sum(background(model, m, bloch.support_dim) for m in model.outcomes)
         assert abs(mean_reversibility(model, bloch) - total) < 1e-10
 
     @pytest.mark.parametrize(
@@ -355,12 +353,13 @@ class TestFullReport:
         vacuum = Ensemble(
             kind="vacuum",
             support_dim=1,
-            dim=5,
             states=np.eye(5)[:1],
             weights=np.ones(1),
             measure_kind="point",
         )
         model = resolve_model("pc", 0.3, 5)
+        with pytest.raises(ZeroProbability, match="'1'"):
+            information_gain(outcome_statistics(model, vacuum)[1])
         with pytest.raises(ZeroProbability):
             full_report("pc", 0.3, vacuum)
         for figure in (fidelity_after, reversibility):

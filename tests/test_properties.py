@@ -3,7 +3,6 @@ quadrature sizes.  Derandomized, so every run draws the same examples."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +21,6 @@ from photocount import (
 )
 
 LABELS = ("pc", "qc", "qpc", "qqc", "joint")
-# Fidelity and reversibility are averages of ratios that equal 1 exactly in
-# the small-coupling limit, so they may round a few ulps above 1.
-ROUNDING = 8 * np.finfo(float).eps
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -51,8 +47,8 @@ def test_full_report_properties(gamma, label, dim, nodes):
         assert all(math.isfinite(v) for v in values)
         assert m.efficiency is None or math.isfinite(m.efficiency)
         assert m.information_gain >= 0.0
-        assert 0.0 <= m.fidelity <= 1.0 + ROUNDING
-        assert 0.0 <= m.reversibility <= 1.0 + ROUNDING
+        assert 0.0 <= m.fidelity <= 1.0
+        assert 0.0 <= m.reversibility <= 1.0
         assert math.isfinite(report.backgrounds[outcome])
         assert fidelity_after(model, ens, outcome) == m.fidelity
         assert reversibility(model, ens, outcome) == m.reversibility

@@ -10,7 +10,6 @@ from photocount import (
     build_reversing,
     outcome_statistics,
     reversibility,
-    support_projector,
     trajectory_sim,
     verify_recovery,
 )
@@ -35,7 +34,7 @@ def random_support_state(rng, dim=5):
 class TestBuildReversing:
     def test_emitting_counter_cap_and_success_probabilities(self, bloch):
         op = one_count(CounterKind.QC)
-        rev = build_reversing(op, support_projector(bloch), eta_fraction=1.0)
+        rev = build_reversing(op, bloch.support_dim, eta_fraction=1.0)
         assert abs(rev.eta_sq - 0.09) < 1e-14
         # success probability 1/(n1 + 1) on the two-level family
         for state, n1 in [
@@ -48,17 +47,15 @@ class TestBuildReversing:
             assert res["recovery_fidelity"] > 1 - 1e-10
 
     def test_absorbing_counters_are_not_reversible(self, bloch):
-        support = support_projector(bloch)
         with pytest.raises(NonReversible):
-            build_reversing(one_count(CounterKind.PC), support)
+            build_reversing(one_count(CounterKind.PC), bloch.support_dim)
         with pytest.raises(NonReversible):
-            build_reversing(one_count(CounterKind.QPC), support)
+            build_reversing(one_count(CounterKind.QPC), bloch.support_dim)
 
     def test_partial_amplitude_halves_success(self, bloch):
         op = one_count(CounterKind.QC)
-        support = support_projector(bloch)
-        full = build_reversing(op, support, eta_fraction=1.0)
-        half = build_reversing(op, support, eta_fraction=0.5)
+        full = build_reversing(op, bloch.support_dim, eta_fraction=1.0)
+        half = build_reversing(op, bloch.support_dim, eta_fraction=0.5)
         state = StateVector(np.array([1, 1, 0, 0, 0]) / np.sqrt(2))
         a = verify_recovery(state, op, full)["success_prob"]
         b = verify_recovery(state, op, half)["success_prob"]
@@ -67,11 +64,11 @@ class TestBuildReversing:
     def test_eta_fraction_range(self, bloch):
         op = one_count(CounterKind.QC)
         with pytest.raises(ValueError):
-            build_reversing(op, support_projector(bloch), eta_fraction=0.0)
+            build_reversing(op, bloch.support_dim, eta_fraction=0.0)
 
     @pytest.mark.parametrize("kind", [CounterKind.QC, CounterKind.QQC])
     def test_success_fail_pair_is_complete(self, bloch, kind):
-        rev = build_reversing(one_count(kind), support_projector(bloch))
+        rev = build_reversing(one_count(kind), bloch.support_dim)
         total = (
             rev.success_op.adjoint() @ rev.success_op
             + rev.fail_op.adjoint() @ rev.fail_op
@@ -84,7 +81,7 @@ class TestVerifyRecovery:
     def test_probability_identity_on_random_states(self, bloch, kind):
         rng = np.random.default_rng(29)
         op = one_count(kind)
-        rev = build_reversing(op, support_projector(bloch))
+        rev = build_reversing(op, bloch.support_dim)
         for _ in range(1000):
             state = random_support_state(rng)
             p = float(np.linalg.norm(op.apply(state)) ** 2)
@@ -94,14 +91,14 @@ class TestVerifyRecovery:
 
     def test_qnd_quantum_on_vacuum_always_succeeds(self, bloch):
         op = one_count(CounterKind.QQC)
-        rev = build_reversing(op, support_projector(bloch))
+        rev = build_reversing(op, bloch.support_dim)
         res = verify_recovery(StateVector.basis(5, 0), op, rev)
         assert abs(res["success_prob"] - 1.0) < 1e-12
 
     def test_posterior_average_matches_reversibility(self, bloch):
         model = build_counter(CounterKind.QC, 0.3, 5)
         op = model.operator_for("1")
-        rev = build_reversing(op, support_projector(bloch))
+        rev = build_reversing(op, bloch.support_dim)
         stats = outcome_statistics(model, bloch)[1]
         success = np.array(
             [
@@ -117,7 +114,7 @@ class TestVerifyRecovery:
         # p(a | one-count, success) = p(1|a) * (eta^2/p(1|a)) * w_a / norm = w_a
         model = build_counter(CounterKind.QQC, 0.3, 5)
         op = model.operator_for("1")
-        rev = build_reversing(op, support_projector(bloch))
+        rev = build_reversing(op, bloch.support_dim)
         stats = outcome_statistics(model, bloch)[1]
         success = np.array(
             [
