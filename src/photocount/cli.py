@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .counters import CounterKind
+from .counters import GAMMA_MAX, CounterKind
 from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_ensemble
 from .errors import NonReversible, PhotocountError, ZeroProbability
 from .metrics import (
@@ -60,8 +60,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.counter not in COUNTER_CHOICES:
             raise ValueError(f"counter must be one of {COUNTER_CHOICES}")
-        if not 0.0 < self.gamma <= 0.5:
-            raise ValueError("gamma must lie in (0, 0.5]")
+        if not 0.0 < self.gamma <= GAMMA_MAX:
+            raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}]")
         if self.theta_nodes < 8:
             raise ValueError("theta-nodes must be at least 8")
         if self.dim < 4:
@@ -224,8 +224,6 @@ def cmd_haar(config: RunConfig, d: int) -> dict:
         raise ValueError("d must be 2, 3, or 4")
     if config.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
-    if config.dim < d + 2:
-        raise ValueError("dim must be at least d + 2")
     ens = haar_ensemble(d, config.samples, config.seed, config.dim)
     values, batches = {}, {}
     for label in ("pc", "qpc"):

@@ -22,13 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import (
-    Operator,
-    ladder,
-    matrix_exponential,
-    polar_decompose,
-    support_projector_of,
-)
+from .fock import Operator, ladder, matrix_exponential
 
 __all__ = [
     "CounterKind",
@@ -42,6 +36,7 @@ __all__ = [
 ]
 
 GAMMA_MAX = 0.5
+_SUPPORT_TOL = 1e-10
 
 
 class CounterKind(enum.Enum):
@@ -206,14 +201,15 @@ def unitary_part_deviation(op: Operator) -> float:
     """Distance of the polar unitary from the identity on the positive support.
 
     Zero means the operator is already non-negative there, i.e. the
-    measurement back-action carries no extra unitary kick.
+    measurement back-action carries no extra unitary kick.  With op = W S V^dag
+    and V_k, W_k the singular vectors above the relative cutoff,
+    (U - I) P_supp = (W_k - V_k) V_k^dag, whose norm is that of W_k - V_k.
     """
-    if op.spectral_norm() <= 1e-14:
+    w, s, vh = np.linalg.svd(op.entries)
+    if s[0] == 0.0:
         raise ValueError("zero operator has no polar structure")
-    factors = polar_decompose(op)
-    p_support = support_projector_of(factors.positive)
-    delta = (factors.unitary.entries - np.eye(op.dim)) @ p_support.entries
-    return float(np.linalg.norm(delta, 2))
+    keep = s > _SUPPORT_TOL * s[0]
+    return float(np.linalg.norm(w[:, keep] - vh[keep].conj().T, 2))
 
 
 def proportionality_deviation(

@@ -33,12 +33,9 @@ class Ensemble:
     ``weights`` are positive and sum to one.
     """
 
-    kind: str
     support_dim: int
     states: np.ndarray
     weights: np.ndarray
-    measure_kind: str
-    seed: Optional[int] = None
     thetas: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -94,12 +91,7 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     weights = (np.pi / 2.0) * w * np.sin(thetas) / 2.0
     weights = weights / weights.sum()
     return Ensemble(
-        kind="bloch_two_state",
-        support_dim=2,
-        states=_bloch_states(thetas, dim),
-        weights=weights,
-        measure_kind="quadrature",
-        thetas=thetas,
+        support_dim=2, states=_bloch_states(thetas, dim), weights=weights, thetas=thetas
     )
 
 
@@ -119,14 +111,7 @@ def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
     states = np.zeros((n_samples, dim), dtype=complex)
     states[:, :d] = raw
     weights = np.full(n_samples, 1.0 / n_samples)
-    return Ensemble(
-        kind="haar",
-        support_dim=d,
-        states=states,
-        weights=weights,
-        measure_kind="monte_carlo",
-        seed=seed,
-    )
+    return Ensemble(support_dim=d, states=states, weights=weights)
 
 
 def expectation(ensemble: Ensemble, f: Callable[[StateVector], float]) -> float:

@@ -26,7 +26,6 @@ __all__ = [
 LADDER_KINDS = ("annihilation", "creation", "number", "antinormal_number")
 
 _HERMITIAN_TOL = 1e-12
-_SUPPORT_TOL = 1e-10
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -107,9 +106,6 @@ class Operator:
         """Raw (unnormalized) image of a state under this operator."""
         return self.entries @ state.amplitudes
 
-    def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ValueError("operator dimensions differ")
@@ -161,26 +157,6 @@ def ladder(kind: str, dim: int) -> Operator:
     raise ValueError(f"unknown ladder kind {kind!r}; expected one of {LADDER_KINDS}")
 
 
-def range_basis(projector: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis for the range of a projector.
-
-    Gram-Schmidt over the projector columns in ascending number-basis order,
-    so the basis (and everything derived from it) is deterministic.
-    """
-    dim = projector.shape[0]
-    basis: list[np.ndarray] = []
-    for j in range(dim):
-        v = projector[:, j].astype(complex)
-        for b in basis:
-            v = v - b * np.vdot(b, v)
-        n = np.linalg.norm(v)
-        if n > tol:
-            basis.append(v / n)
-    if not basis:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.column_stack(basis)
-
-
 def min_eigenvalue(op: Operator, support_dim: int) -> float:
     """Smallest eigenvalue of a Hermitian op on span{|0>, ..., |support_dim-1>}.
 
@@ -197,42 +173,15 @@ def min_eigenvalue(op: Operator, support_dim: int) -> float:
 def polar_decompose(op: Operator) -> PolarFactors:
     """Polar factorization op = U @ P with P = (op^dag op)^(1/2) and U unitary.
 
-    On the support of P the unitary is op applied to P's pseudo-inverse; on
-    the kernel of P it is completed by mapping an orthonormal kernel basis to
-    an orthonormal basis of the cokernel of op, both taken in ascending
-    number-basis order so the output is deterministic.
+    From the singular value decomposition op = W S V^dag: U = W V^dag and
+    P = V S V^dag.  On the kernel of P, U is the completion the SVD picks.
     """
-    dim = op.dim
-    gram = op.adjoint().entries @ op.entries
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals = np.clip(eigvals, 0.0, None)
-    singulars = np.sqrt(eigvals)
-    positive = (eigvecs * singulars) @ eigvecs.conj().T
-
-    cutoff = _SUPPORT_TOL * max(1.0, float(singulars.max(initial=0.0)))
-    keep = singulars > cutoff
-    vs = eigvecs[:, keep]
-    if vs.shape[1]:
-        partial = op.entries @ (vs * (1.0 / singulars[keep])) @ vs.conj().T
-    else:
-        partial = np.zeros((dim, dim), dtype=complex)
-
-    kernel = range_basis(np.eye(dim) - vs @ vs.conj().T)
-    cokernel = range_basis(np.eye(dim) - partial @ partial.conj().T)
-    unitary = partial.copy()
-    for k in range(kernel.shape[1]):
-        unitary += np.outer(cokernel[:, k], kernel[:, k].conj())
-    return PolarFactors(unitary=Operator(unitary), positive=Operator(positive))
+    w, s, vh = np.linalg.svd(op.entries)
+    return PolarFactors(
+        unitary=Operator(w @ vh), positive=Operator((vh.conj().T * s) @ vh)
+    )
 
 
 def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:
     """exp(scale * op), exact to machine precision at these matrix sizes."""
     return Operator(scipy.linalg.expm(scale * op.entries))
-
-
-def support_projector_of(op: Operator) -> Operator:
-    """Projector onto the span of eigenvectors of a PSD op above the cutoff."""
-    eigvals, eigvecs = np.linalg.eigh(op.entries)
-    cutoff = _SUPPORT_TOL * max(1.0, float(np.abs(eigvals).max(initial=0.0)))
-    vs = eigvecs[:, eigvals > cutoff]
-    return Operator(vs @ vs.conj().T)

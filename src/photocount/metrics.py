@@ -11,11 +11,12 @@ probabilities of the truncated operators.
 
 Each (model, ensemble) pair is evaluated once: one outcome_statistics call
 and one background per outcome give every per-outcome figure and mean, and
-the two identities (mean information equals the mutual-information double
-sum; mean reversibility equals the sum of backgrounds) are checked once, to
-1e-10, in that pass.  full_report and the per-figure functions
-fidelity_after, reversibility and mean_* are views of that one evaluation,
-so each raises ZeroProbability when some outcome has zero total probability.
+the two identities (mean information equals the mutual information
+H(M) - H(M|A) computed from the prior and p(m|a); mean reversibility equals
+the sum of backgrounds) are checked once, to 1e-10, in that pass.
+full_report and the per-figure functions fidelity_after, reversibility and
+mean_* are views of that one evaluation, so each raises ZeroProbability when
+some outcome has zero total probability.
 """
 
 from __future__ import annotations
@@ -178,12 +179,16 @@ def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> Counte
     stats = outcome_statistics(model, ensemble)
     per_outcome: dict[str, OutcomeMetrics] = {}
     backgrounds: dict[str, float] = {}
-    double_sum = 0.0
+    mutual_information = 0.0
     for s, op in zip(stats, model.operators):
         info = information_gain(s)
         mask = s.conditional > 0.0
         cond, post = s.conditional[mask], s.posterior[mask]
-        double_sum += float(np.sum(post * s.total * np.log2(cond / s.total)))
+        # This outcome's share of H(M) - H(M|A), from the prior and p(m|a).
+        mutual_information += float(
+            np.sum(ensemble.weights[mask] * cond * np.log2(cond))
+            - s.total * np.log2(s.total)
+        )
         # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.  It and reversibility
         # are at most 1; clamp the rounding residue (NaN passes through min).
         images = ensemble.states @ op.entries.T
@@ -209,9 +214,10 @@ def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> Counte
     mean_fid = sum(m.probability * m.fidelity for m in per_outcome.values())
     mean_rev = sum(m.probability * m.reversibility for m in per_outcome.values())
     background_sum = sum(backgrounds.values())
-    if abs(mean_info - double_sum) > _IDENTITY_TOL:
+    if abs(mean_info - mutual_information) > _IDENTITY_TOL:
         raise NumericInconsistency(
-            f"mutual-information identity violated: {mean_info!r} vs {double_sum!r}"
+            "mutual-information identity violated: "
+            f"{mean_info!r} vs {mutual_information!r}"
         )
     if abs(mean_rev - background_sum) > _IDENTITY_TOL:
         raise NumericInconsistency(

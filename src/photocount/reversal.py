@@ -16,7 +16,7 @@ import numpy as np
 
 from .counters import CounterKind, build_counter
 from .ensemble import Ensemble
-from .errors import NonReversible, ZeroProbability
+from .errors import NonReversible
 from .fock import Operator, StateVector, min_eigenvalue
 from .metrics import outcome_statistics, post_measurement_state
 
@@ -80,11 +80,9 @@ def verify_recovery(
     """Success probability and recovered-state fidelity for one input state.
 
     For states inside the support the success probability equals
-    eta_sq / p(m) and the recovered state matches the input exactly.
+    eta_sq / p(m) and the recovered state matches the input exactly.  Raises
+    ZeroProbability if the outcome cannot occur on the state.
     """
-    prob = float(np.linalg.norm(op.apply(state)) ** 2)
-    if prob <= 1e-15:
-        raise ZeroProbability("the target outcome cannot occur on this state")
     post = post_measurement_state(op, state)
     success_image = rev.success_op.apply(post)
     success_prob = float(np.linalg.norm(success_image) ** 2)

@@ -157,6 +157,12 @@ class TestHaar:
         code, _, _ = run_cli(["haar", "--samples", "1000"], capsys)
         assert code == 2
 
+    def test_support_must_stay_below_truncation_edge(self, capsys):
+        code, out, err = run_cli(["haar", "--d", "4", "--dim", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "d <= dim - 2" in err
+
     def test_zero_probability_outcome_is_numeric_failure(self, capsys):
         code, out, err = run_cli(["haar", "--d", "2", "--gamma", "1e-170"], capsys)
         assert code == 4

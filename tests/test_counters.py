@@ -205,15 +205,17 @@ class TestProbeModels:
 
 class TestUnitaryPartDeviation:
     def test_qnd_counters_have_no_unitary_part(self):
-        assert unitary_part_deviation(0.3 * ladder("number", 5)) < 1e-12
-        assert unitary_part_deviation(0.3 * ladder("antinormal_number", 5)) < 1e-12
+        for gamma in (0.3, 1e-11, 1e-200):
+            for kind in ("number", "antinormal_number"):
+                assert unitary_part_deviation(gamma * ladder(kind, 5)) < 1e-12
 
     def test_identity_has_no_unitary_part(self):
         assert unitary_part_deviation(Operator.identity(4)) < 1e-14
 
     def test_absorbing_and_emitting_counters_do(self):
-        assert unitary_part_deviation(0.3 * ladder("annihilation", 5)) > 0.5
-        assert unitary_part_deviation(0.3 * ladder("creation", 5)) > 0.5
+        for gamma in (0.3, 1e-11, 1e-200):
+            assert unitary_part_deviation(gamma * ladder("annihilation", 5)) > 0.5
+            assert unitary_part_deviation(gamma * ladder("creation", 5)) > 0.5
 
     def test_emitting_counter_matches_shift_oracle(self):
         # explicit cyclic-shift unitary at dim 4; the polar positive part is

@@ -60,11 +60,9 @@ class TestBlochEnsemble:
         states = bloch64.states.copy()
         states[:, 1] *= np.exp(1j * rng.uniform(0, 2 * np.pi, states.shape[0]))
         phased = Ensemble(
-            kind=bloch64.kind,
             support_dim=2,
             states=states,
             weights=bloch64.weights,
-            measure_kind="quadrature",
             thetas=bloch64.thetas,
         )
         model = resolve_model("pc", 0.3, 5)
@@ -126,11 +124,9 @@ class TestExpectationAndSupport:
     def test_support_dim_outside_truncation_rejected(self, support_dim):
         with pytest.raises(ValueError, match="support dimension"):
             Ensemble(
-                kind="point",
                 support_dim=support_dim,
                 states=np.eye(5)[:1],
                 weights=np.ones(1),
-                measure_kind="point",
             )
 
     def test_amplitude_above_support_rejected(self):
@@ -138,9 +134,7 @@ class TestExpectationAndSupport:
         for row in (np.eye(5)[2], np.array([1.0, 0.0, 1e-300, 0.0, 0.0])):
             with pytest.raises(ValueError, match="above level 1"):
                 Ensemble(
-                    kind="point",
                     support_dim=2,
                     states=row[None, :],
                     weights=np.ones(1),
-                    measure_kind="point",
                 )

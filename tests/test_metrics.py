@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import photocount.metrics as metrics
 from photocount import (
     CounterKind,
     Ensemble,
     FidelityOne,
+    NumericInconsistency,
     StateVector,
     ZeroProbability,
     background,
@@ -292,6 +296,21 @@ class TestMutualInformationIdentity:
         # the library entry point performs the same check internally
         assert abs(mean_information(model, bloch) - by_outcome) < 1e-12
 
+    def test_inconsistent_conditionals_are_caught(self, bloch, monkeypatch):
+        # p(1|a) scaled by 1.01 while p(1) and the posterior are kept: the
+        # gain reads log2(1.01) high, and H(M) - H(M|A) from the prior and
+        # the scaled conditionals no longer matches the mean gain
+        exact = metrics.outcome_statistics
+
+        def skewed(model, ensemble):
+            stats = exact(model, ensemble)
+            stats[1] = replace(stats[1], conditional=1.01 * stats[1].conditional)
+            return stats
+
+        monkeypatch.setattr(metrics, "outcome_statistics", skewed)
+        with pytest.raises(NumericInconsistency, match="mutual-information"):
+            full_report("pc", 0.3, bloch)
+
 
 class TestEfficiency:
     def test_qnd_photon_value(self):
@@ -351,11 +370,9 @@ class TestFullReport:
 
     def test_zero_total_outcome_raises_from_every_figure_function(self):
         vacuum = Ensemble(
-            kind="vacuum",
             support_dim=1,
             states=np.eye(5)[:1],
             weights=np.ones(1),
-            measure_kind="point",
         )
         model = resolve_model("pc", 0.3, 5)
         with pytest.raises(ZeroProbability, match="'1'"):

@@ -1,23 +1,29 @@
-"""Property tests of full_report over random couplings, truncations and
-quadrature sizes.  Derandomized, so every run draws the same examples."""
+"""Property tests of full_report and of the polar structure of the one-count
+operators over random couplings, truncations and quadrature sizes.
+Derandomized, so every run draws the same examples."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photocount import (
+    CounterKind,
     ZeroProbability,
     bloch_two_state_ensemble,
+    build_counter,
     fidelity_after,
     full_report,
     mean_fidelity,
     mean_information,
     mean_reversibility,
     outcome_statistics,
+    polar_decompose,
     resolve_model,
     reversibility,
+    unitary_part_deviation,
 )
 
 LABELS = ("pc", "qc", "qpc", "qqc", "joint")
@@ -56,3 +62,26 @@ def test_full_report_properties(gamma, label, dim, nodes):
     assert mean_information(model, ens) == report.mean_information
     assert mean_fidelity(model, ens) == report.mean_fidelity
     assert mean_reversibility(model, ens) == report.mean_reversibility
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(list(CounterKind)),
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    dim=st.integers(min_value=4, max_value=8),
+)
+def test_polar_structure_properties(kind, gamma, dim):
+    op = build_counter(kind, gamma, dim).operator_for("1")
+    factors = polar_decompose(op)
+    u, p = factors.unitary.entries, factors.positive.entries
+    # Relative to the operator's scale: the polar factors of c * op are U, c * P.
+    scale = np.linalg.norm(op.entries, 2)
+    assert np.linalg.norm(u @ p - op.entries, 2) / scale <= 1e-12
+    assert np.linalg.norm(u.conj().T @ u - np.eye(dim), 2) <= 1e-12
+    assert np.max(np.abs(p - p.conj().T)) / scale <= 1e-12
+    assert np.linalg.eigvalsh(p)[0] / scale >= -1e-12
+    deviation = unitary_part_deviation(op)
+    if kind in (CounterKind.QPC, CounterKind.QQC):
+        assert deviation <= 1e-12
+    else:
+        assert deviation >= 1.0

@@ -5,6 +5,7 @@ from photocount import (
     CounterKind,
     NonReversible,
     StateVector,
+    ZeroProbability,
     bloch_two_state_ensemble,
     build_counter,
     build_reversing,
@@ -94,6 +95,12 @@ class TestVerifyRecovery:
         rev = build_reversing(op, bloch.support_dim)
         res = verify_recovery(StateVector.basis(5, 0), op, rev)
         assert abs(res["success_prob"] - 1.0) < 1e-12
+
+    def test_impossible_outcome_raises(self, bloch):
+        # gamma * a annihilates the vacuum, so its one-count cannot occur
+        rev = build_reversing(one_count(CounterKind.QC), bloch.support_dim)
+        with pytest.raises(ZeroProbability):
+            verify_recovery(StateVector.basis(5, 0), one_count(CounterKind.PC), rev)
 
     def test_posterior_average_matches_reversibility(self, bloch):
         model = build_counter(CounterKind.QC, 0.3, 5)
