@@ -19,7 +19,6 @@ from .counters import (
 from .ensemble import (
     Ensemble,
     bloch_two_state_ensemble,
-    expectation,
     haar_ensemble,
 )
 from .errors import (
@@ -31,12 +30,10 @@ from .errors import (
 )
 from .fock import (
     Operator,
-    PolarFactors,
     StateVector,
     ladder,
     matrix_exponential,
     min_eigenvalue,
-    polar_decompose,
 )
 from .metrics import (
     CounterReport,
@@ -53,10 +50,6 @@ from .metrics import (
     mean_fidelity,
     mean_information,
     mean_reversibility,
-    moment_n1,
-    moment_n2,
-    moment_n3,
-    outcome_probability,
     outcome_statistics,
     post_measurement_state,
     resolve_model,

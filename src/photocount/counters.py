@@ -17,7 +17,7 @@ being absorbed into an exact square root.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,9 @@ __all__ = [
 
 GAMMA_MAX = 0.5
 _SUPPORT_TOL = 1e-10
+# Off-diagonal entries of an effect M^dag M, relative to the largest effect
+# entry of the model, that still count as rounding of a diagonal effect.
+_DIAGONAL_TOL = 1e-12
 
 
 class CounterKind(enum.Enum):
@@ -55,25 +58,52 @@ class CounterKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Labeled outcome set with one operator per outcome."""
+    """Labeled outcome set with one operator per outcome.
+
+    ``effects[k]`` is the diagonal of the effect M_k^dag M_k in the number
+    basis, so p(k|psi) = sum_n |c_n|^2 effects[k, n].  Every model here has
+    diagonal effects; construction rejects one that does not.
+    """
 
     label: str
     outcomes: tuple[str, ...]
     operators: tuple[Operator, ...]
     gamma: float
     dim: int
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.outcomes) != len(self.operators):
             raise ValueError("one operator per outcome is required")
         if any(op.dim != self.dim for op in self.operators):
             raise ValueError("operator dimensions do not match the model")
+        stack = np.array([op.entries for op in self.operators])
+        # One flattened M^dag M per row; every (dim + 1)-th entry is diagonal.
+        grams = (stack.conj().transpose(0, 2, 1) @ stack).reshape(len(stack), -1)
+        diagonal = grams[:, :: self.dim + 1]
+        effects = diagonal.real.copy()
+        diagonal[:] = 0.0
+        off_diagonal = np.abs(grams).max(axis=1) > _DIAGONAL_TOL * effects.max()
+        for outcome, bad in zip(self.outcomes, off_diagonal):
+            if bad:
+                raise ValueError(
+                    f"effect of outcome {outcome!r} is not diagonal in the number basis"
+                )
+        effects.setflags(write=False)
+        object.__setattr__(self, "effects", effects)
 
-    def operator_for(self, outcome: str) -> Operator:
+    def _index(self, outcome: str) -> int:
         try:
-            return self.operators[self.outcomes.index(outcome)]
+            return self.outcomes.index(outcome)
         except ValueError:
             raise KeyError(f"unknown outcome {outcome!r}") from None
+
+    def operator_for(self, outcome: str) -> Operator:
+        return self.operators[self._index(outcome)]
+
+    def effect_for(self, outcome: str) -> np.ndarray:
+        """Diagonal of M^dag M for the outcome, one entry per number level."""
+        return self.effects[self._index(outcome)]
 
 
 def _quadratic_form(kind: CounterKind, dim: int) -> Operator:

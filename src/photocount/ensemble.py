@@ -4,23 +4,22 @@ Two constructions cover the models in use: a quadrature discretization of
 the uniform (Bloch-sphere) measure over superpositions of |0> and |1>, and
 Monte Carlo draws from the unitarily invariant (Haar) measure on a
 d-dimensional subspace.  States are stored as rows of one complex matrix so
-downstream statistics can run vectorized over the whole family.
+downstream statistics can run vectorized over the whole family; their
+number-level populations |c_n|^2 are kept beside them for statistics of
+effects that are diagonal in the number basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-from .fock import StateVector
 
 __all__ = [
     "Ensemble",
     "bloch_two_state_ensemble",
     "haar_ensemble",
-    "expectation",
 ]
 
 
@@ -30,13 +29,15 @@ class Ensemble:
 
     ``states`` has one normalized state per row, supported on the first
     ``support_dim`` basis vectors (every later amplitude is exactly zero);
-    ``weights`` are positive and sum to one.
+    ``weights`` are positive and sum to one.  ``populations`` holds |c_n|^2
+    of each row over those ``support_dim`` levels.
     """
 
     support_dim: int
     states: np.ndarray
     weights: np.ndarray
     thetas: Optional[np.ndarray] = field(default=None, repr=False)
+    populations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
@@ -51,10 +52,13 @@ class Ensemble:
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        states.setflags(write=False)
-        weights.setflags(write=False)
+        populations = np.abs(states[:, : self.support_dim])
+        populations **= 2
+        for array in (states, weights, populations):
+            array.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "populations", populations)
 
     @property
     def dim(self) -> int:
@@ -99,24 +103,19 @@ def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
     """Uniform (Haar) random pure states on the span of |0>, ..., |d-1>.
 
     Standard construction: i.i.d. complex Gaussian amplitudes, normalized.
-    Deterministic for a given seed.
+    Deterministic for a given seed: all real parts are drawn before all
+    imaginary parts, row by row.
     """
     if not 2 <= d <= dim - 2:
         raise ValueError("support dimension must satisfy 2 <= d <= dim - 2")
     if n_samples < 10_000:
         raise ValueError("at least 10^4 samples are required")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
-    raw /= np.linalg.norm(raw, axis=1)[:, None]
     states = np.zeros((n_samples, dim), dtype=complex)
-    states[:, :d] = raw
+    support = states[:, :d]
+    support.real = rng.standard_normal((n_samples, d))
+    support.imag = rng.standard_normal((n_samples, d))
+    support /= np.linalg.norm(support, axis=1)[:, None]
     weights = np.full(n_samples, 1.0 / n_samples)
     return Ensemble(support_dim=d, states=states, weights=weights)
 
-
-def expectation(ensemble: Ensemble, f: Callable[[StateVector], float]) -> float:
-    """Weighted average of f over the member states."""
-    values = np.array([f(StateVector(row)) for row in ensemble.states], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced a non-finite value")
-    return float(np.sum(ensemble.weights * values))

@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "StateVector",
     "Operator",
-    "PolarFactors",
     "ladder",
     "min_eigenvalue",
-    "polar_decompose",
     "matrix_exponential",
 ]
 
@@ -58,18 +55,6 @@ class StateVector:
         amps = np.zeros(dim, dtype=complex)
         amps[n] = 1.0
         return cls(amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = _HERMITIAN_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n)
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
@@ -127,14 +112,6 @@ class Operator:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PolarFactors:
-    """Factors op = unitary @ positive with positive = (op^dag op)^(1/2)."""
-
-    unitary: Operator
-    positive: Operator
-
-
 def ladder(kind: str, dim: int) -> Operator:
     """Ladder-type operator on a dim-dimensional truncation.
 
@@ -170,18 +147,16 @@ def min_eigenvalue(op: Operator, support_dim: int) -> float:
     return float(np.linalg.eigvalsh(compression)[0])
 
 
-def polar_decompose(op: Operator) -> PolarFactors:
-    """Polar factorization op = U @ P with P = (op^dag op)^(1/2) and U unitary.
-
-    From the singular value decomposition op = W S V^dag: U = W V^dag and
-    P = V S V^dag.  On the kernel of P, U is the completion the SVD picks.
-    """
-    w, s, vh = np.linalg.svd(op.entries)
-    return PolarFactors(
-        unitary=Operator(w @ vh), positive=Operator((vh.conj().T * s) @ vh)
-    )
-
-
 def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:
-    """exp(scale * op), exact to machine precision at these matrix sizes."""
+    """exp(scale * op), exact to machine precision at these matrix sizes.
+
+    A Hermitian op is exponentiated through its eigendecomposition,
+    V diag(exp(scale * lambda)) V^dag; only a non-Hermitian op needs scipy,
+    which is imported here so that the package itself loads without it.
+    """
+    if op.is_hermitian():
+        eigvals, eigvecs = np.linalg.eigh(op.entries)
+        return Operator((eigvecs * np.exp(scale * eigvals)) @ eigvecs.conj().T)
+    import scipy.linalg
+
     return Operator(scipy.linalg.expm(scale * op.entries))

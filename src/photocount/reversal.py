@@ -28,6 +28,8 @@ __all__ = [
     "trajectory_sim",
 ]
 
+# Smallest background, relative to the largest effect on the support, for
+# which the left inverse counts as bounded.
 _INVERSE_FLOOR = 1e-12
 
 
@@ -50,18 +52,20 @@ def build_reversing(
     The success operator is eta * pinv(op restricted to those levels), zero
     off the support image; |eta|^2 = eta_fraction * background keeps the pair
     {success, fail} a valid measurement, with equality at eta_fraction = 1
-    giving the maximal success probability.
+    giving the maximal success probability.  The background must exceed
+    _INVERSE_FLOOR times the largest effect on the support, so the test does
+    not depend on the coupling's scale.
     """
     if not 0.0 < eta_fraction <= 1.0:
         raise ValueError("eta_fraction must lie in (0, 1]")
     floor = min_eigenvalue(op.adjoint() @ op, support_dim)
-    if floor <= _INVERSE_FLOOR:
+    restricted = op.entries.copy()
+    restricted[:, support_dim:] = 0.0
+    if floor <= _INVERSE_FLOOR * float(np.linalg.norm(restricted, 2)) ** 2:
         raise NonReversible(
             f"background = {max(floor, 0.0):.3g}; no bounded left inverse on the support"
         )
     eta_sq = eta_fraction * floor
-    restricted = op.entries.copy()
-    restricted[:, support_dim:] = 0.0
     success = np.sqrt(eta_sq) * np.linalg.pinv(restricted)
     defect = np.eye(op.dim) - success.conj().T @ success
     eigvals, eigvecs = np.linalg.eigh(defect)

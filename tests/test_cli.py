@@ -200,6 +200,15 @@ class TestReverse:
         assert out == ""
         assert "no successful reversal in 1 one-counts" in err
 
+    @pytest.mark.parametrize("counter", ["qc", "qqc"])
+    def test_small_coupling_is_reversible(self, capsys, counter):
+        # background gamma^2 = 1e-16 still gives a bounded left inverse; the
+        # run then fails only because p(1) ~ 1e-16 draws no one-count
+        code, out, err = run_cli(["reverse", "--counter", counter, "--gamma", "1e-8"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "no one-count in 100000 trials" in err
+
     def test_absorbing_counter_exits_nonreversible(self, capsys):
         code, _, err = run_cli(["reverse", "--counter", "pc"], capsys)
         assert code == 3
@@ -279,6 +288,11 @@ class TestOutputDiscipline:
 
 
 class TestFreshProcess:
+    def test_cli_import_loads_no_scipy(self):
+        probe = "import sys, photocount.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True).stdout
+        assert out == b"[]\n"
+
     def test_subprocess_rerun_is_byte_identical(self):
         cmd = [sys.executable, "-m", "photocount", "reverse", "--counter", "qqc",
                "--samples", "10000"]

@@ -4,14 +4,24 @@ import pytest
 from photocount import (
     Ensemble,
     bloch_two_state_ensemble,
-    expectation,
     fidelity_after,
     haar_ensemble,
     resolve_model,
 )
-from photocount.metrics import moment_n1, moment_n3
 
 LN2 = np.log(2.0)
+
+
+def weighted_mean(ensemble, values):
+    """Weighted average of one value per member state."""
+    return float(np.sum(ensemble.weights * values))
+
+
+def number_moment(ensemble, f):
+    """Per-member mean of f(n) over the number levels of the support, read
+    from the amplitudes."""
+    levels = np.arange(ensemble.dim)
+    return np.abs(ensemble.states) ** 2 @ f(levels)
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +35,22 @@ class TestBlochEnsemble:
         assert np.all(bloch64.weights > 0)
 
     def test_mean_photon_number_is_half(self, bloch64):
-        assert abs(expectation(bloch64, moment_n1) - 0.5) < 1e-10
+        n1 = number_moment(bloch64, lambda n: n)
+        assert abs(weighted_mean(bloch64, n1) - 0.5) < 1e-10
 
     def test_mean_shifted_moment_is_five_halves(self, bloch64):
-        assert abs(expectation(bloch64, moment_n3) - 2.5) < 1e-10
+        n3 = number_moment(bloch64, lambda n: (n + 1) ** 2)
+        assert abs(weighted_mean(bloch64, n3) - 2.5) < 1e-10
 
     def test_constant_integrand(self, bloch64):
-        assert abs(expectation(bloch64, lambda s: 3.25) - 3.25) < 1e-12
+        values = np.full(bloch64.n_samples, 3.25)
+        assert abs(weighted_mean(bloch64, values) - 3.25) < 1e-12
 
     def test_entropy_moment_closed_form(self, bloch64):
-        def integrand(state):
-            n1 = moment_n1(state)
-            return n1 * np.log2(n1) if n1 > 0 else 0.0
-
-        assert abs(expectation(bloch64, integrand) - (-1.0 / (4.0 * LN2))) < 1e-10
+        n1 = number_moment(bloch64, lambda n: n)
+        safe = np.where(n1 > 0, n1, 1.0)
+        values = np.where(n1 > 0, n1 * np.log2(safe), 0.0)
+        assert abs(weighted_mean(bloch64, values) - (-1.0 / (4.0 * LN2))) < 1e-10
 
     def test_quadrature_converged_at_32_nodes(self):
         def value(nodes):
@@ -106,6 +118,16 @@ class TestHaarEnsemble:
         c = haar_ensemble(3, 10_000, 10, 5)
         assert not np.array_equal(a.states, c.states)
 
+    @pytest.mark.parametrize("d,dim", [(2, 4), (3, 5), (4, 6)])
+    def test_draw_order_is_real_parts_then_imaginary_parts(self, d, dim):
+        # the same bytes as normalizing x + 1j y, x and y drawn in that order
+        rng = np.random.default_rng(17)
+        raw = rng.standard_normal((10_000, d)) + 1j * rng.standard_normal((10_000, d))
+        raw /= np.linalg.norm(raw, axis=1)[:, None]
+        ens = haar_ensemble(d, 10_000, 17, dim)
+        assert np.array_equal(ens.states[:, :d], raw)
+        assert not np.any(ens.states[:, d:])
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             haar_ensemble(1, 10_000, 0, 5)
@@ -115,10 +137,24 @@ class TestHaarEnsemble:
             haar_ensemble(2, 5_000, 0, 5)
 
 
-class TestExpectationAndSupport:
-    def test_non_finite_integrand_rejected(self, bloch64):
-        with pytest.raises(ValueError):
-            expectation(bloch64, lambda s: float("inf"))
+class TestPopulations:
+    def test_populations_are_squared_support_amplitudes(self, bloch64):
+        haar = haar_ensemble(3, 10_000, 4, 5)
+        for ens in (bloch64, haar):
+            d = ens.support_dim
+            assert ens.populations.shape == (ens.n_samples, d)
+            assert np.max(np.abs(ens.populations - np.abs(ens.states[:, :d]) ** 2)) < 1e-15
+            assert np.max(np.abs(ens.populations.sum(axis=1) - 1.0)) < 1e-12
+            assert not ens.populations.flags.writeable
+
+    def test_moments_from_populations_match_amplitudes(self, bloch64):
+        levels = np.arange(bloch64.support_dim)
+        from_populations = bloch64.populations @ levels
+        n1 = number_moment(bloch64, lambda n: n)
+        assert np.max(np.abs(from_populations - n1)) < 1e-15
+
+
+class TestSupport:
 
     @pytest.mark.parametrize("support_dim", [0, 6])
     def test_support_dim_outside_truncation_rejected(self, support_dim):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from oracles import polar_factors
 
 from photocount import (
     Operator,
@@ -7,7 +9,6 @@ from photocount import (
     ladder,
     matrix_exponential,
     min_eigenvalue,
-    polar_decompose,
 )
 from photocount.counters import probe_hamiltonian, CounterKind
 
@@ -98,27 +99,29 @@ class TestMinEigenvalue:
             min_eigenvalue(ladder("annihilation", 4), 2)
 
 
-class TestPolarDecompose:
+class TestPolarFactorsOracle:
+    # The SVD polar factors are the reference for unitary_part_deviation in
+    # test_properties; these pin them on known factorizations.
     def test_number_operator_has_identity_unitary_on_support(self):
-        factors = polar_decompose(0.3 * ladder("number", 5))
-        delta = factors.unitary.entries - np.eye(5)
+        unitary, _ = polar_factors(0.3 * ladder("number", 5).entries)
+        delta = unitary - np.eye(5)
         supp = np.diag([0.0, 1, 1, 1, 1])  # positive part vanishes on |0>
         assert np.max(np.abs(delta @ supp)) < 1e-12
 
     def test_creation_factors_into_shift_and_sqrt(self):
         gamma, dim = 0.3, 4
-        factors = polar_decompose(gamma * ladder("creation", dim))
+        unitary, positive = polar_factors(gamma * ladder("creation", dim).entries)
         # positive part: gamma * sqrt of the truncated product a adag
         expected = gamma * np.diag(np.sqrt([1.0, 2.0, 3.0, 0.0]))
-        assert np.max(np.abs(factors.positive.entries - expected)) < 1e-12
+        assert np.max(np.abs(positive - expected)) < 1e-12
         for n in range(dim - 1):
-            col = factors.unitary.entries[:, n]
+            col = unitary[:, n]
             assert abs(col[n + 1] - 1.0) < 1e-12
 
     def test_identity_decomposes_trivially(self):
-        factors = polar_decompose(Operator.identity(4))
-        assert np.max(np.abs(factors.unitary.entries - np.eye(4))) < 1e-12
-        assert np.max(np.abs(factors.positive.entries - np.eye(4))) < 1e-12
+        unitary, positive = polar_factors(np.eye(4))
+        assert np.max(np.abs(unitary - np.eye(4))) < 1e-12
+        assert np.max(np.abs(positive - np.eye(4))) < 1e-12
 
     def test_recomposition_and_unitarity_on_random_operators(self):
         rng = np.random.default_rng(3)
@@ -126,13 +129,11 @@ class TestPolarDecompose:
             mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             if k % 3 == 0:
                 mat[:, 0] = 0.0  # exercise the singular completion
-            op = Operator(mat)
-            factors = polar_decompose(op)
-            recomposed = factors.unitary.entries @ factors.positive.entries
-            assert np.linalg.norm(op.entries - recomposed, 2) < 1e-10
-            gram = factors.unitary.entries @ factors.unitary.adjoint().entries
+            unitary, positive = polar_factors(mat)
+            assert np.linalg.norm(mat - unitary @ positive, 2) < 1e-10
+            gram = unitary @ unitary.conj().T
             assert np.linalg.norm(gram - np.eye(5), 2) < 1e-10
-            eigvals = np.linalg.eigvalsh(factors.positive.entries)
+            eigvals = np.linalg.eigvalsh(positive)
             assert eigvals.min() > -1e-12
 
 
@@ -167,7 +168,19 @@ class TestMatrixExponential:
         # |1, g> (index 2) <-> |0, e> (index 1): off-diagonal magnitude sin(gamma)
         assert abs(abs(out.entries[1, 2]) - np.sin(gamma)) < 1e-13
 
+    @pytest.mark.parametrize("kind", list(CounterKind))
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    def test_hermitian_path_matches_scipy_expm(self, kind, dim):
+        # Hermitian operators take the eigendecomposition path, scipy's
+        # Pade approximant is the reference
+        h = probe_hamiltonian(kind, dim)
+        for gamma in (1e-8, 0.05, 0.3, 0.5):
+            out = matrix_exponential(h, -1j * gamma)
+            oracle = scipy.linalg.expm(-1j * gamma * h.entries)
+            assert np.max(np.abs(out.entries - oracle)) < 1e-14
+
     def test_inverse_property(self):
+        # a general complex matrix takes the non-Hermitian (scipy) path
         rng = np.random.default_rng(5)
         mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         op = Operator(mat)

@@ -12,24 +12,26 @@ from photocount import (
     StateVector,
     ZeroProbability,
     background,
+    batched_information,
     bloch_two_state_ensemble,
     build_counter,
     completeness_residual,
     efficiency,
     fidelity_after,
     full_report,
+    haar_ensemble,
     information_gain,
     mean_fidelity,
     mean_information,
     mean_reversibility,
-    outcome_probability,
     outcome_statistics,
     post_measurement_state,
     resolve_model,
     reversibility,
 )
-from photocount.fock import Operator
-from photocount.metrics import moment_n1, moment_n2, moment_n3
+from photocount.counters import MeasurementModel
+from photocount.fock import Operator, ladder
+from photocount.metrics import OutcomeStats
 
 LN2 = np.log(2.0)
 
@@ -58,32 +60,73 @@ def plus_state(dim=5):
     return StateVector(amps)
 
 
-class TestMoments:
+def born_probability(op, amplitudes):
+    """<psi| op^dag op |psi> from the dense image op|psi>."""
+    return float(np.linalg.norm(op.entries @ amplitudes) ** 2)
+
+
+class TestEffects:
     def test_shifted_moment_identity_on_random_states(self):
+        # one-count p(1|psi) = gamma^2 <f(n)>: qqc's (n+1)^2 = n^2 + 2n + 1
+        # reads qpc's n^2 plus twice pc's n plus gamma^2
+        gamma = 0.3
+        effects = {
+            label: build_counter(CounterKind(label), gamma, 6).effect_for("1")
+            for label in ("pc", "qpc", "qqc")
+        }
         rng = np.random.default_rng(17)
         for _ in range(1000):
             raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            state = StateVector(raw / np.linalg.norm(raw))
-            lhs = moment_n3(state)
-            rhs = moment_n2(state) + 2 * moment_n1(state) + 1
-            assert abs(lhs - rhs) < 1e-12
+            populations = np.abs(raw / np.linalg.norm(raw)) ** 2
+            p = {label: populations @ e for label, e in effects.items()}
+            assert abs(p["qqc"] - (p["qpc"] + 2 * p["pc"] + gamma**2)) < 1e-12
 
-
-class TestOutcomeProbability:
     def test_absorbing_counter_ignores_vacuum(self):
-        op = build_counter(CounterKind.PC, 0.3, 5).operator_for("1")
-        assert outcome_probability(op, StateVector.basis(5, 0)) < 1e-30
+        model = build_counter(CounterKind.PC, 0.3, 5)
+        assert model.effect_for("1")[0] == 0.0
+        vacuum = StateVector.basis(5, 0).amplitudes
+        assert born_probability(model.operator_for("1"), vacuum) < 1e-30
 
     def test_emitting_counter_on_one_photon(self):
-        op = build_counter(CounterKind.QC, 0.3, 5).operator_for("1")
-        assert abs(outcome_probability(op, StateVector.basis(5, 1)) - 0.18) < 1e-15
+        model = build_counter(CounterKind.QC, 0.3, 5)
+        assert abs(model.effect_for("1")[1] - 0.18) < 1e-15
 
     def test_identity_gives_unity(self):
-        assert abs(outcome_probability(Operator.identity(5), plus_state()) - 1.0) < 1e-14
+        model = MeasurementModel(
+            label="id", outcomes=("1",), operators=(Operator.identity(5),), gamma=0.0, dim=5
+        )
+        assert np.max(np.abs(model.effects - 1.0)) < 1e-14
+        assert abs(model.effect_for("1") @ np.abs(plus_state().amplitudes) ** 2 - 1.0) < 1e-14
 
-    def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError):
-            outcome_probability(Operator.identity(3), StateVector([1.0, 1.0, 0.0]))
+    @pytest.mark.parametrize("label", ALL_LABELS + ("joint",))
+    def test_effects_are_born_probabilities_on_random_states(self, label):
+        model = resolve_model(label, 0.3, 6)
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            amps = raw / np.linalg.norm(raw)
+            for outcome, op in zip(model.outcomes, model.operators):
+                p = float(model.effect_for(outcome) @ np.abs(amps) ** 2)
+                assert abs(p - born_probability(op, amps)) < 1e-14
+
+    def test_non_diagonal_effect_rejected(self):
+        # (a + a^dag)^2 couples n to n +- 2
+        quadrature = ladder("annihilation", 5) + ladder("creation", 5)
+        with pytest.raises(ValueError, match="'1' is not diagonal"):
+            MeasurementModel(
+                label="x",
+                outcomes=("0", "1"),
+                operators=(Operator.identity(5), 0.3 * quadrature),
+                gamma=0.3,
+                dim=5,
+            )
+
+    def test_unknown_outcome_raises_key_error(self):
+        model = build_counter(CounterKind.QC, 0.3, 5)
+        with pytest.raises(KeyError):
+            model.effect_for("2")
+        with pytest.raises(KeyError):
+            background(model, "2", 2)
 
 
 class TestPostMeasurementState:
@@ -104,9 +147,16 @@ class TestPostMeasurementState:
             assert abs(abs(post.amplitudes[n]) - 1.0) < 1e-12
 
     def test_impossible_outcome_raises(self):
-        op = build_counter(CounterKind.PC, 0.3, 5).operator_for("1")
-        with pytest.raises(ZeroProbability):
-            post_measurement_state(op, StateVector.basis(5, 0))
+        for gamma in (0.3, 1e-8):
+            op = build_counter(CounterKind.PC, gamma, 5).operator_for("1")
+            with pytest.raises(ZeroProbability):
+                post_measurement_state(op, StateVector.basis(5, 0))
+
+    def test_small_coupling_outcome_is_reachable(self):
+        # p = gamma^2 = 1e-16: small, but a count on |1> leaves |0>
+        op = build_counter(CounterKind.PC, 1e-8, 5).operator_for("1")
+        post = post_measurement_state(op, StateVector.basis(5, 1))
+        assert abs(abs(post.amplitudes[0]) - 1.0) < 1e-12
 
 
 class TestOutcomeStatistics:
@@ -279,6 +329,17 @@ class TestBackgroundAndReversibility:
             assert abs(value - (1 - coefficient * gamma**2)) < 5 * gamma**4
 
 
+def entropy_difference(weights, conditionals):
+    """H(M) - H(M|A) in bits from the prior weights and p(m|a), one row of
+    conditionals per outcome."""
+
+    def plogp(p):
+        return np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+
+    totals = conditionals @ weights
+    return float(np.sum(plogp(conditionals) @ weights) - np.sum(plogp(totals)))
+
+
 class TestMutualInformationIdentity:
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
@@ -286,13 +347,8 @@ class TestMutualInformationIdentity:
         model = resolve_model(label, gamma, 5)
         stats = outcome_statistics(model, bloch)
         by_outcome = sum(s.total * information_gain(s) for s in stats)
-        double = 0.0
-        for s in stats:
-            mask = s.conditional > 0
-            double += float(
-                np.sum(s.posterior[mask] * s.total * np.log2(s.conditional[mask] / s.total))
-            )
-        assert abs(by_outcome - double) < 1e-10
+        conditionals = np.array([s.conditional for s in stats])
+        assert abs(by_outcome - entropy_difference(bloch.weights, conditionals)) < 1e-10
         # the library entry point performs the same check internally
         assert abs(mean_information(model, bloch) - by_outcome) < 1e-12
 
@@ -310,6 +366,34 @@ class TestMutualInformationIdentity:
         monkeypatch.setattr(metrics, "outcome_statistics", skewed)
         with pytest.raises(NumericInconsistency, match="mutual-information"):
             full_report("pc", 0.3, bloch)
+
+
+class TestBatchedInformation:
+    @staticmethod
+    def dense_gain(weights, cond):
+        # p(1|a) from the dense images |M c|^2, gain as relative entropy
+        total = float(np.sum(weights * cond))
+        return information_gain(OutcomeStats("1", cond, total, weights * cond / total))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("label", ["pc", "qpc"])
+    def test_populations_path_matches_dense_images(self, d, label):
+        ens = haar_ensemble(d, 20_000, 11, d + 2)
+        model = resolve_model(label, 0.3, d + 2)
+        op = model.operator_for("1").entries
+        cond = np.sum(np.abs(ens.states @ op.T) ** 2, axis=1)
+        full, batches = batched_information(model, ens, "1", n_batches=100)
+        dense = self.dense_gain(ens.weights, cond)
+        assert abs(full - dense) <= 1e-15 * dense
+        for k, idx in enumerate(np.array_split(np.arange(ens.n_samples), 100)):
+            w = ens.weights[idx] / np.sum(ens.weights[idx])
+            dense_batch = self.dense_gain(w, cond[idx])
+            assert abs(batches[k] - dense_batch) <= 1e-14 * dense_batch
+
+    def test_unknown_outcome_raises_key_error(self):
+        ens = haar_ensemble(2, 10_000, 1, 4)
+        with pytest.raises(KeyError):
+            batched_information(resolve_model("pc", 0.3, 4), ens, "2")
 
 
 class TestEfficiency:

@@ -1,6 +1,6 @@
-"""Property tests of full_report and of the polar structure of the one-count
-operators over random couplings, truncations and quadrature sizes.
-Derandomized, so every run draws the same examples."""
+"""Property tests of full_report, of the backgrounds and of the polar
+structure of the one-count operators over random couplings, truncations and
+quadrature sizes.  Derandomized, so every run draws the same examples."""
 
 import math
 
@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import min_effect_eigenvalue, polar_factors
 
 from photocount import (
     CounterKind,
     ZeroProbability,
+    background,
     bloch_two_state_ensemble,
     build_counter,
     fidelity_after,
@@ -20,7 +22,6 @@ from photocount import (
     mean_information,
     mean_reversibility,
     outcome_statistics,
-    polar_decompose,
     resolve_model,
     reversibility,
     unitary_part_deviation,
@@ -72,8 +73,7 @@ def test_full_report_properties(gamma, label, dim, nodes):
 )
 def test_polar_structure_properties(kind, gamma, dim):
     op = build_counter(kind, gamma, dim).operator_for("1")
-    factors = polar_decompose(op)
-    u, p = factors.unitary.entries, factors.positive.entries
+    u, p = polar_factors(op.entries)
     # Relative to the operator's scale: the polar factors of c * op are U, c * P.
     scale = np.linalg.norm(op.entries, 2)
     assert np.linalg.norm(u @ p - op.entries, 2) / scale <= 1e-12
@@ -85,3 +85,27 @@ def test_polar_structure_properties(kind, gamma, dim):
         assert deviation <= 1e-12
     else:
         assert deviation >= 1.0
+    # The definition: (U - I) on the support of P, whose projector comes
+    # from P's own eigenvectors.
+    eigvals, eigvecs = np.linalg.eigh(p)
+    support = eigvecs[:, eigvals > 1e-10 * eigvals[-1]]
+    direct = np.linalg.norm((u - np.eye(dim)) @ support, 2)
+    assert abs(deviation - direct) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    label=st.sampled_from(LABELS),
+    dim=st.integers(min_value=4, max_value=8),
+    support_dim=st.integers(min_value=1, max_value=4),
+)
+def test_background_is_the_minimum_eigenvalue_of_the_effect(gamma, label, dim, support_dim):
+    # The smallest diagonal effect entry against the dense eigensolver on
+    # M^dag M, for every outcome of the model.
+    model = resolve_model(label, gamma, dim)
+    for outcome, op in zip(model.outcomes, model.operators):
+        oracle = max(0.0, min_effect_eigenvalue(op.entries, support_dim))
+        assert background(model, outcome, support_dim) == pytest.approx(
+            oracle, rel=1e-15, abs=0.0
+        )

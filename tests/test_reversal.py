@@ -47,11 +47,23 @@ class TestBuildReversing:
             assert abs(res["success_prob"] - 1.0 / (n1 + 1.0)) < 1e-12
             assert res["recovery_fidelity"] > 1 - 1e-10
 
-    def test_absorbing_counters_are_not_reversible(self, bloch):
+    @pytest.mark.parametrize("gamma", [0.3, 1e-8])
+    def test_absorbing_counters_are_not_reversible(self, bloch, gamma):
         with pytest.raises(NonReversible):
-            build_reversing(one_count(CounterKind.PC), bloch.support_dim)
+            build_reversing(one_count(CounterKind.PC, gamma), bloch.support_dim)
         with pytest.raises(NonReversible):
-            build_reversing(one_count(CounterKind.QPC), bloch.support_dim)
+            build_reversing(one_count(CounterKind.QPC, gamma), bloch.support_dim)
+
+    @pytest.mark.parametrize("kind", [CounterKind.QC, CounterKind.QQC])
+    def test_small_coupling_cap_is_gamma_squared(self, bloch, kind):
+        # the background gamma^2 = 1e-16 is small but bounded away from zero
+        # relative to the largest effect on the support (2 and 4 gamma^2)
+        gamma = 1e-8
+        op = one_count(kind, gamma)
+        rev = build_reversing(op, bloch.support_dim)
+        assert abs(rev.eta_sq - gamma**2) <= 1e-12 * gamma**2
+        res = verify_recovery(StateVector.basis(5, 1), op, rev)
+        assert res["recovery_fidelity"] > 1 - 1e-10
 
     def test_partial_amplitude_halves_success(self, bloch):
         op = one_count(CounterKind.QC)
