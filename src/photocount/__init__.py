@@ -33,7 +33,6 @@ from .fock import (
     StateVector,
     ladder,
     matrix_exponential,
-    min_eigenvalue,
 )
 from .metrics import (
     CounterReport,
@@ -42,18 +41,14 @@ from .metrics import (
     background,
     batched_information,
     efficiency,
-    fidelity_after,
+    evaluate,
     fit_gamma_squared,
     full_report,
     gamma_sweep,
     information_gain,
-    mean_fidelity,
-    mean_information,
-    mean_reversibility,
     outcome_statistics,
     post_measurement_state,
     resolve_model,
-    reversibility,
 )
 from .reversal import (
     ReversingMeasurement,

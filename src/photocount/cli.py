@@ -33,11 +33,11 @@ from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_ensemble
 from .errors import NonReversible, PhotocountError, ZeroProbability
 from .metrics import (
     batched_information,
+    evaluate,
     full_report,
     gamma_sweep,
     outcome_statistics,
     resolve_model,
-    reversibility,
 )
 from .reversal import trajectory_sim
 
@@ -266,7 +266,7 @@ def cmd_reverse(config: RunConfig) -> dict:
     kind = CounterKind.parse(config.counter)
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
     model = resolve_model(config.counter, config.gamma, config.dim)
-    analytic = reversibility(model, ens, "1")
+    analytic = evaluate(model, ens).per_outcome["1"].reversibility
     sim = trajectory_sim(kind, config.gamma, ens, trials=config.samples, seed=config.seed)
     # The rate and the recovery fidelity are conditional means; without a
     # one-count or a success they are undefined rather than empty fields.

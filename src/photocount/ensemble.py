@@ -22,6 +22,10 @@ __all__ = [
     "haar_ensemble",
 ]
 
+# Rows normalized per block in haar_ensemble: the norm's temporaries then
+# stay block-sized instead of growing with the sample count.
+_NORMALIZE_ROWS = 65_536
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -115,7 +119,9 @@ def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
     support = states[:, :d]
     support.real = rng.standard_normal((n_samples, d))
     support.imag = rng.standard_normal((n_samples, d))
-    support /= np.linalg.norm(support, axis=1)[:, None]
+    for start in range(0, n_samples, _NORMALIZE_ROWS):
+        block = support[start : start + _NORMALIZE_ROWS]
+        block /= np.linalg.norm(block, axis=1)[:, None]
     weights = np.full(n_samples, 1.0 / n_samples)
     return Ensemble(support_dim=d, states=states, weights=weights)
 

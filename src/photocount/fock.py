@@ -16,7 +16,6 @@ __all__ = [
     "StateVector",
     "Operator",
     "ladder",
-    "min_eigenvalue",
     "matrix_exponential",
 ]
 
@@ -132,19 +131,6 @@ def ladder(kind: str, dim: int) -> Operator:
     if kind == "antinormal_number":
         return Operator(np.diag(np.arange(1, dim + 1, dtype=float)))
     raise ValueError(f"unknown ladder kind {kind!r}; expected one of {LADDER_KINDS}")
-
-
-def min_eigenvalue(op: Operator, support_dim: int) -> float:
-    """Smallest eigenvalue of a Hermitian op on span{|0>, ..., |support_dim-1>}.
-
-    Equals the infimum of <psi|op|psi> over unit states in that span.
-    """
-    if not op.is_hermitian():
-        raise ValueError("operator must be Hermitian")
-    if not 1 <= support_dim <= op.dim:
-        raise ValueError(f"support dimension {support_dim} outside [1, {op.dim}]")
-    compression = op.entries[:support_dim, :support_dim]
-    return float(np.linalg.eigvalsh(compression)[0])
 
 
 def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:

@@ -9,14 +9,14 @@ posterior-weighted maximal success probability background/p(m|a) of a
 reversing measurement.  Averages over outcomes use the exact outcome
 probabilities of the truncated operators.
 
-Each (model, ensemble) pair is evaluated once: one outcome_statistics call
-and one background per outcome give every per-outcome figure and mean, and
-the two identities (mean information equals the mutual information
-H(M) - H(M|A) computed from the prior and p(m|a); mean reversibility equals
-the sum of backgrounds) are checked once, to 1e-10, in that pass.
-full_report and the per-figure functions fidelity_after, reversibility and
-mean_* are views of that one evaluation, so each raises ZeroProbability when
-some outcome has zero total probability.
+evaluate(model, ensemble) is the one evaluation of a (model, ensemble) pair:
+one outcome_statistics call and one background per outcome give every
+per-outcome figure and mean in a CounterReport, and the two identities (mean
+information equals the mutual information H(M) - H(M|A) computed from the
+prior and p(m|a); mean reversibility equals the sum of backgrounds) are
+checked once, to 1e-10, in that pass.  full_report is evaluate on the model
+of a counter label; a caller that needs one figure reads it from the report.
+Both raise ZeroProbability when some outcome has zero total probability.
 
 Backgrounds and the Monte Carlo gains of batched_information read the
 model's diagonal effects and the ensemble's populations.  outcome_statistics
@@ -48,13 +48,9 @@ __all__ = [
     "post_measurement_state",
     "outcome_statistics",
     "information_gain",
-    "mean_information",
-    "fidelity_after",
-    "mean_fidelity",
     "background",
-    "reversibility",
-    "mean_reversibility",
     "efficiency",
+    "evaluate",
     "full_report",
     "resolve_model",
     "batched_information",
@@ -144,7 +140,7 @@ def information_gain(stats: OutcomeStats) -> float:
     return max(float(np.sum(stats.posterior[mask] * np.log2(ratio))), 0.0)
 
 
-def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> CounterReport:
+def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     """Every figure of merit of (model, ensemble) from one outcome_statistics
     call and one background per outcome; both identities are checked here.
 
@@ -201,7 +197,7 @@ def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> Counte
             f"{mean_rev!r} vs {background_sum!r}"
         )
     return CounterReport(
-        label=label,
+        label=model.label,
         gamma=model.gamma,
         per_outcome=per_outcome,
         mean_information=float(mean_info),
@@ -211,36 +207,12 @@ def _evaluate(model: MeasurementModel, ensemble: Ensemble, label: str) -> Counte
     )
 
 
-def mean_information(model: MeasurementModel, ensemble: Ensemble) -> float:
-    """Outcome-averaged information gain, equal to the mutual information."""
-    return _evaluate(model, ensemble, model.label).mean_information
-
-
-def fidelity_after(model: MeasurementModel, ensemble: Ensemble, outcome: str) -> float:
-    """Posterior-averaged overlap |<psi(a)|psi(m,a)>| after the outcome."""
-    return _evaluate(model, ensemble, model.label).per_outcome[outcome].fidelity
-
-
-def mean_fidelity(model: MeasurementModel, ensemble: Ensemble) -> float:
-    return _evaluate(model, ensemble, model.label).mean_fidelity
-
-
 def background(model: MeasurementModel, outcome: str, support_dim: int) -> float:
     """Infimum of p(m|psi) over unit states on the lowest support_dim levels:
     the smallest diagonal effect entry there, since the effect is diagonal."""
     if not 1 <= support_dim <= model.dim:
         raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
     return max(0.0, float(np.min(model.effect_for(outcome)[:support_dim])))
-
-
-def reversibility(model: MeasurementModel, ensemble: Ensemble, outcome: str) -> float:
-    """Posterior-averaged maximal success probability of undoing the outcome."""
-    return _evaluate(model, ensemble, model.label).per_outcome[outcome].reversibility
-
-
-def mean_reversibility(model: MeasurementModel, ensemble: Ensemble) -> float:
-    """Outcome-averaged reversibility, equal to the sum of backgrounds."""
-    return _evaluate(model, ensemble, model.label).mean_reversibility
 
 
 def efficiency(information: float, fidelity: float) -> float:
@@ -262,7 +234,7 @@ def resolve_model(label: str, gamma: float, dim: int) -> MeasurementModel:
 
 def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     """All per-outcome and mean figures of merit for one counter at one gamma."""
-    return _evaluate(resolve_model(label, gamma, ensemble.dim), ensemble, label)
+    return evaluate(resolve_model(label, gamma, ensemble.dim), ensemble)
 
 
 def batched_information(
@@ -287,14 +259,7 @@ def batched_information(
     batches = []
     for idx in np.array_split(np.arange(ensemble.n_samples), n_batches):
         w = ensemble.weights[idx]
-        cond = stats.conditional[idx]
-        total = float(np.sum(w * cond) / np.sum(w))
-        if total <= 0.0:
-            batches.append(0.0)
-            continue
-        mask = cond > 0.0
-        posterior = w[mask] * cond[mask] / (total * np.sum(w))
-        batches.append(float(np.sum(posterior * np.log2(cond[mask] / total))))
+        batches.append(information_gain(_stats(outcome, stats.conditional[idx], w / w.sum())))
     return full, np.array(batches)
 
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import CounterKind, build_counter
+from .counters import CounterKind, MeasurementModel, build_counter
 from .ensemble import Ensemble
 from .errors import NonReversible
-from .fock import Operator, StateVector, min_eigenvalue
-from .metrics import outcome_statistics, post_measurement_state
+from .fock import Operator, StateVector
+from .metrics import background, post_measurement_state
 
 __all__ = [
     "ReversingMeasurement",
@@ -44,12 +44,12 @@ class ReversingMeasurement:
 
 
 def build_reversing(
-    op: Operator, support_dim: int, eta_fraction: float = 1.0
+    model: MeasurementModel, outcome: str, support_dim: int, eta_fraction: float = 1.0
 ) -> ReversingMeasurement:
-    """Reversing measurement for one outcome operator on the lowest
+    """Reversing measurement for one outcome of a model on the lowest
     support_dim levels.
 
-    The success operator is eta * pinv(op restricted to those levels), zero
+    The success operator is eta * pinv(M restricted to those levels), zero
     off the support image; |eta|^2 = eta_fraction * background keeps the pair
     {success, fail} a valid measurement, with equality at eta_fraction = 1
     giving the maximal success probability.  The background must exceed
@@ -58,20 +58,21 @@ def build_reversing(
     """
     if not 0.0 < eta_fraction <= 1.0:
         raise ValueError("eta_fraction must lie in (0, 1]")
-    floor = min_eigenvalue(op.adjoint() @ op, support_dim)
+    floor = background(model, outcome, support_dim)
+    if floor <= _INVERSE_FLOOR * float(np.max(model.effect_for(outcome)[:support_dim])):
+        raise NonReversible(
+            f"background = {floor:.3g}; no bounded left inverse on the support"
+        )
+    op = model.operator_for(outcome)
     restricted = op.entries.copy()
     restricted[:, support_dim:] = 0.0
-    if floor <= _INVERSE_FLOOR * float(np.linalg.norm(restricted, 2)) ** 2:
-        raise NonReversible(
-            f"background = {max(floor, 0.0):.3g}; no bounded left inverse on the support"
-        )
     eta_sq = eta_fraction * floor
     success = np.sqrt(eta_sq) * np.linalg.pinv(restricted)
     defect = np.eye(op.dim) - success.conj().T @ success
     eigvals, eigvecs = np.linalg.eigh(defect)
     fail = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
     return ReversingMeasurement(
-        target_outcome="1",
+        target_outcome=outcome,
         success_op=Operator(success),
         fail_op=Operator(fail),
         eta_sq=float(eta_sq),
@@ -125,10 +126,9 @@ def trajectory_sim(
 
     model = build_counter(kind, gamma, ensemble.dim)
     one_count_op = model.operator_for("1")
-    rev = build_reversing(one_count_op, ensemble.support_dim, eta_fraction=1.0)
+    rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
 
-    stats = outcome_statistics(model, ensemble)
-    cond_one = stats[model.outcomes.index("1")].conditional
+    cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]
     success_given_one = np.minimum(rev.eta_sq / cond_one, 1.0)
 
     # Per-node recovery fidelity (the trajectory through a node is

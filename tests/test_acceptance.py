@@ -76,7 +76,7 @@ def test_02_one_count_fidelities(bloch):
     errs = {}
     for label in LABELS:
         model = pc.resolve_model(label, 0.3, 5)
-        errs[label] = abs(pc.fidelity_after(model, bloch, "1") - targets[label])
+        errs[label] = abs(pc.evaluate(model, bloch).per_outcome["1"].fidelity - targets[label])
     check(
         "02 one-count fidelities",
         all(e <= 1e-9 for e in errs.values()),
@@ -88,7 +88,8 @@ def test_03_one_count_reversibilities(bloch):
     errs = {}
     for label in LABELS:
         model = pc.resolve_model(label, 0.3, 5)
-        errs[label] = abs(pc.reversibility(model, bloch, "1") - REVERSIBILITIES[label])
+        rev = pc.evaluate(model, bloch).per_outcome["1"].reversibility
+        errs[label] = abs(rev - REVERSIBILITIES[label])
     check(
         "03 one-count reversibilities",
         all(e <= 1e-12 for e in errs.values()),
@@ -157,7 +158,7 @@ def test_06_identity_suite(bloch):
                 for w, column in zip(bloch.weights, conditionals.T)
             )
             worst_mi = max(worst_mi, abs(by_outcome - (h_m - h_m_given_a)))
-            mean_rev = pc.mean_reversibility(model, bloch)
+            mean_rev = pc.evaluate(model, bloch).mean_reversibility
             bg_sum = sum(pc.background(model, m, support_dim) for m in model.outcomes)
             worst_ku = max(worst_ku, abs(mean_rev - bg_sum))
             residual = pc.completeness_residual(model, support_dim)
@@ -212,7 +213,7 @@ def test_09_reversal_end_to_end(bloch):
     for label, target in (("qc", 2 / 3), ("qqc", 2 / 5)):
         kind = pc.CounterKind.parse(label)
         model = pc.resolve_model(label, 0.3, 5)
-        analytic = pc.reversibility(model, bloch, "1")
+        analytic = pc.evaluate(model, bloch).per_outcome["1"].reversibility
         ok = ok and abs(analytic - target) <= 1e-12
 
         sim = pc.trajectory_sim(kind, 0.3, bloch, trials=1_000_000, seed=42)
@@ -222,7 +223,7 @@ def test_09_reversal_end_to_end(bloch):
         details.append(f"{label}: mc={sim.empirical_success_rate:.5f} ({sigma:.1e} sd)")
 
         op = model.operator_for("1")
-        rev = pc.build_reversing(op, bloch.support_dim)
+        rev = pc.build_reversing(model, "1", bloch.support_dim)
         success = np.array(
             [
                 pc.verify_recovery(pc.StateVector(s), op, rev)

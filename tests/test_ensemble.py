@@ -4,7 +4,7 @@ import pytest
 from photocount import (
     Ensemble,
     bloch_two_state_ensemble,
-    fidelity_after,
+    evaluate,
     haar_ensemble,
     resolve_model,
 )
@@ -78,9 +78,10 @@ class TestBlochEnsemble:
             thetas=bloch64.thetas,
         )
         model = resolve_model("pc", 0.3, 5)
-        assert abs(
-            fidelity_after(model, phased, "1") - fidelity_after(model, bloch64, "1")
-        ) < 1e-12
+        fidelities = [
+            evaluate(model, ens).per_outcome["1"].fidelity for ens in (phased, bloch64)
+        ]
+        assert abs(fidelities[0] - fidelities[1]) < 1e-12
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import polar_factors
+from oracles import min_effect_eigenvalue, polar_factors
 
 from photocount import (
     Operator,
     StateVector,
     ladder,
     matrix_exponential,
-    min_eigenvalue,
 )
 from photocount.counters import probe_hamiltonian, CounterKind
 
@@ -68,35 +67,31 @@ class TestOperatorAlgebra:
 
 
 class TestMinEigenvalue:
+    # The dense smallest eigenvalue of M^dag M is the reference for the
+    # backgrounds and reversing caps in test_properties; these pin it on
+    # known operators.
     def test_absorbing_one_count_has_zero_floor(self):
         op = 0.3 * ladder("annihilation", 5)
-        assert abs(min_eigenvalue(op.adjoint() @ op, 2)) < 1e-14
+        assert abs(min_effect_eigenvalue(op.entries, 2)) < 1e-14
 
     def test_emitting_one_count_floor_is_gamma_squared(self):
         op = 0.3 * ladder("creation", 5)
-        assert abs(min_eigenvalue(op.adjoint() @ op, 2) - 0.09) < 1e-14
+        assert abs(min_effect_eigenvalue(op.entries, 2) - 0.09) < 1e-14
 
     def test_identity_floor_is_one(self):
-        assert abs(min_eigenvalue(Operator.identity(4), 2) - 1.0) < 1e-14
+        assert abs(min_effect_eigenvalue(np.eye(4), 2) - 1.0) < 1e-14
 
     def test_lower_bounds_expectation_on_random_states(self):
         rng = np.random.default_rng(11)
         op = ladder("number", 6)
-        floor = min_eigenvalue(op, 2)
+        effect = op.adjoint() @ op
+        floor = min_effect_eigenvalue(op.entries, 2)
         for _ in range(1000):
             amps = np.zeros(6, dtype=complex)
             raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             amps[:2] = raw / np.linalg.norm(raw)
-            expect = float(np.real(np.vdot(amps, op.entries @ amps)))
+            expect = float(np.real(np.vdot(amps, effect.entries @ amps)))
             assert floor <= expect + 1e-12
-
-    def test_rejects_zero_rank_support_and_non_hermitian(self):
-        with pytest.raises(ValueError):
-            min_eigenvalue(Operator.identity(4), 0)
-        with pytest.raises(ValueError):
-            min_eigenvalue(Operator.identity(4), 5)
-        with pytest.raises(ValueError):
-            min_eigenvalue(ladder("annihilation", 4), 2)
 
 
 class TestPolarFactorsOracle:

@@ -17,17 +17,13 @@ from photocount import (
     build_counter,
     completeness_residual,
     efficiency,
-    fidelity_after,
+    evaluate,
     full_report,
     haar_ensemble,
     information_gain,
-    mean_fidelity,
-    mean_information,
-    mean_reversibility,
     outcome_statistics,
     post_measurement_state,
     resolve_model,
-    reversibility,
 )
 from photocount.counters import MeasurementModel
 from photocount.fock import Operator, ladder
@@ -233,19 +229,20 @@ class TestMeanInformation:
     def test_absorbing_counter_quadratic_coefficient(self, bloch):
         # mean gain ~ 0.139 gamma^2 up to the O(gamma^4) no-count piece
         gamma = 0.3
-        value = mean_information(resolve_model("pc", gamma, 5), bloch)
+        value = evaluate(resolve_model("pc", gamma, 5), bloch).mean_information
         assert abs(value - 0.5 * (1 - 1 / (2 * LN2)) * gamma**2) < gamma**4
 
     def test_qnd_quantum_quadratic_coefficient(self, bloch):
         gamma = 0.3
-        value = mean_information(resolve_model("qqc", gamma, 5), bloch)
+        value = evaluate(resolve_model("qqc", gamma, 5), bloch).mean_information
         target = (47 / 6 - 5 / (4 * LN2) - 2.5 * np.log2(5)) * gamma**2
         assert abs(value - target) < 10 * gamma**4
 
     def test_scaled_mean_has_a_small_coupling_limit(self, bloch):
         gammas = np.array([0.05, 0.1, 0.2, 0.3])
         scaled = [
-            mean_information(resolve_model("pc", g, 5), bloch) / g**2 for g in gammas
+            evaluate(resolve_model("pc", g, 5), bloch).mean_information / g**2
+            for g in gammas
         ]
         target = 0.5 * (1 - 1 / (2 * LN2))
         assert abs(scaled[0] - target) < 1e-3
@@ -255,7 +252,7 @@ class TestMeanInformation:
 class TestFidelity:
     def test_absorbing_one_count_fidelity(self, bloch):
         model = resolve_model("pc", 0.3, 5)
-        assert abs(fidelity_after(model, bloch, "1") - 8 / 15) < 1e-9
+        assert abs(evaluate(model, bloch).per_outcome["1"].fidelity - 8 / 15) < 1e-9
 
     def test_emitting_one_count_fidelity_beta_value(self, bloch):
         from scipy.integrate import quad
@@ -263,19 +260,19 @@ class TestFidelity:
         # independent quadrature for B(3/4, 3/2) = int s^(-1/4) (1-s)^(1/2) ds
         beta_value, _ = quad(lambda s: 1.0, 0.0, 1.0, weight="alg", wvar=(-0.25, 0.5))
         model = resolve_model("qc", 0.3, 5)
-        assert abs(fidelity_after(model, bloch, "1") - beta_value / 3) < 1e-9
+        fidelity = evaluate(model, bloch).per_outcome["1"].fidelity
+        assert abs(fidelity - beta_value / 3) < 1e-9
 
     def test_qnd_one_count_fidelities(self, bloch):
-        assert abs(fidelity_after(resolve_model("qpc", 0.3, 5), bloch, "1") - 0.8) < 1e-9
-        assert (
-            abs(fidelity_after(resolve_model("qqc", 0.3, 5), bloch, "1") - 652 / 675) < 1e-9
-        )
+        for label, target in (("qpc", 0.8), ("qqc", 652 / 675)):
+            fidelity = evaluate(resolve_model(label, 0.3, 5), bloch).per_outcome["1"].fidelity
+            assert abs(fidelity - target) < 1e-9
 
     def test_no_count_fidelity_close_to_unity(self, bloch):
         for label in ALL_LABELS:
             for gamma in (0.1, 0.3):
                 model = resolve_model(label, gamma, 5)
-                assert 1 - fidelity_after(model, bloch, "0") <= 10 * gamma**4
+                assert 1 - evaluate(model, bloch).per_outcome["0"].fidelity <= 10 * gamma**4
 
     @pytest.mark.parametrize(
         "label,coefficient",
@@ -283,11 +280,17 @@ class TestFidelity:
     )
     def test_mean_fidelity_expansions(self, bloch, label, coefficient):
         gamma = 0.3
-        value = mean_fidelity(resolve_model(label, gamma, 5), bloch)
+        value = evaluate(resolve_model(label, gamma, 5), bloch).mean_fidelity
         assert abs(value - (1 - coefficient * gamma**2)) < 20 * gamma**4
 
 
 class TestBackgroundAndReversibility:
+    def test_support_outside_truncation_rejected(self):
+        model = resolve_model("qc", 0.3, 5)
+        for support_dim in (0, 6):
+            with pytest.raises(ValueError, match="support dimension"):
+                background(model, "1", support_dim)
+
     def test_backgrounds(self, bloch):
         d = bloch.support_dim
         assert background(resolve_model("pc", 0.3, 5), "1", d) < 1e-14
@@ -297,11 +300,12 @@ class TestBackgroundAndReversibility:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_reversibilities(self, bloch, label):
         model = resolve_model(label, 0.3, 5)
-        assert abs(reversibility(model, bloch, "1") - R1_CLOSED[label]) < 1e-12
+        rev = evaluate(model, bloch).per_outcome["1"].reversibility
+        assert abs(rev - R1_CLOSED[label]) < 1e-12
 
     def test_no_count_reversibility_expansion(self, bloch):
         gamma = 0.3
-        value = reversibility(resolve_model("qc", gamma, 5), bloch, "0")
+        value = evaluate(resolve_model("qc", gamma, 5), bloch).per_outcome["0"].reversibility
         assert abs(value - (1 - gamma**2 / 2)) < 1e-2
 
     def test_background_is_a_pointwise_floor(self, bloch):
@@ -310,7 +314,7 @@ class TestBackgroundAndReversibility:
             b = background(model, "1", bloch.support_dim)
             stats = outcome_statistics(model, bloch)[1]
             assert b <= stats.conditional.min() + 1e-12
-            rev = reversibility(model, bloch, "1")
+            rev = evaluate(model, bloch).per_outcome["1"].reversibility
             assert 0.0 <= rev <= 1.0
 
     @pytest.mark.parametrize("label", ALL_LABELS)
@@ -318,14 +322,14 @@ class TestBackgroundAndReversibility:
     def test_mean_reversibility_equals_background_sum(self, bloch, label, gamma):
         model = resolve_model(label, gamma, 5)
         total = sum(background(model, m, bloch.support_dim) for m in model.outcomes)
-        assert abs(mean_reversibility(model, bloch) - total) < 1e-10
+        assert abs(evaluate(model, bloch).mean_reversibility - total) < 1e-10
 
     @pytest.mark.parametrize(
         "label,coefficient", [("pc", 1.0), ("qc", 1.0), ("qpc", 1.0), ("qqc", 3.0)]
     )
     def test_mean_reversibility_expansions(self, bloch, label, coefficient):
         for gamma in (0.1, 0.3):
-            value = mean_reversibility(resolve_model(label, gamma, 5), bloch)
+            value = evaluate(resolve_model(label, gamma, 5), bloch).mean_reversibility
             assert abs(value - (1 - coefficient * gamma**2)) < 5 * gamma**4
 
 
@@ -350,7 +354,7 @@ class TestMutualInformationIdentity:
         conditionals = np.array([s.conditional for s in stats])
         assert abs(by_outcome - entropy_difference(bloch.weights, conditionals)) < 1e-10
         # the library entry point performs the same check internally
-        assert abs(mean_information(model, bloch) - by_outcome) < 1e-12
+        assert abs(evaluate(model, bloch).mean_information - by_outcome) < 1e-12
 
     def test_inconsistent_conditionals_are_caught(self, bloch, monkeypatch):
         # p(1|a) scaled by 1.01 while p(1) and the posterior are kept: the
@@ -394,6 +398,16 @@ class TestBatchedInformation:
         ens = haar_ensemble(2, 10_000, 1, 4)
         with pytest.raises(KeyError):
             batched_information(resolve_model("pc", 0.3, 4), ens, "2")
+
+    def test_zero_total_batch_raises(self):
+        # the first of 100 batches holds only the vacuum, where gamma * a
+        # cannot click, although the outcome is possible on the whole family
+        states = np.zeros((10_000, 4))
+        states[:100, 0] = 1.0
+        states[100:, 1] = 1.0
+        ens = Ensemble(support_dim=2, states=states, weights=np.full(10_000, 1e-4))
+        with pytest.raises(ZeroProbability, match="'1'"):
+            batched_information(resolve_model("pc", 0.3, 4), ens, "1")
 
 
 class TestEfficiency:
@@ -463,12 +477,8 @@ class TestFullReport:
             information_gain(outcome_statistics(model, vacuum)[1])
         with pytest.raises(ZeroProbability):
             full_report("pc", 0.3, vacuum)
-        for figure in (fidelity_after, reversibility):
-            with pytest.raises(ZeroProbability):
-                figure(model, vacuum, "0")
-        for figure in (mean_information, mean_fidelity, mean_reversibility):
-            with pytest.raises(ZeroProbability):
-                figure(model, vacuum)
+        with pytest.raises(ZeroProbability):
+            evaluate(model, vacuum)
 
     def test_absorbing_and_qnd_photon_coincide_on_two_levels(self, bloch):
         pc = full_report("pc", 0.3, bloch)

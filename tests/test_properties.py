@@ -1,6 +1,7 @@
-"""Property tests of full_report, of the backgrounds and of the polar
-structure of the one-count operators over random couplings, truncations and
-quadrature sizes.  Derandomized, so every run draws the same examples."""
+"""Property tests of full_report, of the backgrounds and reversing
+measurements, and of the polar structure of the one-count operators over
+random couplings, truncations and quadrature sizes.  Derandomized, so every
+run draws the same examples."""
 
 import math
 
@@ -12,18 +13,16 @@ from oracles import min_effect_eigenvalue, polar_factors
 
 from photocount import (
     CounterKind,
+    NonReversible,
     ZeroProbability,
     background,
     bloch_two_state_ensemble,
     build_counter,
-    fidelity_after,
+    build_reversing,
+    evaluate,
     full_report,
-    mean_fidelity,
-    mean_information,
-    mean_reversibility,
     outcome_statistics,
     resolve_model,
-    reversibility,
     unitary_part_deviation,
 )
 
@@ -57,12 +56,8 @@ def test_full_report_properties(gamma, label, dim, nodes):
         assert 0.0 <= m.fidelity <= 1.0
         assert 0.0 <= m.reversibility <= 1.0
         assert math.isfinite(report.backgrounds[outcome])
-        assert fidelity_after(model, ens, outcome) == m.fidelity
-        assert reversibility(model, ens, outcome) == m.reversibility
     assert abs(sum(report.backgrounds.values()) - report.mean_reversibility) <= 1e-10
-    assert mean_information(model, ens) == report.mean_information
-    assert mean_fidelity(model, ens) == report.mean_fidelity
-    assert mean_reversibility(model, ens) == report.mean_reversibility
+    assert evaluate(model, ens) == report
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -109,3 +104,25 @@ def test_background_is_the_minimum_eigenvalue_of_the_effect(gamma, label, dim, s
         assert background(model, outcome, support_dim) == pytest.approx(
             oracle, rel=1e-15, abs=0.0
         )
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    target=st.sampled_from([("qc", "1"), ("qqc", "1"), ("joint", "11")]),
+    dim=st.integers(min_value=4, max_value=8),
+    support_dim=st.integers(min_value=1, max_value=2),
+)
+def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, dim, support_dim):
+    # |eta|^2 at the cap against the dense eigensolver on M^dag M
+    label, outcome = target
+    model = resolve_model(label, gamma, dim)
+    oracle = min_effect_eigenvalue(model.operator_for(outcome).entries, support_dim)
+    if oracle <= 0.0:
+        # The background underflows to zero at tiny coupling.
+        with pytest.raises(NonReversible):
+            build_reversing(model, outcome, support_dim)
+        return
+    rev = build_reversing(model, outcome, support_dim)
+    assert rev.target_outcome == outcome
+    assert rev.eta_sq == pytest.approx(oracle, rel=1e-15, abs=0.0)

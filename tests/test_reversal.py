@@ -9,8 +9,9 @@ from photocount import (
     bloch_two_state_ensemble,
     build_counter,
     build_reversing,
+    evaluate,
     outcome_statistics,
-    reversibility,
+    resolve_model,
     trajectory_sim,
     verify_recovery,
 )
@@ -25,6 +26,11 @@ def one_count(kind, gamma=0.3, dim=5):
     return build_counter(kind, gamma, dim).operator_for("1")
 
 
+def reversing(kind, gamma=0.3, eta_fraction=1.0):
+    """Reversing measurement of the one-count on the two-level support."""
+    return build_reversing(build_counter(kind, gamma, 5), "1", 2, eta_fraction)
+
+
 def random_support_state(rng, dim=5):
     amps = np.zeros(dim, dtype=complex)
     raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -35,7 +41,7 @@ def random_support_state(rng, dim=5):
 class TestBuildReversing:
     def test_emitting_counter_cap_and_success_probabilities(self, bloch):
         op = one_count(CounterKind.QC)
-        rev = build_reversing(op, bloch.support_dim, eta_fraction=1.0)
+        rev = reversing(CounterKind.QC, eta_fraction=1.0)
         assert abs(rev.eta_sq - 0.09) < 1e-14
         # success probability 1/(n1 + 1) on the two-level family
         for state, n1 in [
@@ -50,9 +56,9 @@ class TestBuildReversing:
     @pytest.mark.parametrize("gamma", [0.3, 1e-8])
     def test_absorbing_counters_are_not_reversible(self, bloch, gamma):
         with pytest.raises(NonReversible):
-            build_reversing(one_count(CounterKind.PC, gamma), bloch.support_dim)
+            reversing(CounterKind.PC, gamma)
         with pytest.raises(NonReversible):
-            build_reversing(one_count(CounterKind.QPC, gamma), bloch.support_dim)
+            reversing(CounterKind.QPC, gamma)
 
     @pytest.mark.parametrize("kind", [CounterKind.QC, CounterKind.QQC])
     def test_small_coupling_cap_is_gamma_squared(self, bloch, kind):
@@ -60,28 +66,39 @@ class TestBuildReversing:
         # relative to the largest effect on the support (2 and 4 gamma^2)
         gamma = 1e-8
         op = one_count(kind, gamma)
-        rev = build_reversing(op, bloch.support_dim)
+        rev = reversing(kind, gamma)
         assert abs(rev.eta_sq - gamma**2) <= 1e-12 * gamma**2
         res = verify_recovery(StateVector.basis(5, 1), op, rev)
         assert res["recovery_fidelity"] > 1 - 1e-10
 
     def test_partial_amplitude_halves_success(self, bloch):
         op = one_count(CounterKind.QC)
-        full = build_reversing(op, bloch.support_dim, eta_fraction=1.0)
-        half = build_reversing(op, bloch.support_dim, eta_fraction=0.5)
+        full = reversing(CounterKind.QC, eta_fraction=1.0)
+        half = reversing(CounterKind.QC, eta_fraction=0.5)
         state = StateVector(np.array([1, 1, 0, 0, 0]) / np.sqrt(2))
         a = verify_recovery(state, op, full)["success_prob"]
         b = verify_recovery(state, op, half)["success_prob"]
         assert abs(b - a / 2) < 1e-12
 
     def test_eta_fraction_range(self, bloch):
-        op = one_count(CounterKind.QC)
         with pytest.raises(ValueError):
-            build_reversing(op, bloch.support_dim, eta_fraction=0.0)
+            reversing(CounterKind.QC, eta_fraction=0.0)
+
+    def test_target_outcome_is_the_requested_outcome(self, bloch):
+        # the double count of the joint counter is gamma^2 a a^dag, whose
+        # background on two levels is gamma^4
+        model = resolve_model("joint", 0.3, 5)
+        rev = build_reversing(model, "11", bloch.support_dim)
+        assert rev.target_outcome == "11"
+        assert abs(rev.eta_sq - 0.3**4) < 1e-15
+        for n in (0, 1):
+            res = verify_recovery(StateVector.basis(5, n), model.operator_for("11"), rev)
+            assert abs(res["success_prob"] - 1.0 / (n + 1.0) ** 2) < 1e-12
+            assert res["recovery_fidelity"] > 1 - 1e-10
 
     @pytest.mark.parametrize("kind", [CounterKind.QC, CounterKind.QQC])
     def test_success_fail_pair_is_complete(self, bloch, kind):
-        rev = build_reversing(one_count(kind), bloch.support_dim)
+        rev = reversing(kind)
         total = (
             rev.success_op.adjoint() @ rev.success_op
             + rev.fail_op.adjoint() @ rev.fail_op
@@ -94,7 +111,7 @@ class TestVerifyRecovery:
     def test_probability_identity_on_random_states(self, bloch, kind):
         rng = np.random.default_rng(29)
         op = one_count(kind)
-        rev = build_reversing(op, bloch.support_dim)
+        rev = reversing(kind)
         for _ in range(1000):
             state = random_support_state(rng)
             p = float(np.linalg.norm(op.apply(state)) ** 2)
@@ -104,20 +121,20 @@ class TestVerifyRecovery:
 
     def test_qnd_quantum_on_vacuum_always_succeeds(self, bloch):
         op = one_count(CounterKind.QQC)
-        rev = build_reversing(op, bloch.support_dim)
+        rev = reversing(CounterKind.QQC)
         res = verify_recovery(StateVector.basis(5, 0), op, rev)
         assert abs(res["success_prob"] - 1.0) < 1e-12
 
     def test_impossible_outcome_raises(self, bloch):
         # gamma * a annihilates the vacuum, so its one-count cannot occur
-        rev = build_reversing(one_count(CounterKind.QC), bloch.support_dim)
+        rev = reversing(CounterKind.QC)
         with pytest.raises(ZeroProbability):
             verify_recovery(StateVector.basis(5, 0), one_count(CounterKind.PC), rev)
 
     def test_posterior_average_matches_reversibility(self, bloch):
         model = build_counter(CounterKind.QC, 0.3, 5)
         op = model.operator_for("1")
-        rev = build_reversing(op, bloch.support_dim)
+        rev = build_reversing(model, "1", bloch.support_dim)
         stats = outcome_statistics(model, bloch)[1]
         success = np.array(
             [
@@ -127,13 +144,13 @@ class TestVerifyRecovery:
         )
         averaged = float(np.sum(stats.posterior * success))
         assert abs(averaged - 2 / 3) < 1e-12
-        assert abs(averaged - reversibility(model, bloch, "1")) < 1e-12
+        assert abs(averaged - evaluate(model, bloch).per_outcome["1"].reversibility) < 1e-12
 
     def test_successful_reversal_erases_the_information(self, bloch):
         # p(a | one-count, success) = p(1|a) * (eta^2/p(1|a)) * w_a / norm = w_a
         model = build_counter(CounterKind.QQC, 0.3, 5)
         op = model.operator_for("1")
-        rev = build_reversing(op, bloch.support_dim)
+        rev = build_reversing(model, "1", bloch.support_dim)
         stats = outcome_statistics(model, bloch)[1]
         success = np.array(
             [
