@@ -27,6 +27,17 @@ __all__ = [
 _NORMALIZE_ROWS = 65_536
 
 
+def _read_only(array, dtype) -> np.ndarray:
+    """array as a read-only ndarray of dtype: a read-only input of that dtype
+    is kept as it is, anything else is copied, so the caller's own arrays
+    stay writeable."""
+    if isinstance(array, np.ndarray) and array.dtype == dtype and not array.flags.writeable:
+        return array
+    out = np.array(array, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Immutable weighted state family.
@@ -44,8 +55,8 @@ class Ensemble:
     populations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
+        states = _read_only(self.states, complex)
+        weights = _read_only(self.weights, float)
         if states.ndim != 2 or states.shape[0] != weights.size:
             raise ValueError("states and weights are inconsistent")
         if not 1 <= self.support_dim <= states.shape[1]:
@@ -58,8 +69,7 @@ class Ensemble:
             raise ValueError("weights must sum to one")
         populations = np.abs(states[:, : self.support_dim])
         populations **= 2
-        for array in (states, weights, populations):
-            array.setflags(write=False)
+        populations.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "populations", populations)
@@ -98,9 +108,10 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     thetas = (x + 1.0) * (np.pi / 2.0)
     weights = (np.pi / 2.0) * w * np.sin(thetas) / 2.0
     weights = weights / weights.sum()
-    return Ensemble(
-        support_dim=2, states=_bloch_states(thetas, dim), weights=weights, thetas=thetas
-    )
+    states = _bloch_states(thetas, dim)
+    for array in (states, weights):
+        array.setflags(write=False)
+    return Ensemble(support_dim=2, states=states, weights=weights, thetas=thetas)
 
 
 def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
@@ -123,5 +134,7 @@ def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
         block = support[start : start + _NORMALIZE_ROWS]
         block /= np.linalg.norm(block, axis=1)[:, None]
     weights = np.full(n_samples, 1.0 / n_samples)
+    for array in (states, weights):
+        array.setflags(write=False)
     return Ensemble(support_dim=d, states=states, weights=weights)
 

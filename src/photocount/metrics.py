@@ -10,8 +10,9 @@ reversing measurement.  Averages over outcomes use the exact outcome
 probabilities of the truncated operators.
 
 evaluate(model, ensemble) is the one evaluation of a (model, ensemble) pair:
-one outcome_statistics call and one background per outcome give every
-per-outcome figure and mean in a CounterReport, and the two identities (mean
+one set of images M|psi(a)> and one background per outcome give every
+per-outcome figure and mean in a CounterReport (p(m|a) and the fidelity
+overlaps both read the same images), and the two identities (mean
 information equals the mutual information H(M) - H(M|A) computed from the
 prior and p(m|a); mean reversibility equals the sum of backgrounds) are
 checked once, to 1e-10, in that pass.  full_report is evaluate on the model
@@ -114,16 +115,20 @@ def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
     return OutcomeStats(outcome=outcome, conditional=cond, total=total, posterior=posterior)
 
 
-def outcome_statistics(model: MeasurementModel, ensemble: Ensemble) -> list[OutcomeStats]:
-    """Conditional probabilities p(m|a), totals p(m), and posteriors p(a|m)."""
+def _images_and_stats(model: MeasurementModel, ensemble: Ensemble):
+    """Per outcome, the images M|psi(a)> of every state (one row each) and
+    the OutcomeStats read from their squared norms."""
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
-    out = []
     for outcome, op in zip(model.outcomes, model.operators):
         images = ensemble.states @ op.entries.T
         cond = np.sum(np.abs(images) ** 2, axis=1)
-        out.append(_stats(outcome, cond, ensemble.weights))
-    return out
+        yield images, _stats(outcome, cond, ensemble.weights)
+
+
+def outcome_statistics(model: MeasurementModel, ensemble: Ensemble) -> list[OutcomeStats]:
+    """Conditional probabilities p(m|a), totals p(m), and posteriors p(a|m)."""
+    return [s for _, s in _images_and_stats(model, ensemble)]
 
 
 def information_gain(stats: OutcomeStats) -> float:
@@ -141,18 +146,17 @@ def information_gain(stats: OutcomeStats) -> float:
 
 
 def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
-    """Every figure of merit of (model, ensemble) from one outcome_statistics
-    call and one background per outcome; both identities are checked here.
+    """Every figure of merit of (model, ensemble) from one set of images and
+    one background per outcome; both identities are checked here.
 
     Samples an outcome cannot occur on carry zero posterior weight and are
     skipped.  Raises ZeroProbability if some outcome has zero total
     probability, since its fidelity and reversibility are undefined.
     """
-    stats = outcome_statistics(model, ensemble)
     per_outcome: dict[str, OutcomeMetrics] = {}
     backgrounds: dict[str, float] = {}
     mutual_information = 0.0
-    for s, op in zip(stats, model.operators):
+    for images, s in _images_and_stats(model, ensemble):
         info = information_gain(s)
         mask = s.conditional > 0.0
         cond, post = s.conditional[mask], s.posterior[mask]
@@ -163,7 +167,6 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
         )
         # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.  It and reversibility
         # are at most 1; clamp the rounding residue (NaN passes through min).
-        images = ensemble.states @ op.entries.T
         overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=1))
         fid = min(float(np.sum(post * (overlaps[mask] / np.sqrt(cond)))), 1.0)
         # Reversibility: posterior average of background / p(m|a).
@@ -257,9 +260,11 @@ def batched_information(
     stats = _stats(outcome, ensemble.populations @ effect, ensemble.weights)
     full = information_gain(stats)
     batches = []
-    for idx in np.array_split(np.arange(ensemble.n_samples), n_batches):
-        w = ensemble.weights[idx]
-        batches.append(information_gain(_stats(outcome, stats.conditional[idx], w / w.sum())))
+    for cond, w in zip(
+        np.array_split(stats.conditional, n_batches),
+        np.array_split(ensemble.weights, n_batches),
+    ):
+        batches.append(information_gain(_stats(outcome, cond, w / w.sum())))
     return full, np.array(batches)
 
 

@@ -32,6 +32,14 @@ __all__ = [
 # which the left inverse counts as bounded.
 _INVERSE_FLOOR = 1e-12
 
+# Trials simulated per block in trajectory_sim: its per-trial arrays then
+# stay block-sized instead of growing with the trial count.
+_TRIAL_BLOCK = 65_536
+
+# Buckets of the node lookup table; a power of two, so u * _NODE_BUCKETS is
+# exact and every bucket edge is a double.
+_NODE_BUCKETS = 4096
+
 
 @dataclass(frozen=True)
 class ReversingMeasurement:
@@ -106,6 +114,43 @@ class TrajectoryStats:
     seed: int
 
 
+def _uniform_stream(seed: int, offset: int) -> np.random.Generator:
+    """Philox(seed) generator placed `offset` doubles into its stream.
+
+    Each double takes one 64-bit output and a Philox step yields four, so the
+    counter advances offset // 4 steps and the remainder is drawn and dropped.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
+
+
+class _NodeTable:
+    """Node index for a uniform u, as Generator.choice(p=weights) maps it:
+    cdf.searchsorted(u, side="right") on the normalized cumulative weights.
+
+    u falls in the bucket b = int(u * _NODE_BUCKETS).  When no CDF value
+    lies in (b, b + 1] / _NODE_BUCKETS every u of the bucket has the index
+    the table holds for b; otherwise the index comes from the binary search.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        self.cdf = weights.cumsum()
+        self.cdf /= self.cdf[-1]
+        edges = np.arange(_NODE_BUCKETS + 1) / _NODE_BUCKETS
+        index = self.cdf.searchsorted(edges, side="right")
+        self.index = index[:-1]
+        self.settled = index[:-1] == index[1:]
+
+    def nodes(self, u: np.ndarray) -> np.ndarray:
+        bucket = (u * _NODE_BUCKETS).astype(np.intp)
+        nodes = self.index[bucket]
+        unsettled = np.flatnonzero(~self.settled[bucket])
+        nodes[unsettled] = self.cdf.searchsorted(u[unsettled], side="right")
+        return nodes
+
+
 def trajectory_sim(
     kind: CounterKind,
     gamma: float,
@@ -116,8 +161,13 @@ def trajectory_sim(
     """Monte Carlo of draw-state, measure, and (on one-count) try to reverse.
 
     Uses a counter-based (Philox) generator keyed by the seed with a fixed
-    draw order, so results are reproducible bit for bit.  The success rate
-    conditioned on one-count converges to the counter's reversibility.
+    draw order, so results are reproducible bit for bit: the node uniforms,
+    the outcome uniforms and the reversal uniforms sit at offsets 0, trials
+    and 2 * trials of the one stream, and each node is drawn as
+    Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
+    blocks of _TRIAL_BLOCK, so memory does not grow with the trial count.
+    The success rate conditioned on one-count converges to the counter's
+    reversibility.
     """
     if kind not in (CounterKind.QC, CounterKind.QQC):
         raise NonReversible(f"{kind.value} one-count has background = 0")
@@ -138,16 +188,22 @@ def trajectory_sim(
         res = verify_recovery(StateVector(ensemble.states[i]), one_count_op, rev)
         fidelities[i] = res["recovery_fidelity"]
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    nodes = rng.choice(ensemble.n_samples, size=trials, p=ensemble.weights)
-    u_outcome = rng.random(trials)
-    u_reverse = rng.random(trials)
-
-    one_count_mask = u_outcome < cond_one[nodes]
-    success_mask = one_count_mask & (u_reverse < success_given_one[nodes])
-    n_one = int(np.count_nonzero(one_count_mask))
-    n_success = int(np.count_nonzero(success_mask))
-    mean_fid = float(np.mean(fidelities[nodes[success_mask]])) if n_success else float("nan")
+    table = _NodeTable(ensemble.weights)
+    node_rng, outcome_rng, reverse_rng = (
+        _uniform_stream(seed, offset) for offset in (0, trials, 2 * trials)
+    )
+    n_one = 0
+    blocks = []
+    for start in range(0, trials, _TRIAL_BLOCK):
+        size = min(_TRIAL_BLOCK, trials - start)
+        nodes = table.nodes(node_rng.random(size))
+        one_count_mask = outcome_rng.random(size) < cond_one[nodes]
+        success_mask = one_count_mask & (reverse_rng.random(size) < success_given_one[nodes])
+        n_one += int(np.count_nonzero(one_count_mask))
+        blocks.append(fidelities[nodes[success_mask]])
+    success_fidelities = np.concatenate(blocks)
+    n_success = success_fidelities.size
+    mean_fid = float(np.mean(success_fidelities)) if n_success else float("nan")
     rate = n_success / n_one if n_one else float("nan")
     return TrajectoryStats(
         trials=trials,

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -175,3 +178,41 @@ class TestSupport:
                     states=row[None, :],
                     weights=np.ones(1),
                 )
+
+
+class TestImmutability:
+    def test_caller_arrays_stay_writeable(self):
+        states = np.zeros((2, 4), dtype=complex)
+        states[0, 0] = states[1, 1] = 1.0
+        weights = np.array([0.5, 0.5])
+        ens = Ensemble(support_dim=2, states=states, weights=weights)
+        assert states.flags.writeable and weights.flags.writeable
+        for array in (ens.states, ens.weights, ens.populations):
+            assert not array.flags.writeable
+        states[0, 0] = 0.0
+        weights[0] = 0.0
+        assert ens.states[0, 0] == 1.0 and ens.weights[0] == 0.5
+
+    def test_constructed_ensembles_are_read_only(self, bloch64):
+        for ens in (bloch64, haar_ensemble(3, 10_000, 4, 5)):
+            for array in (ens.states, ens.weights, ens.populations):
+                assert not array.flags.writeable
+
+    def test_haar_states_are_not_copied(self):
+        # The peak RSS rises by the ensemble's own arrays plus block-sized
+        # temporaries; a second copy of the 96 MB state array would add
+        # more than half of it.
+        probe = (
+            "import resource\n"
+            "from photocount import haar_ensemble\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "before = rss()\n"
+            "ens = haar_ensemble(4, 10**6, 42, 6)\n"
+            "held = ens.states.nbytes + ens.weights.nbytes + ens.populations.nbytes\n"
+            "print(rss() - before, held, ens.states.nbytes)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, check=True, text=True
+        ).stdout
+        rise, held, states_bytes = map(int, out.split())
+        assert rise < held + states_bytes // 2

@@ -360,14 +360,15 @@ class TestMutualInformationIdentity:
         # p(1|a) scaled by 1.01 while p(1) and the posterior are kept: the
         # gain reads log2(1.01) high, and H(M) - H(M|A) from the prior and
         # the scaled conditionals no longer matches the mean gain
-        exact = metrics.outcome_statistics
+        exact = metrics._images_and_stats
 
         def skewed(model, ensemble):
-            stats = exact(model, ensemble)
-            stats[1] = replace(stats[1], conditional=1.01 * stats[1].conditional)
-            return stats
+            for k, (images, stats) in enumerate(exact(model, ensemble)):
+                if k == 1:
+                    stats = replace(stats, conditional=1.01 * stats.conditional)
+                yield images, stats
 
-        monkeypatch.setattr(metrics, "outcome_statistics", skewed)
+        monkeypatch.setattr(metrics, "_images_and_stats", skewed)
         with pytest.raises(NumericInconsistency, match="mutual-information"):
             full_report("pc", 0.3, bloch)
 
@@ -393,6 +394,20 @@ class TestBatchedInformation:
             w = ens.weights[idx] / np.sum(ens.weights[idx])
             dense_batch = self.dense_gain(w, cond[idx])
             assert abs(batches[k] - dense_batch) <= 1e-14 * dense_batch
+
+    @pytest.mark.parametrize("n_batches", [100, 7])
+    def test_batches_equal_index_array_batches(self, n_batches):
+        # each batch is a contiguous slice; it holds the values the index
+        # arrays of np.array_split(np.arange(n)) pick, so the gains are equal
+        ens = haar_ensemble(3, 10_007, 5, 5)
+        model = resolve_model("qpc", 0.3, 5)
+        cond = ens.populations @ model.effect_for("1")[:3]
+        _, batches = batched_information(model, ens, "1", n_batches)
+        indexed = []
+        for idx in np.array_split(np.arange(ens.n_samples), n_batches):
+            w = ens.weights[idx]
+            indexed.append(self.dense_gain(w / w.sum(), cond[idx]))
+        assert batches.tobytes() == np.array(indexed).tobytes()
 
     def test_unknown_outcome_raises_key_error(self):
         ens = haar_ensemble(2, 10_000, 1, 4)

@@ -1,15 +1,17 @@
 """Property tests of full_report, of the backgrounds and reversing
-measurements, and of the polar structure of the one-count operators over
-random couplings, truncations and quadrature sizes.  Derandomized, so every
+measurements, of the polar structure of the one-count operators and of the
+trajectory simulation over random couplings, truncations, quadrature sizes,
+seeds and trial counts.  Derandomized, so every
 run draws the same examples."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import min_effect_eigenvalue, polar_factors
+from oracles import min_effect_eigenvalue, polar_factors, trajectory_reference
 
 from photocount import (
     CounterKind,
@@ -23,6 +25,7 @@ from photocount import (
     full_report,
     outcome_statistics,
     resolve_model,
+    trajectory_sim,
     unitary_part_deviation,
 )
 
@@ -126,3 +129,31 @@ def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, di
     rev = build_reversing(model, outcome, support_dim)
     assert rev.target_outcome == outcome
     assert rev.eta_sq == pytest.approx(oracle, rel=1e-15, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from([CounterKind.QC, CounterKind.QQC]),
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    nodes=st.integers(min_value=8, max_value=128),
+    dim=st.integers(min_value=4, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    trials=st.one_of(
+        # around one block of 65,536 trials, and on every residue mod 4
+        st.sampled_from([10_000, 65_535, 65_536, 65_537, 131_073]),
+        st.builds(lambda q, r: 4 * q + r, st.integers(2_500, 50_000), st.integers(1, 3)),
+    ),
+)
+def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, seed, trials):
+    ens = bloch_two_state_ensemble(nodes, dim)
+    try:
+        want = trajectory_reference(kind, gamma, ens, trials, seed)
+    except NonReversible:
+        # The background underflows to zero at tiny coupling.
+        with pytest.raises(NonReversible):
+            trajectory_sim(kind, gamma, ens, trials, seed)
+        return
+    got = trajectory_sim(kind, gamma, ens, trials, seed)
+    # repr tells every float apart bit for bit, and NaN from NaN-free values
+    for field in fields(want):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name

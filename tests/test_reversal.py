@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from photocount import (
     trajectory_sim,
     verify_recovery,
 )
+from photocount.reversal import _NODE_BUCKETS, _NodeTable
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +189,50 @@ class TestTrajectorySim:
     def test_trial_floor_enforced(self, bloch):
         with pytest.raises(ValueError):
             trajectory_sim(CounterKind.QC, 0.3, bloch, trials=100, seed=1)
+
+    def test_memory_stays_block_sized(self, bloch):
+        # A memory bound, not a timing bound: every per-trial array holds
+        # one block of trials, whatever the trial count.
+        tracemalloc.start()
+        try:
+            trajectory_sim(CounterKind.QC, 0.3, bloch, trials=4_000_000, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+DYADIC_WEIGHTS = [
+    np.full(4, 1 / 4),
+    np.full(8, 1 / 8),
+    np.array([1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 16]),
+]
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            *DYADIC_WEIGHTS,
+            bloch_two_state_ensemble(64, 5).weights,
+            bloch_two_state_ensemble(9, 5).weights,
+            np.random.default_rng(3).dirichlet(np.ones(300)),
+        ],
+    )
+    def test_matches_generator_choice(self, weights):
+        draws = 300_000
+        u = np.random.Generator(np.random.Philox(8)).random(draws)
+        expected = np.random.Generator(np.random.Philox(8)).choice(
+            weights.size, size=draws, p=weights
+        )
+        assert np.array_equal(_NodeTable(weights).nodes(u), expected)
+
+    @pytest.mark.parametrize("weights", DYADIC_WEIGHTS)
+    def test_uniforms_on_bucket_edges(self, weights):
+        # Every CDF value of dyadic weights is a bucket edge; uniforms on
+        # and next to each edge take the index of the binary search.
+        edges = np.arange(_NODE_BUCKETS) / _NODE_BUCKETS
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0)])
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        assert np.array_equal(_NodeTable(weights).nodes(u), cdf.searchsorted(u, side="right"))
