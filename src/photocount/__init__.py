@@ -19,7 +19,7 @@ from .counters import (
 from .ensemble import (
     Ensemble,
     bloch_two_state_ensemble,
-    haar_ensemble,
+    haar_populations,
 )
 from .errors import (
     FidelityOne,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .counters import GAMMA_MAX, CounterKind
-from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_ensemble
+from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_populations
 from .errors import NonReversible, PhotocountError, ZeroProbability
 from .metrics import (
     batched_information,
@@ -224,11 +224,11 @@ def cmd_haar(config: RunConfig, d: int) -> dict:
         raise ValueError("d must be 2, 3, or 4")
     if config.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
-    ens = haar_ensemble(d, config.samples, config.seed, config.dim)
+    populations = haar_populations(d, config.samples, config.seed, config.dim)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
         model = resolve_model(label, config.gamma, config.dim)
-        values[label], batches[label] = batched_information(model, ens, outcome="1")
+        values[label], batches[label] = batched_information(model, populations, outcome="1")
 
     def standard_error(batch: np.ndarray) -> float:
         return float(np.std(batch, ddof=1) / np.sqrt(batch.size))

@@ -1,12 +1,14 @@
 """Weighted families of pure pre-measurement states.
 
-Two constructions cover the models in use: a quadrature discretization of
-the uniform (Bloch-sphere) measure over superpositions of |0> and |1>, and
-Monte Carlo draws from the unitarily invariant (Haar) measure on a
-d-dimensional subspace.  States are stored as rows of one complex matrix so
-downstream statistics can run vectorized over the whole family; their
-number-level populations |c_n|^2 are kept beside them for statistics of
-effects that are diagonal in the number basis.
+Two constructions cover the models in use.  A quadrature discretization of
+the uniform (Bloch-sphere) measure over superpositions of |0> and |1> is an
+Ensemble: its states are rows of one complex matrix, so fidelities and
+reversals can run vectorized over the whole family, and their number-level
+populations |c_n|^2 are kept beside them for statistics of effects that are
+diagonal in the number basis.  Monte Carlo draws from the unitarily
+invariant (Haar) measure on a d-dimensional subspace feed only such
+statistics (every effect is diagonal), so haar_populations returns the
+populations alone and no state array is built.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import numpy as np
 __all__ = [
     "Ensemble",
     "bloch_two_state_ensemble",
-    "haar_ensemble",
+    "haar_populations",
 ]
 
-# Rows normalized per block in haar_ensemble: the norm's temporaries then
-# stay block-sized instead of growing with the sample count.
+# Rows normalized per block in haar_populations: the amplitudes and the
+# norm's temporaries then stay block-sized instead of growing with the
+# sample count.
 _NORMALIZE_ROWS = 65_536
 
 
@@ -114,27 +117,30 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     return Ensemble(support_dim=2, states=states, weights=weights, thetas=thetas)
 
 
-def haar_ensemble(d: int, n_samples: int, seed: int, dim: int) -> Ensemble:
-    """Uniform (Haar) random pure states on the span of |0>, ..., |d-1>.
+def haar_populations(d: int, n_samples: int, seed: int, dim: int) -> np.ndarray:
+    """Populations |c_n|^2 of uniform (Haar) random pure states on the span
+    of |0>, ..., |d-1>, one read-only row of d levels per sample.
 
     Standard construction: i.i.d. complex Gaussian amplitudes, normalized.
     Deterministic for a given seed: all real parts are drawn before all
-    imaginary parts, row by row.
+    imaginary parts, row by row.  Only the populations are kept: each block
+    of rows is formed, normalized and squared in turn, so the amplitudes
+    never exist for the whole family at once.  ``dim`` is the truncation the
+    populations are evaluated on; the support must stay two levels below it.
     """
     if not 2 <= d <= dim - 2:
         raise ValueError("support dimension must satisfy 2 <= d <= dim - 2")
     if n_samples < 10_000:
         raise ValueError("at least 10^4 samples are required")
     rng = np.random.default_rng(seed)
-    states = np.zeros((n_samples, dim), dtype=complex)
-    support = states[:, :d]
-    support.real = rng.standard_normal((n_samples, d))
-    support.imag = rng.standard_normal((n_samples, d))
+    populations = rng.standard_normal((n_samples, d))
     for start in range(0, n_samples, _NORMALIZE_ROWS):
-        block = support[start : start + _NORMALIZE_ROWS]
+        rows = populations[start : start + _NORMALIZE_ROWS]
+        block = np.empty(rows.shape, dtype=complex)
+        block.real = rows
+        block.imag = rng.standard_normal(rows.shape)
         block /= np.linalg.norm(block, axis=1)[:, None]
-    weights = np.full(n_samples, 1.0 / n_samples)
-    for array in (states, weights):
-        array.setflags(write=False)
-    return Ensemble(support_dim=d, states=states, weights=weights)
-
+        np.abs(block, out=rows)
+        rows **= 2
+    populations.setflags(write=False)
+    return populations

@@ -20,9 +20,12 @@ of a counter label; a caller that needs one figure reads it from the report.
 Both raise ZeroProbability when some outcome has zero total probability.
 
 Backgrounds and the Monte Carlo gains of batched_information read the
-model's diagonal effects and the ensemble's populations.  outcome_statistics
-keeps the dense images M|psi>: the populations form rounds differently and
-moves the 12th printed digit of some metrics and sweep outputs.
+model's diagonal effects and populations |c_n|^2: batched_information takes
+the populations array alone (haar_populations draws it), weighs its rows
+equally, and refuses a model whose effects exceed 1 on the support.
+outcome_statistics keeps the dense images M|psi>: the populations form
+rounds differently and moves the 12th printed digit of some metrics and
+sweep outputs.
 """
 
 from __future__ import annotations
@@ -110,8 +113,12 @@ def post_measurement_state(op: Operator, state: StateVector) -> StateVector:
 
 
 def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
-    total = float(np.sum(weights * cond))
-    posterior = weights * cond / total if total > 0.0 else np.zeros_like(weights)
+    posterior = weights * cond
+    total = float(np.sum(posterior))
+    if total > 0.0:
+        posterior /= total
+    else:
+        posterior = np.zeros_like(weights)
     return OutcomeStats(outcome=outcome, conditional=cond, total=total, posterior=posterior)
 
 
@@ -138,11 +145,16 @@ def information_gain(stats: OutcomeStats) -> float:
     """
     if stats.total <= 0.0:
         raise ZeroProbability(f"outcome {stats.outcome!r} has zero total probability")
-    mask = stats.conditional > 0.0
-    ratio = stats.conditional[mask] / stats.total
+    cond, post = stats.conditional, stats.posterior
+    mask = cond > 0.0
+    if not mask.all():
+        cond, post = cond[mask], post[mask]
+    terms = cond / stats.total
+    np.log2(terms, out=terms)
+    terms *= post
     # Non-negative by Gibbs' inequality; clamp the rounding residue (NaN
     # passes through max unchanged).
-    return max(float(np.sum(stats.posterior[mask] * np.log2(ratio))), 0.0)
+    return max(float(np.sum(terms)), 0.0)
 
 
 def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
@@ -240,29 +252,47 @@ def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     return evaluate(resolve_model(label, gamma, ensemble.dim), ensemble)
 
 
+def _check_effects_bounded(model: MeasurementModel, support_dim: int) -> None:
+    """Raise ValueError when some effect entry on the lowest support_dim
+    levels exceeds 1: an outcome probability above 1 on that support means
+    the coupling is too large for the truncated operators."""
+    effects = model.effects[:, :support_dim]
+    k, n = np.unravel_index(np.argmax(effects), effects.shape)
+    if effects[k, n] > 1.0:
+        raise ValueError(
+            f"effect of outcome {model.outcomes[k]!r} is {effects[k, n]:.6g} > 1 "
+            f"on level {n}; gamma {model.gamma:g} is too large for this support"
+        )
+
+
 def batched_information(
     model: MeasurementModel,
-    ensemble: Ensemble,
+    populations: np.ndarray,
     outcome: str = "1",
     n_batches: int = 100,
 ) -> tuple[float, np.ndarray]:
-    """Information gain of an outcome plus per-batch values for error bars.
+    """Information gain of an outcome plus per-batch values for error bars,
+    over equally weighted samples given by their populations |c_n|^2 (one
+    row per sample, one column per support level).
 
     The full-sample value is the point estimate; the spread of the batch
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
     Only the requested outcome is evaluated, from the populations and the
-    diagonal effect.  Raises ZeroProbability if the outcome has zero total
-    probability.
+    diagonal effect.  Raises ValueError if an effect exceeds 1 on the
+    support, and ZeroProbability if the outcome has zero total probability.
     """
-    if ensemble.dim != model.dim:
-        raise ValueError("ensemble and model dimensions differ")
-    effect = model.effect_for(outcome)[: ensemble.support_dim]
-    stats = _stats(outcome, ensemble.populations @ effect, ensemble.weights)
+    n_samples, support_dim = populations.shape
+    if not 1 <= support_dim <= model.dim:
+        raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
+    _check_effects_bounded(model, support_dim)
+    weights = np.full(n_samples, 1.0 / n_samples)
+    effect = model.effect_for(outcome)[:support_dim]
+    stats = _stats(outcome, populations @ effect, weights)
     full = information_gain(stats)
     batches = []
     for cond, w in zip(
         np.array_split(stats.conditional, n_batches),
-        np.array_split(ensemble.weights, n_batches),
+        np.array_split(weights, n_batches),
     ):
         batches.append(information_gain(_stats(outcome, cond, w / w.sum())))
     return full, np.array(batches)

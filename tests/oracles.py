@@ -25,6 +25,22 @@ def min_effect_eigenvalue(op, support_dim):
     return float(np.linalg.eigvalsh(gram[:support_dim, :support_dim])[0])
 
 
+def haar_states(d, n_samples, seed, dim):
+    """Dense Haar states on the span of |0>, ..., |d-1>, one row of dim
+    amplitudes each: i.i.d. complex Gaussian amplitudes, all real parts
+    drawn before all imaginary parts, normalized in blocks of 65,536 rows.
+    haar_populations must return |c_n|^2 of these rows bit for bit."""
+    rng = np.random.default_rng(seed)
+    states = np.zeros((n_samples, dim), dtype=complex)
+    support = states[:, :d]
+    support.real = rng.standard_normal((n_samples, d))
+    support.imag = rng.standard_normal((n_samples, d))
+    for start in range(0, n_samples, 65_536):
+        block = support[start : start + 65_536]
+        block /= np.linalg.norm(block, axis=1)[:, None]
+    return states
+
+
 def trajectory_reference(kind, gamma, ensemble, trials, seed):
     """trajectory_sim with every trial held at once and the nodes drawn by
     Generator.choice, followed by the outcome and reversal uniforms of the

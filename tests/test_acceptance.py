@@ -263,11 +263,11 @@ def test_10_polar_structure():
 
 
 def test_11_three_level_information_ordering():
-    ens = pc.haar_ensemble(3, 1_000_000, 42, 5)
+    populations = pc.haar_populations(3, 1_000_000, 42, 5)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
         model = pc.resolve_model(label, 0.3, 5)
-        values[label], batches[label] = pc.batched_information(model, ens, "1")
+        values[label], batches[label] = pc.batched_information(model, populations, "1")
     diff = values["qpc"] - values["pc"]
     diff_se = float(
         np.std(batches["qpc"] - batches["pc"], ddof=1) / np.sqrt(batches["pc"].size)

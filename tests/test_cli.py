@@ -163,6 +163,13 @@ class TestHaar:
         assert out == ""
         assert "d <= dim - 2" in err
 
+    def test_effect_above_one_is_usage_error(self, capsys):
+        # the qpc one-count effect gamma^2 n^2 is 2.25 on |3> at gamma = 0.5
+        code, out, err = run_cli(["haar", "--d", "4", "--dim", "6", "--gamma", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "effect of outcome '1' is 2.25 > 1 on level 3" in err
+
     def test_zero_probability_outcome_is_numeric_failure(self, capsys):
         code, out, err = run_cli(["haar", "--d", "2", "--gamma", "1e-170"], capsys)
         assert code == 4

@@ -1,14 +1,15 @@
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import haar_states
 
 from photocount import (
     Ensemble,
+    batched_information,
     bloch_two_state_ensemble,
     evaluate,
-    haar_ensemble,
+    haar_populations,
     resolve_model,
 )
 
@@ -97,59 +98,76 @@ class TestHaarEnsemble:
     def test_amplitude_moments_match_uniform_measure(self):
         # E|c_k|^2 = 1/d; compare within 4 Monte Carlo standard errors
         for d in (2, 3):
-            ens = haar_ensemble(d, 20_000, 123, 6)
-            probs = np.abs(ens.states[:, :d]) ** 2
+            probs = haar_populations(d, 20_000, 123, 6)
             for k in range(d):
-                se = float(np.std(probs[:, k], ddof=1) / np.sqrt(ens.n_samples))
+                se = float(np.std(probs[:, k], ddof=1) / np.sqrt(probs.shape[0]))
                 assert abs(float(probs[:, k].mean()) - 1.0 / d) < 4 * se
 
     def test_d2_matches_bloch_quadrature_moment(self):
-        ens = haar_ensemble(2, 50_000, 7, 5)
+        t_mc = haar_populations(2, 50_000, 7, 5)[:, 1]
         bloch = bloch_two_state_ensemble(64, 5)
-        t_mc = np.abs(ens.states[:, 1]) ** 2
-        se = float(np.std(t_mc, ddof=1) / np.sqrt(ens.n_samples))
+        se = float(np.std(t_mc, ddof=1) / np.sqrt(t_mc.size))
         t_quad = float(np.sum(bloch.weights * np.abs(bloch.states[:, 1]) ** 2))
         assert abs(float(t_mc.mean()) - t_quad) < 3 * se
 
     def test_weights_sum_to_one(self):
-        ens = haar_ensemble(3, 10_000, 0, 5)
-        assert abs(ens.weights.sum() - 1.0) < 1e-12
+        # batched_information weighs the rows equally; with half of them on
+        # |0>, where pc cannot click, a click gains exactly one bit only if
+        # those weights sum to one
+        populations = np.zeros((10_000, 2))
+        populations[::2, 0] = 1.0
+        populations[1::2, 1] = 1.0
+        full, _ = batched_information(resolve_model("pc", 0.3, 4), populations, "1")
+        assert abs(full - 1.0) < 1e-12
 
     def test_deterministic_for_a_seed(self):
-        a = haar_ensemble(3, 10_000, 9, 5)
-        b = haar_ensemble(3, 10_000, 9, 5)
-        assert np.array_equal(a.states, b.states)
-        c = haar_ensemble(3, 10_000, 10, 5)
-        assert not np.array_equal(a.states, c.states)
+        a = haar_populations(3, 10_000, 9, 5)
+        b = haar_populations(3, 10_000, 9, 5)
+        assert np.array_equal(a, b)
+        c = haar_populations(3, 10_000, 10, 5)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("d,dim", [(2, 4), (3, 5), (4, 6)])
     def test_draw_order_is_real_parts_then_imaginary_parts(self, d, dim):
-        # the same bytes as normalizing x + 1j y, x and y drawn in that order
-        rng = np.random.default_rng(17)
-        raw = rng.standard_normal((10_000, d)) + 1j * rng.standard_normal((10_000, d))
-        raw /= np.linalg.norm(raw, axis=1)[:, None]
-        ens = haar_ensemble(d, 10_000, 17, dim)
-        assert np.array_equal(ens.states[:, :d], raw)
-        assert not np.any(ens.states[:, d:])
+        # the same bytes as |c|^2 of the dense construction, which normalizes
+        # x + 1j y with x and y drawn in that order; 65,537 and 200,003 rows
+        # end in partial blocks of 1 and 3,395 rows
+        for n in (10_000, 65_537, 200_003):
+            populations = haar_populations(d, n, 17, dim)
+            assert populations.shape == (n, d)
+            assert np.array_equal(populations, np.abs(haar_states(d, n, 17, dim)[:, :d]) ** 2)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            haar_ensemble(1, 10_000, 0, 5)
+            haar_populations(1, 10_000, 0, 5)
         with pytest.raises(ValueError):
-            haar_ensemble(4, 10_000, 0, 5)  # needs dim >= d + 2
+            haar_populations(4, 10_000, 0, 5)  # needs dim >= d + 2
         with pytest.raises(ValueError):
-            haar_ensemble(2, 5_000, 0, 5)
+            haar_populations(2, 5_000, 0, 5)
+
+    def test_memory_stays_populations_sized(self):
+        # The Haar path holds the populations, block-sized draws and the
+        # full-sample statistics of one outcome; the dense 96 MB state
+        # array of the old construction alone would exceed the bound.
+        # A memory bound, not a timing bound.
+        tracemalloc.start()
+        try:
+            populations = haar_populations(4, 10**6, 42, 6)
+            batched_information(resolve_model("pc", 0.3, 6), populations, "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * populations.nbytes
 
 
 class TestPopulations:
     def test_populations_are_squared_support_amplitudes(self, bloch64):
-        haar = haar_ensemble(3, 10_000, 4, 5)
-        for ens in (bloch64, haar):
-            d = ens.support_dim
-            assert ens.populations.shape == (ens.n_samples, d)
-            assert np.max(np.abs(ens.populations - np.abs(ens.states[:, :d]) ** 2)) < 1e-15
-            assert np.max(np.abs(ens.populations.sum(axis=1) - 1.0)) < 1e-12
-            assert not ens.populations.flags.writeable
+        haar = (haar_populations(3, 10_000, 4, 5), haar_states(3, 10_000, 4, 5), 3)
+        for populations, states, d in ((bloch64.populations, bloch64.states, 2), haar):
+            assert populations.shape == (states.shape[0], d)
+            assert np.max(np.abs(populations - np.abs(states[:, :d]) ** 2)) < 1e-15
+            assert np.max(np.abs(populations.sum(axis=1) - 1.0)) < 1e-12
+            assert not populations.flags.writeable
 
     def test_moments_from_populations_match_amplitudes(self, bloch64):
         levels = np.arange(bloch64.support_dim)
@@ -194,25 +212,6 @@ class TestImmutability:
         assert ens.states[0, 0] == 1.0 and ens.weights[0] == 0.5
 
     def test_constructed_ensembles_are_read_only(self, bloch64):
-        for ens in (bloch64, haar_ensemble(3, 10_000, 4, 5)):
-            for array in (ens.states, ens.weights, ens.populations):
-                assert not array.flags.writeable
-
-    def test_haar_states_are_not_copied(self):
-        # The peak RSS rises by the ensemble's own arrays plus block-sized
-        # temporaries; a second copy of the 96 MB state array would add
-        # more than half of it.
-        probe = (
-            "import resource\n"
-            "from photocount import haar_ensemble\n"
-            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
-            "before = rss()\n"
-            "ens = haar_ensemble(4, 10**6, 42, 6)\n"
-            "held = ens.states.nbytes + ens.weights.nbytes + ens.populations.nbytes\n"
-            "print(rss() - before, held, ens.states.nbytes)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, check=True, text=True
-        ).stdout
-        rise, held, states_bytes = map(int, out.split())
-        assert rise < held + states_bytes // 2
+        for array in (bloch64.states, bloch64.weights, bloch64.populations):
+            assert not array.flags.writeable
+        assert not haar_populations(3, 10_000, 4, 5).flags.writeable

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import haar_states
 
 import photocount.metrics as metrics
 from photocount import (
@@ -19,7 +20,7 @@ from photocount import (
     efficiency,
     evaluate,
     full_report,
-    haar_ensemble,
+    haar_populations,
     information_gain,
     outcome_statistics,
     post_measurement_state,
@@ -383,15 +384,17 @@ class TestBatchedInformation:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("label", ["pc", "qpc"])
     def test_populations_path_matches_dense_images(self, d, label):
-        ens = haar_ensemble(d, 20_000, 11, d + 2)
+        states = haar_states(d, 20_000, 11, d + 2)
+        weights = np.full(20_000, 1.0 / 20_000)
         model = resolve_model(label, 0.3, d + 2)
         op = model.operator_for("1").entries
-        cond = np.sum(np.abs(ens.states @ op.T) ** 2, axis=1)
-        full, batches = batched_information(model, ens, "1", n_batches=100)
-        dense = self.dense_gain(ens.weights, cond)
+        cond = np.sum(np.abs(states @ op.T) ** 2, axis=1)
+        populations = haar_populations(d, 20_000, 11, d + 2)
+        full, batches = batched_information(model, populations, "1", n_batches=100)
+        dense = self.dense_gain(weights, cond)
         assert abs(full - dense) <= 1e-15 * dense
-        for k, idx in enumerate(np.array_split(np.arange(ens.n_samples), 100)):
-            w = ens.weights[idx] / np.sum(ens.weights[idx])
+        for k, idx in enumerate(np.array_split(np.arange(20_000), 100)):
+            w = weights[idx] / np.sum(weights[idx])
             dense_batch = self.dense_gain(w, cond[idx])
             assert abs(batches[k] - dense_batch) <= 1e-14 * dense_batch
 
@@ -399,30 +402,45 @@ class TestBatchedInformation:
     def test_batches_equal_index_array_batches(self, n_batches):
         # each batch is a contiguous slice; it holds the values the index
         # arrays of np.array_split(np.arange(n)) pick, so the gains are equal
-        ens = haar_ensemble(3, 10_007, 5, 5)
+        populations = haar_populations(3, 10_007, 5, 5)
+        weights = np.full(10_007, 1.0 / 10_007)
         model = resolve_model("qpc", 0.3, 5)
-        cond = ens.populations @ model.effect_for("1")[:3]
-        _, batches = batched_information(model, ens, "1", n_batches)
+        cond = populations @ model.effect_for("1")[:3]
+        _, batches = batched_information(model, populations, "1", n_batches)
         indexed = []
-        for idx in np.array_split(np.arange(ens.n_samples), n_batches):
-            w = ens.weights[idx]
+        for idx in np.array_split(np.arange(10_007), n_batches):
+            w = weights[idx]
             indexed.append(self.dense_gain(w / w.sum(), cond[idx]))
         assert batches.tobytes() == np.array(indexed).tobytes()
 
     def test_unknown_outcome_raises_key_error(self):
-        ens = haar_ensemble(2, 10_000, 1, 4)
+        populations = haar_populations(2, 10_000, 1, 4)
         with pytest.raises(KeyError):
-            batched_information(resolve_model("pc", 0.3, 4), ens, "2")
+            batched_information(resolve_model("pc", 0.3, 4), populations, "2")
 
     def test_zero_total_batch_raises(self):
         # the first of 100 batches holds only the vacuum, where gamma * a
         # cannot click, although the outcome is possible on the whole family
-        states = np.zeros((10_000, 4))
-        states[:100, 0] = 1.0
-        states[100:, 1] = 1.0
-        ens = Ensemble(support_dim=2, states=states, weights=np.full(10_000, 1e-4))
+        populations = np.zeros((10_000, 2))
+        populations[:100, 0] = 1.0
+        populations[100:, 1] = 1.0
         with pytest.raises(ZeroProbability, match="'1'"):
-            batched_information(resolve_model("pc", 0.3, 4), ens, "1")
+            batched_information(resolve_model("pc", 0.3, 4), populations, "1")
+
+    @pytest.mark.parametrize("support_dim", [0, 5])
+    def test_support_outside_truncation_rejected(self, support_dim):
+        populations = np.full((10_000, support_dim), 1.0 / max(support_dim, 1))
+        with pytest.raises(ValueError, match="support dimension"):
+            batched_information(resolve_model("pc", 0.3, 4), populations, "1")
+
+    def test_effect_above_one_rejected(self):
+        # gamma^2 n^2 of qpc is 2.25 on |3> at gamma = 0.5, and exactly 1 on |2>
+        populations = haar_populations(4, 10_000, 1, 6)
+        model = resolve_model("qpc", 0.5, 6)
+        with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 3"):
+            batched_information(model, populations, "1")
+        full, _ = batched_information(model, populations[:, :3], "1")
+        assert full > 0.0
 
 
 class TestEfficiency:
