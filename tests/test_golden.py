@@ -4,7 +4,8 @@ Each case replays one CLI command in-process at default sizes and seed 42 and
 compares stdout with ``tests/golden/<name>.<format>``.  The golden files were
 written by the code before the single-pass metrics refactor, and the
 ``haar_d4_dim6`` and ``haar_d2_dim4`` files by the code before the
-populations-only Haar path; regenerate them only for an intended output
+populations-only Haar path, and the ``*_n256_dim8`` files (the larger
+quadrature) by the code before the stacked evaluation pass; regenerate them only for an intended output
 change, with ``python tests/test_golden.py``.
 """
 
@@ -31,10 +32,19 @@ CASES = {
     "haar_d3": ["haar", "--d", "3"],
     "haar_d4_dim6": ["haar", "--d", "4", "--dim", "6"],
     "haar_d2_dim4": ["haar", "--d", "2", "--dim", "4"],
+    "metrics_joint_n256_dim8": [
+        "metrics", "--counter", "joint", "--theta-nodes", "256", "--dim", "8"
+    ],
+    "sweep_qqc_n256_dim8": ["sweep", "--counter", "qqc", "--theta-nodes", "256", "--dim", "8"],
 }
 FORMATS = ("csv", "json")
 # Cases pinned in one format only; every other case is pinned in both.
-ONE_FORMAT = {"haar_d4_dim6": "csv", "haar_d2_dim4": "json"}
+ONE_FORMAT = {
+    "haar_d4_dim6": "csv",
+    "haar_d2_dim4": "json",
+    "metrics_joint_n256_dim8": "csv",
+    "sweep_qqc_n256_dim8": "json",
+}
 GOLDEN_FILES = [
     (name, fmt)
     for name in sorted(CASES)
