@@ -60,9 +60,11 @@ class CounterKind(enum.Enum):
 class MeasurementModel:
     """Labeled outcome set with one operator per outcome.
 
-    ``effects[k]`` is the diagonal of the effect M_k^dag M_k in the number
-    basis, so p(k|psi) = sum_n |c_n|^2 effects[k, n].  Every model here has
-    diagonal effects; construction rejects one that does not.
+    ``operator_stack[k]`` holds the entries of ``operators[k]``, so every
+    outcome can be applied in one matmul.  ``effects[k]`` is the diagonal of
+    the effect M_k^dag M_k in the number basis, so p(k|psi) =
+    sum_n |c_n|^2 effects[k, n].  Every model here has diagonal effects;
+    construction rejects one that does not.
     """
 
     label: str
@@ -70,6 +72,7 @@ class MeasurementModel:
     operators: tuple[Operator, ...]
     gamma: float
     dim: int
+    operator_stack: np.ndarray = field(init=False, repr=False, compare=False)
     effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,7 +92,9 @@ class MeasurementModel:
                 raise ValueError(
                     f"effect of outcome {outcome!r} is not diagonal in the number basis"
                 )
-        effects.setflags(write=False)
+        for array in (stack, effects):
+            array.setflags(write=False)
+        object.__setattr__(self, "operator_stack", stack)
         object.__setattr__(self, "effects", effects)
 
     def _index(self, outcome: str) -> int:
@@ -106,26 +111,16 @@ class MeasurementModel:
         return self.effects[self._index(outcome)]
 
 
-def _quadratic_form(kind: CounterKind, dim: int) -> Operator:
-    if kind is CounterKind.PC:
-        return ladder("number", dim)
-    if kind is CounterKind.QC:
-        return ladder("antinormal_number", dim)
-    if kind is CounterKind.QPC:
-        n = ladder("number", dim)
-        return n @ n
-    anti = ladder("antinormal_number", dim)
-    return anti @ anti
-
-
-def _one_count_operator(kind: CounterKind, gamma: float, dim: int) -> Operator:
-    if kind is CounterKind.PC:
-        return gamma * ladder("annihilation", dim)
-    if kind is CounterKind.QC:
-        return gamma * ladder("creation", dim)
-    if kind is CounterKind.QPC:
-        return gamma * ladder("number", dim)
-    return gamma * ladder("antinormal_number", dim)
+# Per kind: the diagonal offset of the one-count operator's nonzero entries
+# (a on the superdiagonal, a^dag on the subdiagonal), those entries, and
+# X(n) of the no-count operator I - (gamma^2/2) X, as functions of the
+# number levels n = 0, ..., dim - 1.
+_CLOSED_FORMS = {
+    CounterKind.PC: (1, lambda n: np.sqrt(n[1:]), lambda n: n),
+    CounterKind.QC: (-1, lambda n: np.sqrt(n[1:]), lambda n: n + 1.0),
+    CounterKind.QPC: (0, lambda n: n, lambda n: n * n),
+    CounterKind.QQC: (0, lambda n: n + 1.0, lambda n: (n + 1.0) ** 2),
+}
 
 
 def _validate(gamma: float, dim: int, allow_zero_gamma: bool = False) -> None:
@@ -139,8 +134,10 @@ def _validate(gamma: float, dim: int, allow_zero_gamma: bool = False) -> None:
 def build_counter(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel:
     """Closed-form two-outcome model for the requested counter."""
     _validate(gamma, dim)
-    one = _one_count_operator(kind, gamma, dim)
-    no = Operator.identity(dim) - (gamma**2 / 2.0) * _quadratic_form(kind, dim)
+    offset, one_count, quadratic = _CLOSED_FORMS[kind]
+    n = np.arange(dim, dtype=float)
+    one = Operator(np.diag(gamma * one_count(n), offset))
+    no = Operator(np.diag(1.0 - (gamma**2 / 2.0) * quadratic(n)))
     return MeasurementModel(
         label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma, dim=dim
     )

@@ -9,28 +9,33 @@ posterior-weighted maximal success probability background/p(m|a) of a
 reversing measurement.  Averages over outcomes use the exact outcome
 probabilities of the truncated operators.
 
-evaluate(model, ensemble) is the one evaluation of a (model, ensemble) pair:
-one set of images M|psi(a)> and one background per outcome give every
-per-outcome figure and mean in a CounterReport (p(m|a) and the fidelity
-overlaps both read the same images), and the two identities (mean
-information equals the mutual information H(M) - H(M|A) computed from the
-prior and p(m|a); mean reversibility equals the sum of backgrounds) are
-checked once, to 1e-10, in that pass.  full_report is evaluate on the model
-of a counter label; a caller that needs one figure reads it from the report.
-Both raise ZeroProbability when some outcome has zero total probability.
+evaluate(model, ensemble) is the one evaluation of a (model, ensemble) pair,
+in one stacked pass over all outcomes: one matmul gives the images
+M|psi(a)> of every outcome and state, and reductions over the stacked
+arrays give every per-outcome figure and mean in a CounterReport (p(m|a)
+and the fidelity overlaps both read the same images; the backgrounds read
+the effects).  An outcome row with a zero conditional is reduced on its own,
+over its positive entries.  The two identities (mean information equals
+the mutual information H(M) - H(M|A) computed from the prior and p(m|a);
+mean reversibility equals the sum of backgrounds) are checked once, to
+1e-10, in that pass.  full_report is evaluate on the model of a counter
+label; a caller that needs one figure reads it from the report.  Both
+raise ZeroProbability when some outcome has zero total probability, and
+ValueError when an effect exceeds 1 on the ensemble's support.
+outcome_statistics is a view of the same pass.
 
 Backgrounds and the Monte Carlo gains of batched_information read the
 model's diagonal effects and populations |c_n|^2: batched_information takes
 the populations array alone (haar_populations draws it), weighs its rows
 equally, and refuses a model whose effects exceed 1 on the support.
-outcome_statistics keeps the dense images M|psi>: the populations form
-rounds differently and moves the 12th printed digit of some metrics and
-sweep outputs.
+evaluate keeps the dense images M|psi>: the populations form rounds
+differently and moves the 12th printed digit of some metrics and sweep
+outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -122,20 +127,33 @@ def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
     return OutcomeStats(outcome=outcome, conditional=cond, total=total, posterior=posterior)
 
 
-def _images_and_stats(model: MeasurementModel, ensemble: Ensemble):
-    """Per outcome, the images M|psi(a)> of every state (one row each) and
-    the OutcomeStats read from their squared norms."""
+def _outcome_pass(model: MeasurementModel, ensemble: Ensemble):
+    """Images M|psi(a)> of every outcome and state, (K, N, dim), and from
+    their squared norms the conditionals p(m|a) (K, N), totals p(m) (K,)
+    and posteriors p(a|m) (K, N); an outcome of zero total probability has
+    a zero posterior."""
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
-    for outcome, op in zip(model.outcomes, model.operators):
-        images = ensemble.states @ op.entries.T
-        cond = np.sum(np.abs(images) ** 2, axis=1)
-        yield images, _stats(outcome, cond, ensemble.weights)
+    images = ensemble.states @ model.operator_stack.transpose(0, 2, 1)
+    cond = np.sum(np.abs(images) ** 2, axis=2)
+    posterior = ensemble.weights * cond
+    totals = posterior.sum(axis=1)
+    reached = totals > 0.0
+    if reached.all():
+        posterior /= totals[:, None]
+    else:
+        posterior[reached] /= totals[reached, None]
+        posterior[~reached] = 0.0
+    return images, cond, totals, posterior
 
 
 def outcome_statistics(model: MeasurementModel, ensemble: Ensemble) -> list[OutcomeStats]:
     """Conditional probabilities p(m|a), totals p(m), and posteriors p(a|m)."""
-    return [s for _, s in _images_and_stats(model, ensemble)]
+    _, cond, totals, posterior = _outcome_pass(model, ensemble)
+    return [
+        OutcomeStats(outcome=outcome, conditional=c, total=t, posterior=p)
+        for outcome, c, t, p in zip(model.outcomes, cond, totals.tolist(), posterior)
+    ]
 
 
 def information_gain(stats: OutcomeStats) -> float:
@@ -157,45 +175,86 @@ def information_gain(stats: OutcomeStats) -> float:
     return max(float(np.sum(terms)), 0.0)
 
 
+def _figures(weights, cond, post, totals, overlaps, backgrounds) -> np.ndarray:
+    """Information gain, mutual-information share, and the fidelity and
+    reversibility sums of R outcomes, one column of a (4, R) array each,
+    from R rows of conditionals (every one positive), posteriors and
+    overlaps, and the R totals and backgrounds."""
+    terms = cond / totals[:, None]
+    np.log2(terms, out=terms)
+    terms *= post
+    # This outcome's share of H(M) - H(M|A), from the prior and p(m|a).
+    shares = np.sum(weights * cond * np.log2(cond), axis=1) - totals * np.log2(totals)
+    # Fidelity: posterior average of |<psi(a)|psi(m,a)>|; reversibility:
+    # posterior average of background / p(m|a).
+    fidelities = np.sum(post * (overlaps / np.sqrt(cond)), axis=1)
+    reversibilities = np.sum(post * (backgrounds[:, None] / cond), axis=1)
+    return np.array([np.sum(terms, axis=1), shares, fidelities, reversibilities])
+
+
 def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
-    """Every figure of merit of (model, ensemble) from one set of images and
-    one background per outcome; both identities are checked here.
+    """Every figure of merit of (model, ensemble) from one stacked pass over
+    all outcomes; both identities are checked here.
 
     Samples an outcome cannot occur on carry zero posterior weight and are
-    skipped.  Raises ZeroProbability if some outcome has zero total
-    probability, since its fidelity and reversibility are undefined.
+    skipped.  Raises ValueError if an effect exceeds 1 on the support, and
+    ZeroProbability if some outcome has zero total probability, since its
+    fidelity and reversibility are undefined.
     """
+    images, cond, totals, posterior = _outcome_pass(model, ensemble)
+    _check_effects_bounded(model, ensemble.support_dim)
+    unreached = totals <= 0.0
+    if unreached.any():
+        outcome = model.outcomes[int(np.argmax(unreached))]
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
+    overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=2))
+    floors = model.effects[:, : ensemble.support_dim].min(axis=1).tolist()
+    backgrounds = np.array([max(0.0, b) for b in floors])
+    weights = ensemble.weights
+
+    # Rows with a zero conditional are compacted to their positive entries
+    # one by one; every other row is reduced in one stacked call.
+    positive = cond > 0.0
+    full = positive.all(axis=1)
+    figures = np.empty((4, len(model.outcomes)))
+    rows = slice(None) if full.all() else full
+    figures[:, rows] = _figures(
+        weights, cond[rows], posterior[rows], totals[rows], overlaps[rows], backgrounds[rows]
+    )
+    for k in np.flatnonzero(~full):
+        mask = positive[k]
+        figures[:, k] = _figures(
+            weights[mask],
+            cond[k, mask][None],
+            posterior[k, mask][None],
+            totals[k : k + 1],
+            overlaps[k, mask][None],
+            backgrounds[k : k + 1],
+        )[:, 0]
+
     per_outcome: dict[str, OutcomeMetrics] = {}
-    backgrounds: dict[str, float] = {}
     mutual_information = 0.0
-    for images, s in _images_and_stats(model, ensemble):
-        info = information_gain(s)
-        mask = s.conditional > 0.0
-        cond, post = s.conditional[mask], s.posterior[mask]
-        # This outcome's share of H(M) - H(M|A), from the prior and p(m|a).
-        mutual_information += float(
-            np.sum(ensemble.weights[mask] * cond * np.log2(cond))
-            - s.total * np.log2(s.total)
-        )
-        # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.  It and reversibility
-        # are at most 1; clamp the rounding residue (NaN passes through min).
-        overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=1))
-        fid = min(float(np.sum(post * (overlaps[mask] / np.sqrt(cond)))), 1.0)
-        # Reversibility: posterior average of background / p(m|a).
-        b = background(model, s.outcome, ensemble.support_dim)
-        rev = 0.0 if b == 0.0 else min(float(np.sum(post * (b / cond))), 1.0)
+    columns = zip(model.outcomes, totals.tolist(), backgrounds.tolist(), figures.T.tolist())
+    for outcome, total, b, (gain, share, fid_sum, rev_sum) in columns:
+        mutual_information += share
+        # The gain is non-negative by Gibbs' inequality, fidelity and
+        # reversibility are at most 1; clamp the rounding residue (NaN
+        # passes through max and min unchanged).
+        info = max(gain, 0.0)
+        fid = min(fid_sum, 1.0)
+        rev = 0.0 if b == 0.0 else min(rev_sum, 1.0)
         try:
             eff = efficiency(info, fid)
         except FidelityOne:
             eff = None
-        per_outcome[s.outcome] = OutcomeMetrics(
-            probability=s.total,
+        per_outcome[outcome] = OutcomeMetrics(
+            probability=total,
             information_gain=info,
             fidelity=fid,
             reversibility=rev,
             efficiency=eff,
         )
-        backgrounds[s.outcome] = b
+    backgrounds = dict(zip(model.outcomes, backgrounds.tolist()))
 
     mean_info = sum(m.probability * m.information_gain for m in per_outcome.values())
     mean_fid = sum(m.probability * m.fidelity for m in per_outcome.values())
@@ -243,7 +302,11 @@ def resolve_model(label: str, gamma: float, dim: int) -> MeasurementModel:
     if label == "joint":
         first = build_counter(CounterKind.QC, gamma, dim)
         second = build_counter(CounterKind.PC, gamma, dim)
-        return replace(compose_models(first, second), label="joint")
+        model = compose_models(first, second)
+        # Relabel the fresh, already validated model in place:
+        # dataclasses.replace would rebuild it and re-run the effect check.
+        object.__setattr__(model, "label", "joint")
+        return model
     return build_counter(CounterKind.parse(label), gamma, dim)
 
 

@@ -18,7 +18,7 @@ from .counters import CounterKind, MeasurementModel, build_counter
 from .ensemble import Ensemble
 from .errors import NonReversible
 from .fock import Operator, StateVector
-from .metrics import background, post_measurement_state
+from .metrics import _check_effects_bounded, background, post_measurement_state
 
 __all__ = [
     "ReversingMeasurement",
@@ -167,7 +167,7 @@ def trajectory_sim(
     Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
     blocks of _TRIAL_BLOCK, so memory does not grow with the trial count.
     The success rate conditioned on one-count converges to the counter's
-    reversibility.
+    reversibility.  Raises ValueError if an effect exceeds 1 on the support.
     """
     if kind not in (CounterKind.QC, CounterKind.QQC):
         raise NonReversible(f"{kind.value} one-count has background = 0")
@@ -175,6 +175,7 @@ def trajectory_sim(
         raise ValueError("at least 10^4 trials are required")
 
     model = build_counter(kind, gamma, ensemble.dim)
+    _check_effects_bounded(model, ensemble.support_dim)
     one_count_op = model.operator_for("1")
     rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
 

@@ -3,12 +3,125 @@
 import numpy as np
 
 from photocount import (
+    CounterKind,
+    CounterReport,
+    FidelityOne,
+    MeasurementModel,
+    NumericInconsistency,
+    Operator,
+    OutcomeMetrics,
+    OutcomeStats,
     StateVector,
     TrajectoryStats,
+    background,
     build_counter,
     build_reversing,
+    efficiency,
+    information_gain,
+    ladder,
     verify_recovery,
 )
+
+
+def build_counter_reference(kind, gamma, dim):
+    """build_counter composed from ladder operators: gamma times the
+    one-count ladder operator, and I - (gamma^2/2) X with X the number form
+    (pc), the antinormal form (qc), or their squares (qpc, qqc) as operator
+    products.  build_counter must give the same operator bytes."""
+    one_count, form = {
+        CounterKind.PC: ("annihilation", "number"),
+        CounterKind.QC: ("creation", "antinormal_number"),
+        CounterKind.QPC: ("number", "number"),
+        CounterKind.QQC: ("antinormal_number", "antinormal_number"),
+    }[kind]
+    quadratic = ladder(form, dim)
+    if kind in (CounterKind.QPC, CounterKind.QQC):
+        quadratic = quadratic @ quadratic
+    one = gamma * ladder(one_count, dim)
+    no = Operator.identity(dim) - (gamma**2 / 2.0) * quadratic
+    return MeasurementModel(
+        label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma, dim=dim
+    )
+
+
+def _images_and_stats(model, ensemble):
+    """Per outcome, the images M|psi(a)> of every state (one row each) and
+    the OutcomeStats read from their squared norms."""
+    if ensemble.dim != model.dim:
+        raise ValueError("ensemble and model dimensions differ")
+    for outcome, op in zip(model.outcomes, model.operators):
+        images = ensemble.states @ op.entries.T
+        cond = np.sum(np.abs(images) ** 2, axis=1)
+        posterior = ensemble.weights * cond
+        total = float(np.sum(posterior))
+        if total > 0.0:
+            posterior /= total
+        else:
+            posterior = np.zeros_like(ensemble.weights)
+        yield images, OutcomeStats(
+            outcome=outcome, conditional=cond, total=total, posterior=posterior
+        )
+
+
+def evaluate_reference(model, ensemble):
+    """evaluate one outcome at a time: one set of images and one background
+    per outcome, each figure reduced from that outcome's rows alone.
+    evaluate must return a report with the same repr."""
+    per_outcome = {}
+    backgrounds = {}
+    mutual_information = 0.0
+    for images, s in _images_and_stats(model, ensemble):
+        info = information_gain(s)
+        mask = s.conditional > 0.0
+        cond, post = s.conditional[mask], s.posterior[mask]
+        # This outcome's share of H(M) - H(M|A), from the prior and p(m|a).
+        mutual_information += float(
+            np.sum(ensemble.weights[mask] * cond * np.log2(cond))
+            - s.total * np.log2(s.total)
+        )
+        # Fidelity: posterior average of |<psi(a)|psi(m,a)>|.  It and reversibility
+        # are at most 1; clamp the rounding residue (NaN passes through min).
+        overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=1))
+        fid = min(float(np.sum(post * (overlaps[mask] / np.sqrt(cond)))), 1.0)
+        # Reversibility: posterior average of background / p(m|a).
+        b = background(model, s.outcome, ensemble.support_dim)
+        rev = 0.0 if b == 0.0 else min(float(np.sum(post * (b / cond))), 1.0)
+        try:
+            eff = efficiency(info, fid)
+        except FidelityOne:
+            eff = None
+        per_outcome[s.outcome] = OutcomeMetrics(
+            probability=s.total,
+            information_gain=info,
+            fidelity=fid,
+            reversibility=rev,
+            efficiency=eff,
+        )
+        backgrounds[s.outcome] = b
+
+    mean_info = sum(m.probability * m.information_gain for m in per_outcome.values())
+    mean_fid = sum(m.probability * m.fidelity for m in per_outcome.values())
+    mean_rev = sum(m.probability * m.reversibility for m in per_outcome.values())
+    background_sum = sum(backgrounds.values())
+    if abs(mean_info - mutual_information) > 1e-10:
+        raise NumericInconsistency(
+            "mutual-information identity violated: "
+            f"{mean_info!r} vs {mutual_information!r}"
+        )
+    if abs(mean_rev - background_sum) > 1e-10:
+        raise NumericInconsistency(
+            "reversibility/background identity violated: "
+            f"{mean_rev!r} vs {background_sum!r}"
+        )
+    return CounterReport(
+        label=model.label,
+        gamma=model.gamma,
+        per_outcome=per_outcome,
+        mean_information=float(mean_info),
+        mean_fidelity=float(mean_fid),
+        mean_reversibility=float(mean_rev),
+        backgrounds=backgrounds,
+    )
 
 
 def polar_factors(mat):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import build_counter_reference
 
 from photocount import (
     CounterKind,
@@ -11,6 +12,7 @@ from photocount import (
     ladder,
     probe_model_operators,
     proportionality_deviation,
+    resolve_model,
     unitary_part_deviation,
 )
 from photocount.counters import probe_hamiltonian
@@ -19,6 +21,24 @@ ALL_KINDS = tuple(CounterKind)
 
 
 class TestBuildCounter:
+    @pytest.mark.parametrize("gamma", [1e-8, 0.05, 0.3, 0.5])
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    @pytest.mark.parametrize("label", ["pc", "qc", "qpc", "qqc", "joint"])
+    def test_operators_match_the_ladder_products_bit_for_bit(self, label, dim, gamma):
+        if label == "joint":
+            want = compose_models(
+                build_counter_reference(CounterKind.QC, gamma, dim),
+                build_counter_reference(CounterKind.PC, gamma, dim),
+            )
+        else:
+            want = build_counter_reference(CounterKind(label), gamma, dim)
+        got = resolve_model(label, gamma, dim)
+        assert got.outcomes == want.outcomes
+        for mine, theirs in zip(got.operators, want.operators):
+            assert mine.entries.tobytes() == theirs.entries.tobytes()
+        assert got.operator_stack.tobytes() == want.operator_stack.tobytes()
+        assert got.effects.tobytes() == want.effects.tobytes()
+
     def test_absorbing_one_count_annihilates(self):
         model = build_counter(CounterKind.PC, 0.3, 4)
         image = model.operator_for("1").apply(StateVector.basis(4, 1))

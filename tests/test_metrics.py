@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from oracles import haar_states
@@ -361,15 +359,15 @@ class TestMutualInformationIdentity:
         # p(1|a) scaled by 1.01 while p(1) and the posterior are kept: the
         # gain reads log2(1.01) high, and H(M) - H(M|A) from the prior and
         # the scaled conditionals no longer matches the mean gain
-        exact = metrics._images_and_stats
+        exact = metrics._outcome_pass
 
         def skewed(model, ensemble):
-            for k, (images, stats) in enumerate(exact(model, ensemble)):
-                if k == 1:
-                    stats = replace(stats, conditional=1.01 * stats.conditional)
-                yield images, stats
+            images, cond, totals, posterior = exact(model, ensemble)
+            cond = cond.copy()
+            cond[1] *= 1.01
+            return images, cond, totals, posterior
 
-        monkeypatch.setattr(metrics, "_images_and_stats", skewed)
+        monkeypatch.setattr(metrics, "_outcome_pass", skewed)
         with pytest.raises(NumericInconsistency, match="mutual-information"):
             full_report("pc", 0.3, bloch)
 
@@ -443,6 +441,24 @@ class TestBatchedInformation:
         assert full > 0.0
 
 
+class TestResolveModel:
+    def test_joint_model_is_validated_once_per_stage(self, monkeypatch):
+        # two counters and their composition: the relabeled joint model is
+        # not rebuilt, so its effect check does not run a fourth time
+        checks = []
+        check = MeasurementModel.__post_init__
+
+        def counted(model):
+            checks.append(model.label)
+            check(model)
+
+        monkeypatch.setattr(MeasurementModel, "__post_init__", counted)
+        model = resolve_model("joint", 0.3, 6)
+        assert checks == ["qc", "pc", "pc*qc"]
+        assert model.label == "joint"
+        assert model.outcomes == ("00", "01", "10", "11")
+
+
 class TestEfficiency:
     def test_qnd_photon_value(self):
         assert abs(efficiency(I1_CLOSED["qpc"], 0.8) - 1.3933) < 1e-3
@@ -512,6 +528,15 @@ class TestFullReport:
             full_report("pc", 0.3, vacuum)
         with pytest.raises(ZeroProbability):
             evaluate(model, vacuum)
+
+    def test_effect_above_one_rejected(self):
+        # gamma^2 n^2 of qpc is 2.25 on |3> at gamma = 0.5; the Bloch support
+        # of the same model stays below 1
+        ens = Ensemble(support_dim=4, states=np.eye(6)[:4], weights=np.full(4, 0.25))
+        model = resolve_model("qpc", 0.5, 6)
+        with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 3"):
+            evaluate(model, ens)
+        evaluate(model, bloch_two_state_ensemble(16, 6))
 
     def test_absorbing_and_qnd_photon_coincide_on_two_levels(self, bloch):
         pc = full_report("pc", 0.3, bloch)

@@ -1,8 +1,8 @@
-"""Property tests of full_report, of the backgrounds and reversing
-measurements, of the polar structure of the one-count operators and of the
-trajectory simulation over random couplings, truncations, quadrature sizes,
-seeds and trial counts.  Derandomized, so every
-run draws the same examples."""
+"""Property tests of full_report and evaluate, of the completeness residual,
+of the backgrounds and reversing measurements, of the polar structure of the
+one-count operators and of the trajectory simulation over random couplings,
+truncations, quadrature sizes, seeds and trial counts.  Derandomized, so
+every run draws the same examples."""
 
 import math
 from dataclasses import fields
@@ -11,16 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import min_effect_eigenvalue, polar_factors, trajectory_reference
+from oracles import (
+    evaluate_reference,
+    min_effect_eigenvalue,
+    polar_factors,
+    trajectory_reference,
+)
 
 from photocount import (
     CounterKind,
+    Ensemble,
     NonReversible,
     ZeroProbability,
     background,
     bloch_two_state_ensemble,
     build_counter,
     build_reversing,
+    completeness_residual,
     evaluate,
     full_report,
     outcome_statistics,
@@ -61,6 +68,63 @@ def test_full_report_properties(gamma, label, dim, nodes):
         assert math.isfinite(report.backgrounds[outcome])
     assert abs(sum(report.backgrounds.values()) - report.mean_reversibility) <= 1e-10
     assert evaluate(model, ens) == report
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or of the exception it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    label=st.sampled_from(LABELS),
+    dim=st.integers(min_value=4, max_value=8),
+    nodes=st.integers(min_value=8, max_value=256),
+    vacuum_weight=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5)),
+)
+def test_evaluate_equals_the_per_outcome_reference(gamma, label, dim, nodes, vacuum_weight):
+    ens = bloch_two_state_ensemble(nodes, dim)
+    if vacuum_weight:
+        # An extra |0> member: outcomes that cannot occur on it (the pc
+        # one-count) get a zero conditional in that row.
+        ens = Ensemble(
+            support_dim=2,
+            states=np.vstack([ens.states, np.eye(dim)[:1]]),
+            weights=np.append((1.0 - vacuum_weight) * ens.weights, vacuum_weight),
+        )
+    model = resolve_model(label, gamma, dim)
+    # repr tells every float apart bit for bit, and NaN from NaN-free values
+    assert _outcome(evaluate, model, ens) == _outcome(evaluate_reference, model, ens)
+
+
+# X(n) of the no-count operator I - (gamma^2/2) X of each closed form.
+QUADRATIC_FORMS = {
+    CounterKind.PC: lambda n: n,
+    CounterKind.QC: lambda n: n + 1,
+    CounterKind.QPC: lambda n: n**2,
+    CounterKind.QQC: lambda n: (n + 1) ** 2,
+}
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(list(CounterKind)),
+    gamma=st.floats(min_value=1e-2, max_value=0.5),
+    dim=st.integers(min_value=4, max_value=8),
+    support_dim=st.integers(min_value=1, max_value=2),
+)
+def test_completeness_residual_is_the_dropped_fourth_order_term(kind, gamma, dim, support_dim):
+    # sum_m effects = (1 - gamma^2 X / 2)^2 + gamma^2 X = 1 + (gamma^2 X / 2)^2
+    # below the truncation edge; at support 2 the gamma^4 coefficients are
+    # 1/4, 1, 1/4 and 4 for pc, qc, qpc and qqc.
+    x_max = max(QUADRATIC_FORMS[kind](n) for n in range(support_dim))
+    expected = (gamma**2 * x_max / 2) ** 2
+    residual = completeness_residual(build_counter(kind, gamma, dim), support_dim)
+    assert abs(residual - expected) <= 1e-15
 
 
 @settings(derandomize=True, deadline=None, database=None)

@@ -5,6 +5,7 @@ import pytest
 
 from photocount import (
     CounterKind,
+    Ensemble,
     NonReversible,
     StateVector,
     ZeroProbability,
@@ -189,6 +190,13 @@ class TestTrajectorySim:
     def test_trial_floor_enforced(self, bloch):
         with pytest.raises(ValueError):
             trajectory_sim(CounterKind.QC, 0.3, bloch, trials=100, seed=1)
+
+    def test_effect_above_one_rejected(self, bloch):
+        # gamma^2 (n+1)^2 of qqc is 2.25 on |2> at gamma = 0.5, exactly 1 on |1>
+        ens = Ensemble(support_dim=3, states=np.eye(5)[:3], weights=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 2"):
+            trajectory_sim(CounterKind.QQC, 0.5, ens, trials=10_000, seed=1)
+        trajectory_sim(CounterKind.QQC, 0.5, bloch, trials=10_000, seed=1)
 
     def test_memory_stays_block_sized(self, bloch):
         # A memory bound, not a timing bound: every per-trial array holds
