@@ -135,7 +135,9 @@ def _outcome_pass(model: MeasurementModel, ensemble: Ensemble):
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
     images = ensemble.states @ model.operator_stack.transpose(0, 2, 1)
-    cond = np.sum(np.abs(images) ** 2, axis=2)
+    squares = np.abs(images)
+    squares **= 2
+    cond = squares.sum(axis=2)
     posterior = ensemble.weights * cond
     totals = posterior.sum(axis=1)
     reached = totals > 0.0
@@ -207,7 +209,10 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     if unreached.any():
         outcome = model.outcomes[int(np.argmax(unreached))]
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    overlaps = np.abs(np.sum(ensemble.states.conj() * images, axis=2))
+    # The products overwrite the images, which nothing reads afterwards, so
+    # the pass holds one (K, N, dim) complex array at a time.
+    products = np.multiply(ensemble.states.conj(), images, out=images)
+    overlaps = np.abs(np.sum(products, axis=2))
     floors = model.effects[:, : ensemble.support_dim].min(axis=1).tolist()
     backgrounds = np.array([max(0.0, b) for b in floors])
     weights = ensemble.weights
