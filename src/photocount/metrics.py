@@ -213,8 +213,9 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
     overlaps = np.abs(np.sum(products, axis=2))
-    floors = model.effects[:, : ensemble.support_dim].min(axis=1).tolist()
-    backgrounds = np.array([max(0.0, b) for b in floors])
+    lowest = model.effects[:, : ensemble.support_dim].min(axis=1).tolist()
+    backgrounds = {outcome: max(0.0, b) for outcome, b in zip(model.outcomes, lowest)}
+    floors = np.array(list(backgrounds.values()))
     weights = ensemble.weights
 
     # Rows with a zero conditional are compacted to their positive entries
@@ -224,7 +225,7 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     figures = np.empty((4, len(model.outcomes)))
     rows = slice(None) if full.all() else full
     figures[:, rows] = _figures(
-        weights, cond[rows], posterior[rows], totals[rows], overlaps[rows], backgrounds[rows]
+        weights, cond[rows], posterior[rows], totals[rows], overlaps[rows], floors[rows]
     )
     for k in np.flatnonzero(~full):
         mask = positive[k]
@@ -234,12 +235,12 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
             posterior[k, mask][None],
             totals[k : k + 1],
             overlaps[k, mask][None],
-            backgrounds[k : k + 1],
+            floors[k : k + 1],
         )[:, 0]
 
     per_outcome: dict[str, OutcomeMetrics] = {}
     mutual_information = 0.0
-    columns = zip(model.outcomes, totals.tolist(), backgrounds.tolist(), figures.T.tolist())
+    columns = zip(model.outcomes, totals.tolist(), backgrounds.values(), figures.T.tolist())
     for outcome, total, b, (gain, share, fid_sum, rev_sum) in columns:
         mutual_information += share
         # The gain is non-negative by Gibbs' inequality, fidelity and
@@ -259,7 +260,6 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
             reversibility=rev,
             efficiency=eff,
         )
-    backgrounds = dict(zip(model.outcomes, backgrounds.tolist()))
 
     mean_info = sum(m.probability * m.information_gain for m in per_outcome.values())
     mean_fid = sum(m.probability * m.fidelity for m in per_outcome.values())
