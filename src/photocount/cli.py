@@ -6,8 +6,13 @@ the same flags and seed the output is byte-identical across runs.  Every
 flag can be preset through an environment variable with the ``PHOTOCOUNT_``
 prefix (e.g. ``PHOTOCOUNT_SEED``).
 
+Importing this module loads numpy's OpenBLAS with one thread unless the
+caller has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``. ``--threads`` is validated but changes nothing.
+
 Each command returns one results record: the JSON output prints it, and the
-CSV output is a table view of it, so no value is named twice.
+CSV output is a table view of it, so no value is named twice.  A printed
+mean fidelity above 1 adds one note on stderr; stdout keeps its bytes.
 
 Exit codes: 0 success, 2 usage error, 3 non-reversible counter requested
 for reversal, 4 numeric failure.
@@ -25,13 +30,21 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
-import numpy as np
+# OpenBLAS reads these variables once, when numpy loads it, so this runs
+# before the first import that pulls numpy in. Every command does its linear
+# algebra on small operators or memory-bound arrays, where a second BLAS
+# thread only spins; a caller's own setting is kept.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__
-from .counters import GAMMA_MAX, CounterKind
-from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_populations
-from .errors import NonReversible, PhotocountError, ZeroProbability
-from .metrics import (
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .counters import GAMMA_MAX, CounterKind  # noqa: E402
+from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_populations  # noqa: E402
+from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
+from .metrics import (  # noqa: E402
     batched_information,
     evaluate,
     full_report,
@@ -39,7 +52,7 @@ from .metrics import (
     outcome_statistics,
     resolve_model,
 )
-from .reversal import trajectory_sim
+from .reversal import trajectory_sim  # noqa: E402
 
 COUNTER_CHOICES = ("pc", "qc", "qpc", "qqc", "joint")
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
@@ -132,6 +145,14 @@ def render_json(obj: dict) -> str:
     return _json_emit(obj, 0) + "\n"
 
 
+def _note_mean_fidelity_above_one(means) -> None:
+    """One stderr note when a mean fidelity, as printed, exceeds 1."""
+    top = max(float(format(float(v), ".12g")) for v in means)
+    if top > 1.0:
+        print(f"note: mean fidelity {top:.12g} > 1: the order-gamma^2 no-count operators give"
+              " sum_m p(m) = 1 + O(gamma^4), so the means hold to O(gamma^2)", file=sys.stderr)
+
+
 def cmd_posterior(config: RunConfig, outcome: str) -> dict:
     """Prior and posterior angular densities for one outcome on a theta grid."""
     model = resolve_model(config.counter, config.gamma, config.dim)
@@ -164,6 +185,7 @@ def cmd_metrics(config: RunConfig) -> dict:
     """Per-outcome and mean figures of merit for one counter."""
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
     report = full_report(config.counter, config.gamma, ens)
+    _note_mean_fidelity_above_one([report.mean_fidelity])
     return {
         "outcomes": {
             label: {**asdict(m), "background": report.backgrounds[label]}
@@ -194,6 +216,7 @@ def cmd_sweep(config: RunConfig, gamma_min: float, gamma_max: float, steps: int)
         raise ValueError("at least 5 sweep steps are required")
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
     sweep = gamma_sweep(config.counter, np.linspace(gamma_min, gamma_max, steps), ens)
+    _note_mean_fidelity_above_one(sweep.mean_fidelity)
     return {
         "rows": {
             "gamma": sweep.gammas,
@@ -353,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace):
     config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     config.validate()
-    # Every command runs in one thread, so --threads is validated but cannot
-    # change the output.
+    # Every command runs in one Python thread and its output does not depend
+    # on the BLAS thread count, so --threads is validated but changes nothing.
     if args.threads < 1:
         raise ValueError("threads must be positive")
     command, own_flags, table = COMMANDS[args.command]

@@ -1,5 +1,7 @@
 """Reference computations that the tests compare the library against."""
 
+import math
+
 import numpy as np
 
 from photocount import (
@@ -122,6 +124,26 @@ def evaluate_reference(model, ensemble):
         mean_reversibility=float(mean_rev),
         backgrounds=backgrounds,
     )
+
+
+def two_level_gain(reversibility):
+    """Information gain, in bits, of an outcome with diagonal effect entries
+    (e0, e1) on the uniform two-level family, as the function g of its
+    reversibility R = 2 min(e0, e1) / (e0 + e1) alone.
+
+    p = |c0|^2 is uniform on [0, 1], so with r = max/min = (2 - R)/R the
+    conditional is proportional to c = 1 + (r - 1) p, of mean T = (1 + r)/2,
+    and E = E[c ln c] = r^2 ln r / (2 (r - 1)) - (r + 1)/4.  Then
+    g(R) = (E/T - ln T) / ln 2, with the limits g(0) = 1 - 1/(2 ln 2)
+    (r -> infinity) and g(1) = 0 (r = 1)."""
+    if reversibility == 0.0:
+        return 1.0 - 1.0 / (2.0 * math.log(2.0))
+    r = (2.0 - reversibility) / reversibility
+    if r == 1.0:
+        return 0.0
+    mean = (1.0 + r) / 2.0
+    mean_c_ln_c = r * r * math.log(r) / (2.0 * (r - 1.0)) - (r + 1.0) / 4.0
+    return (mean_c_ln_c / mean - math.log(mean)) / math.log(2.0)
 
 
 def polar_factors(mat):

@@ -2,14 +2,20 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photocount import cli
 from photocount.cli import format_number, main
+
+
+GOLDEN = Path(__file__).parent / "golden"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_cli(args, capsys):
@@ -306,3 +312,86 @@ class TestFreshProcess:
         runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0].endswith(b"\n")
+
+
+def blas_env(**preset):
+    """This process's environment with none of the BLAS thread variables but
+    those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, **preset}
+
+
+class TestBlasThreads:
+    PROBE = (
+        "import json, os, photocount.cli; "
+        "print(json.dumps({k: os.environ.get(k) for k in %r}))" % (BLAS_THREAD_VARIABLES,)
+    )
+
+    def cli_import_env(self, **preset):
+        cmd = [sys.executable, "-c", self.PROBE]
+        out = subprocess.run(cmd, env=blas_env(**preset), capture_output=True, check=True)
+        return json.loads(out.stdout)
+
+    def test_one_thread_when_no_variable_is_set(self):
+        assert self.cli_import_env() == {
+            "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None
+        }
+
+    def test_explicit_openblas_setting_is_kept(self):
+        assert self.cli_import_env(OPENBLAS_NUM_THREADS="3")["OPENBLAS_NUM_THREADS"] == "3"
+
+    @pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "GOTO_NUM_THREADS"])
+    def test_other_thread_variable_adds_nothing(self, name):
+        expected = {**dict.fromkeys(BLAS_THREAD_VARIABLES), name: "2"}
+        assert self.cli_import_env(**{name: "2"}) == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_numpy_starts_no_blas_worker(self):
+        probe = "import os, photocount.cli; print(len(os.listdir('/proc/self/task')))"
+        out = subprocess.run([sys.executable, "-c", probe], env=blas_env(),
+                             capture_output=True, check=True)
+        assert out.stdout == b"1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["haar", "--d", "3"],
+        ["metrics", "--counter", "joint", "--format", "json"],
+    ])
+    def test_output_is_the_same_on_one_and_two_blas_threads(self, argv):
+        cmd = [sys.executable, "-m", "photocount", *argv]
+        outs = [
+            subprocess.run(cmd, env=blas_env(OPENBLAS_NUM_THREADS=n), capture_output=True,
+                           check=True).stdout
+            for n in ("1", "2")
+        ]
+        assert outs[0] == outs[1] and outs[0]
+
+
+@pytest.fixture
+def no_presets(monkeypatch):
+    for key in [k for k in os.environ if k.startswith("PHOTOCOUNT_")]:
+        monkeypatch.delenv(key)
+
+
+@pytest.mark.usefixtures("no_presets")
+class TestMeanFidelityNote:
+    @pytest.mark.parametrize("name,argv", [
+        ("metrics_qqc", ["metrics", "--counter", "qqc"]),
+        ("sweep_qqc", ["sweep", "--counter", "qqc", "--steps", "11"]),
+    ])
+    def test_note_for_means_above_one(self, name, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text()
+        assert err.count("\n") == 1
+        assert err.startswith("note: mean fidelity 1.00802532627 > 1")
+        assert "1 + O(gamma^4)" in err and "O(gamma^2)" in err
+
+    @pytest.mark.parametrize("name,argv", [
+        ("metrics_pc", ["metrics", "--counter", "pc"]),
+        ("sweep_joint", ["sweep", "--counter", "joint", "--steps", "11"]),
+    ])
+    def test_no_note_for_means_at_most_one(self, name, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text()
+        assert err == ""

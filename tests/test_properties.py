@@ -1,5 +1,6 @@
-"""Property tests of full_report and evaluate, of the completeness residual,
-of the backgrounds and reversing measurements, of the polar structure of the
+"""Property tests of full_report and evaluate, of information as a function
+of reversibility on two levels, of the completeness residual, of the
+backgrounds and reversing measurements, of the polar structure of the
 one-count operators and of the trajectory simulation over random couplings,
 truncations, quadrature sizes, seeds and trial counts.  Derandomized, so
 every run draws the same examples."""
@@ -16,6 +17,7 @@ from oracles import (
     min_effect_eigenvalue,
     polar_factors,
     trajectory_reference,
+    two_level_gain,
 )
 
 from photocount import (
@@ -69,6 +71,22 @@ def test_full_report_properties(gamma, label, dim, nodes):
         assert math.isfinite(report.backgrounds[outcome])
     assert abs(sum(report.backgrounds.values()) - report.mean_reversibility) <= 1e-10
     assert evaluate(model, ens) == report
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    label=st.sampled_from(LABELS),
+    gamma=st.floats(min_value=1e-3, max_value=0.5),
+    quadrature=st.sampled_from([(64, 5), (256, 8)]),
+)
+def test_two_level_information_is_a_function_of_reversibility(label, gamma, quadrature):
+    # Every effect is diagonal, so on the uniform two-level family an
+    # outcome's gain depends on its effect entries on |0> and |1> only through
+    # R (tests/oracles.py::two_level_gain).  1e-9 is the acceptance suite's
+    # closed-form tolerance for gains.
+    report = full_report(label, gamma, bloch_two_state_ensemble(*quadrature))
+    for outcome, m in report.per_outcome.items():
+        assert abs(m.information_gain - two_level_gain(m.reversibility)) <= 1e-9, outcome
 
 
 def _outcome(fn, *args):
