@@ -23,7 +23,7 @@ _SUBMODULES = {
     "ensemble": ("Ensemble", "bloch_two_state_ensemble", "haar_populations"),
     "errors": ("FidelityOne", "NonReversible", "NumericInconsistency", "PhotocountError",
                "ZeroProbability"),
-    "fock": ("Operator", "StateVector", "ladder", "matrix_exponential"),
+    "fock": ("ladder", "matrix_exponential"),
     "metrics": ("CounterReport", "OutcomeMetrics", "OutcomeStats", "background",
                 "batched_information", "efficiency", "evaluate", "fit_gamma_squared",
                 "full_report", "gamma_sweep", "information_gain", "outcome_statistics",

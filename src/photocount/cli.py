@@ -8,7 +8,7 @@ prefix (e.g. ``PHOTOCOUNT_SEED``).
 
 Importing this module loads numpy's OpenBLAS with one thread unless the
 caller has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS``. ``--threads`` is validated but changes nothing.
+``OMP_NUM_THREADS``.
 
 Each command returns one results record: the JSON output prints it, and the
 CSV output is a table view of it, so no value is named twice.  A printed
@@ -41,15 +41,14 @@ if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
-from .counters import GAMMA_MAX, CounterKind  # noqa: E402
-from .ensemble import _bloch_states, bloch_two_state_ensemble, haar_populations  # noqa: E402
+from .counters import GAMMA_MAX  # noqa: E402
+from .ensemble import bloch_two_state_ensemble, haar_populations  # noqa: E402
 from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
 from .metrics import (  # noqa: E402
     batched_information,
     evaluate,
     full_report,
     gamma_sweep,
-    outcome_statistics,
     resolve_model,
 )
 from .reversal import trajectory_sim  # noqa: E402
@@ -158,15 +157,17 @@ def cmd_posterior(config: RunConfig, outcome: str) -> dict:
     model = resolve_model(config.counter, config.gamma, config.dim)
     if outcome not in model.outcomes:
         raise ValueError(f"outcome must be one of {model.outcomes}")
+    # Both levels' populations against the outcome's diagonal effect give
+    # p(m|theta) on the quadrature and on the printed grid.
+    effect = model.effect_for(outcome)[:2]
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
-    total = outcome_statistics(model, ens)[model.outcomes.index(outcome)].total
+    total = float(ens.weights @ (ens.populations @ effect))
     if total <= 0.0:
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
 
     degrees = np.linspace(0.0, 180.0, 181)
-    op = model.operator_for(outcome)
-    images = _bloch_states(np.deg2rad(degrees), config.dim) @ op.entries.T
-    conditional = np.sum(np.abs(images) ** 2, axis=1)
+    half = np.deg2rad(degrees) / 2.0
+    conditional = np.cos(half) ** 2 * effect[0] + np.sin(half) ** 2 * effect[1]
     return {
         "outcome": outcome,
         "total_probability": total,
@@ -286,11 +287,10 @@ def cmd_reverse(config: RunConfig) -> dict:
         raise NonReversible(
             f"counter {config.counter!r} has background = 0 for the one-count process"
         )
-    kind = CounterKind.parse(config.counter)
     ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
     model = resolve_model(config.counter, config.gamma, config.dim)
     analytic = evaluate(model, ens).per_outcome["1"].reversibility
-    sim = trajectory_sim(kind, config.gamma, ens, trials=config.samples, seed=config.seed)
+    sim = trajectory_sim(model, ens, trials=config.samples, seed=config.seed)
     # The rate and the recovery fidelity are conditional means; without a
     # one-count or a success they are undefined rather than empty fields.
     if sim.one_counts == 0:
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("SAMPLES", int, 100_000),
         help="Monte Carlo sample / trial count",
     )
-    common.add_argument("--threads", type=int, default=_env("THREADS", int, 1))
     common.add_argument("--output", default=_env("OUTPUT", str, None))
 
     parser = argparse.ArgumentParser(
@@ -376,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace):
     config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     config.validate()
-    # Every command runs in one Python thread and its output does not depend
-    # on the BLAS thread count, so --threads is validated but changes nothing.
-    if args.threads < 1:
-        raise ValueError("threads must be positive")
     command, own_flags, table = COMMANDS[args.command]
     own = {name: getattr(args, name) for name in own_flags}
     results = command(config, **own)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import Operator, ladder, matrix_exponential
+from .fock import ladder, matrix_exponential
 
 __all__ = [
     "CounterKind",
@@ -60,30 +60,26 @@ class CounterKind(enum.Enum):
 class MeasurementModel:
     """Labeled outcome set with one operator per outcome.
 
-    ``operator_stack[k]`` holds the entries of ``operators[k]``, so every
-    outcome can be applied in one matmul.  ``effects[k]`` is the diagonal of
-    the effect M_k^dag M_k in the number basis, so p(k|psi) =
+    ``operators`` is one read-only complex (outcomes, dim, dim) array, so
+    every outcome can be applied in one matmul.  ``effects[k]`` is the
+    diagonal of the effect M_k^dag M_k in the number basis, so p(k|psi) =
     sum_n |c_n|^2 effects[k, n].  Every model here has diagonal effects;
     construction rejects one that does not.
     """
 
     label: str
     outcomes: tuple[str, ...]
-    operators: tuple[Operator, ...]
+    operators: np.ndarray
     gamma: float
-    dim: int
-    operator_stack: np.ndarray = field(init=False, repr=False, compare=False)
     effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.outcomes) != len(self.operators):
-            raise ValueError("one operator per outcome is required")
-        if any(op.dim != self.dim for op in self.operators):
-            raise ValueError("operator dimensions do not match the model")
-        stack = np.array([op.entries for op in self.operators])
+        stack = np.array(self.operators, dtype=complex)
+        if stack.ndim != 3 or stack.shape != (len(self.outcomes), stack.shape[2], stack.shape[2]):
+            raise ValueError("one square operator per outcome is required")
         # One flattened M^dag M per row; every (dim + 1)-th entry is diagonal.
         grams = (stack.conj().transpose(0, 2, 1) @ stack).reshape(len(stack), -1)
-        diagonal = grams[:, :: self.dim + 1]
+        diagonal = grams[:, :: stack.shape[1] + 1]
         effects = diagonal.real.copy()
         diagonal[:] = 0.0
         off_diagonal = np.abs(grams).max(axis=1) > _DIAGONAL_TOL * effects.max()
@@ -94,8 +90,12 @@ class MeasurementModel:
                 )
         for array in (stack, effects):
             array.setflags(write=False)
-        object.__setattr__(self, "operator_stack", stack)
+        object.__setattr__(self, "operators", stack)
         object.__setattr__(self, "effects", effects)
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[1]
 
     def _index(self, outcome: str) -> int:
         try:
@@ -103,7 +103,7 @@ class MeasurementModel:
         except ValueError:
             raise KeyError(f"unknown outcome {outcome!r}") from None
 
-    def operator_for(self, outcome: str) -> Operator:
+    def operator_for(self, outcome: str) -> np.ndarray:
         return self.operators[self._index(outcome)]
 
     def effect_for(self, outcome: str) -> np.ndarray:
@@ -136,11 +136,9 @@ def build_counter(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel
     _validate(gamma, dim)
     offset, one_count, quadratic = _CLOSED_FORMS[kind]
     n = np.arange(dim, dtype=float)
-    one = Operator(np.diag(gamma * one_count(n), offset))
-    no = Operator(np.diag(1.0 - (gamma**2 / 2.0) * quadratic(n)))
-    return MeasurementModel(
-        label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma, dim=dim
-    )
+    one = np.diag(gamma * one_count(n), offset)
+    no = np.diag(1.0 - (gamma**2 / 2.0) * quadratic(n))
+    return MeasurementModel(label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma)
 
 
 def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
@@ -159,22 +157,16 @@ def compose_models(first: MeasurementModel, second: MeasurementModel) -> Measure
     """
     if first.dim != second.dim:
         raise ValueError("cannot compose models of different dimension")
-    outcomes = []
-    operators = []
-    for m2, op2 in zip(second.outcomes, second.operators):
-        for m1, op1 in zip(first.outcomes, first.operators):
-            outcomes.append(f"{m2}{m1}")
-            operators.append(op2 @ op1)
+    products = second.operators[:, None] @ first.operators[None]
     return MeasurementModel(
         label=f"{second.label}*{first.label}",
-        outcomes=tuple(outcomes),
-        operators=tuple(operators),
+        outcomes=tuple(f"{m2}{m1}" for m2 in second.outcomes for m1 in first.outcomes),
+        operators=products.reshape(-1, first.dim, first.dim),
         gamma=first.gamma,
-        dim=first.dim,
     )
 
 
-def probe_hamiltonian(kind: CounterKind, dim: int) -> Operator:
+def probe_hamiltonian(kind: CounterKind, dim: int) -> np.ndarray:
     """Field-probe coupling with the energy scale factored out.
 
     The joint basis is field-major: index 2n + p with p the probe level.
@@ -186,13 +178,11 @@ def probe_hamiltonian(kind: CounterKind, dim: int) -> Operator:
     lower_op = raise_op.conj().T
     flip = raise_op + lower_op
     if kind in (CounterKind.PC, CounterKind.QC):
-        a = ladder("annihilation", dim).entries
-        joint = np.kron(a, raise_op) + np.kron(a.conj().T, lower_op)
-    elif kind is CounterKind.QPC:
-        joint = np.kron(ladder("number", dim).entries, flip)
-    else:
-        joint = np.kron(ladder("antinormal_number", dim).entries, flip)
-    return Operator(joint)
+        a = ladder("annihilation", dim)
+        return np.kron(a, raise_op) + np.kron(a.conj().T, lower_op)
+    if kind is CounterKind.QPC:
+        return np.kron(ladder("number", dim), flip)
+    return np.kron(ladder("antinormal_number", dim), flip)
 
 
 def probe_model_operators(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel:
@@ -205,23 +195,18 @@ def probe_model_operators(kind: CounterKind, gamma: float, dim: int) -> Measurem
     phase of -i on the one-count branch.
     """
     _validate(gamma, dim, allow_zero_gamma=True)
-    joint_unitary = matrix_exponential(probe_hamiltonian(kind, dim), -1j * gamma).entries
+    joint_unitary = matrix_exponential(probe_hamiltonian(kind, dim), -1j * gamma)
     init = 1 if kind is CounterKind.QC else 0
     count_on = 1 - init
-    blocks = {
-        "1": joint_unitary[count_on::2, init::2],
-        "0": joint_unitary[init::2, init::2],
-    }
     return MeasurementModel(
         label=f"probe_{kind.value}",
         outcomes=("0", "1"),
-        operators=(Operator(blocks["0"]), Operator(blocks["1"])),
+        operators=(joint_unitary[init::2, init::2], joint_unitary[count_on::2, init::2]),
         gamma=gamma,
-        dim=dim,
     )
 
 
-def unitary_part_deviation(op: Operator) -> float:
+def unitary_part_deviation(op: np.ndarray) -> float:
     """Distance of the polar unitary from the identity on the positive support.
 
     Zero means the operator is already non-negative there, i.e. the
@@ -229,7 +214,7 @@ def unitary_part_deviation(op: Operator) -> float:
     and V_k, W_k the singular vectors above the relative cutoff,
     (U - I) P_supp = (W_k - V_k) V_k^dag, whose norm is that of W_k - V_k.
     """
-    w, s, vh = np.linalg.svd(op.entries)
+    w, s, vh = np.linalg.svd(op)
     if s[0] == 0.0:
         raise ValueError("zero operator has no polar structure")
     keep = s > _SUPPORT_TOL * s[0]
@@ -237,7 +222,7 @@ def unitary_part_deviation(op: Operator) -> float:
 
 
 def proportionality_deviation(
-    a: Operator, b: Operator, support_dim: Optional[int] = None
+    a: np.ndarray, b: np.ndarray, support_dim: Optional[int] = None
 ) -> float:
     """Normalized cross-product test for A = const * B.
 
@@ -245,11 +230,10 @@ def proportionality_deviation(
     after compressing both operators to the lowest support_dim levels; zero
     iff the compressions are proportional.
     """
-    ma, mb = a.entries, b.entries
     if support_dim is not None:
-        ma = ma[:support_dim, :support_dim]
-        mb = mb[:support_dim, :support_dim]
-    fa, fb = ma.ravel(), mb.ravel()
+        a = a[:support_dim, :support_dim]
+        b = b[:support_dim, :support_dim]
+    fa, fb = a.ravel(), b.ravel()
     scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
     if scale == 0.0:
         return 0.0

@@ -48,7 +48,6 @@ from .counters import (
 )
 from .ensemble import Ensemble
 from .errors import FidelityOne, NumericInconsistency, ZeroProbability
-from .fock import Operator, StateVector
 
 __all__ = [
     "OutcomeStats",
@@ -101,20 +100,32 @@ class CounterReport:
     backgrounds: dict[str, float]
 
 
-def post_measurement_state(op: Operator, state: StateVector) -> StateVector:
-    """Normalized state after the outcome attached to op.
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each complex row, summed as np.linalg.norm sums one
+    vector: the dot of the real parts plus the dot of the imaginary parts.
+    Its square is taken with np.float_power, which rounds as ``norm ** 2``
+    of one float does; ``norms ** 2`` multiplies and can differ in the last
+    bit."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
-    The outcome counts as unreachable when its probability is at most
-    _PROB_FLOOR times ||op||_F^2, which bounds the probability on any unit
-    state, so the floor scales with the coupling.
+
+def post_measurement_state(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Normalized rows op|psi>/||op|psi>|| of states, one row per state.
+
+    An outcome counts as unreachable on a state when its probability is at
+    most _PROB_FLOOR times ||op||_F^2, which bounds the probability on any
+    unit state, so the floor scales with the coupling; ZeroProbability is
+    raised if that holds for any row.  Each row is op @ state, a matrix-vector
+    product, so a row has the bits a single state would have.
     """
-    image = op.apply(state)
-    prob = float(np.linalg.norm(image) ** 2)
-    if prob <= _PROB_FLOOR * float(np.linalg.norm(op.entries)) ** 2:
+    images = (op @ states[..., None])[..., 0]
+    probs = np.float_power(_norms(images), 2)
+    low = float(np.min(probs))
+    if low <= _PROB_FLOOR * float(np.linalg.norm(op)) ** 2:
         raise ZeroProbability(
-            f"outcome probability {prob:.3e} is below the floor; state is unreachable"
+            f"outcome probability {low:.3e} is below the floor; state is unreachable"
         )
-    return StateVector(image / np.sqrt(prob))
+    return images / np.sqrt(probs)[..., None]
 
 
 def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
@@ -134,7 +145,7 @@ def _outcome_pass(model: MeasurementModel, ensemble: Ensemble):
     a zero posterior."""
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
-    images = ensemble.states @ model.operator_stack.transpose(0, 2, 1)
+    images = ensemble.states @ model.operators.transpose(0, 2, 1)
     squares = np.abs(images)
     squares **= 2
     cond = squares.sum(axis=2)

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import CounterKind, MeasurementModel, build_counter
+from .counters import MeasurementModel
 from .ensemble import Ensemble
 from .errors import NonReversible
-from .fock import Operator, StateVector
-from .metrics import _check_effects_bounded, background, post_measurement_state
+from .metrics import _check_effects_bounded, _norms, background, post_measurement_state
 
 __all__ = [
     "ReversingMeasurement",
@@ -46,8 +45,8 @@ class ReversingMeasurement:
     """Two-outcome model undoing one target outcome on a support subspace."""
 
     target_outcome: str
-    success_op: Operator
-    fail_op: Operator
+    success_op: np.ndarray
+    fail_op: np.ndarray
     eta_sq: float
 
 
@@ -72,36 +71,37 @@ def build_reversing(
             f"background = {floor:.3g}; no bounded left inverse on the support"
         )
     op = model.operator_for(outcome)
-    restricted = op.entries.copy()
+    restricted = op.copy()
     restricted[:, support_dim:] = 0.0
     eta_sq = eta_fraction * floor
     success = np.sqrt(eta_sq) * np.linalg.pinv(restricted)
-    defect = np.eye(op.dim) - success.conj().T @ success
+    defect = np.eye(model.dim) - success.conj().T @ success
     eigvals, eigvecs = np.linalg.eigh(defect)
     fail = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
     return ReversingMeasurement(
         target_outcome=outcome,
-        success_op=Operator(success),
-        fail_op=Operator(fail),
+        success_op=success,
+        fail_op=fail,
         eta_sq=float(eta_sq),
     )
 
 
 def verify_recovery(
-    state: StateVector, op: Operator, rev: ReversingMeasurement
-) -> dict[str, float]:
-    """Success probability and recovered-state fidelity for one input state.
+    states: np.ndarray, op: np.ndarray, rev: ReversingMeasurement
+) -> dict[str, np.ndarray]:
+    """Success probability and recovered-state fidelity for each row of states.
 
     For states inside the support the success probability equals
     eta_sq / p(m) and the recovered state matches the input exactly.  Raises
-    ZeroProbability if the outcome cannot occur on the state.
+    ZeroProbability if the outcome cannot occur on some state.
     """
-    post = post_measurement_state(op, state)
-    success_image = rev.success_op.apply(post)
-    success_prob = float(np.linalg.norm(success_image) ** 2)
-    recovered = StateVector(success_image / np.linalg.norm(success_image))
-    fidelity = float(abs(state.overlap(recovered)))
-    return {"success_prob": success_prob, "recovery_fidelity": fidelity}
+    post = post_measurement_state(op, states)
+    success_images = (rev.success_op @ post[..., None])[..., 0]
+    norms = _norms(success_images)
+    recovered = success_images / norms[..., None]
+    # vecdot conjugates its first argument, as np.vdot does for one state.
+    fidelities = np.abs(np.vecdot(states, recovered))
+    return {"success_prob": np.float_power(norms, 2), "recovery_fidelity": fidelities}
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,13 @@ class _NodeTable:
 
 
 def trajectory_sim(
-    kind: CounterKind,
-    gamma: float,
+    model: MeasurementModel,
     ensemble: Ensemble,
     trials: int,
     seed: int,
 ) -> TrajectoryStats:
-    """Monte Carlo of draw-state, measure, and (on one-count) try to reverse.
+    """Monte Carlo of draw-state, measure with the model, and (on its
+    one-count outcome "1") try to reverse.
 
     Uses a counter-based (Philox) generator keyed by the seed with a fixed
     draw order, so results are reproducible bit for bit: the node uniforms,
@@ -167,27 +167,22 @@ def trajectory_sim(
     Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
     blocks of _TRIAL_BLOCK, so memory does not grow with the trial count.
     The success rate conditioned on one-count converges to the counter's
-    reversibility.  Raises ValueError if an effect exceeds 1 on the support.
+    reversibility.  Raises ValueError if an effect exceeds 1 on the support,
+    and NonReversible if the one-count has zero background there.
     """
-    if kind not in (CounterKind.QC, CounterKind.QQC):
-        raise NonReversible(f"{kind.value} one-count has background = 0")
     if trials < 10_000:
         raise ValueError("at least 10^4 trials are required")
-
-    model = build_counter(kind, gamma, ensemble.dim)
+    if ensemble.dim != model.dim:
+        raise ValueError("ensemble and model dimensions differ")
     _check_effects_bounded(model, ensemble.support_dim)
-    one_count_op = model.operator_for("1")
     rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
 
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]
     success_given_one = np.minimum(rev.eta_sq / cond_one, 1.0)
-
-    # Per-node recovery fidelity (the trajectory through a node is
-    # deterministic once the outcomes are fixed).
-    fidelities = np.empty(ensemble.n_samples)
-    for i in range(ensemble.n_samples):
-        res = verify_recovery(StateVector(ensemble.states[i]), one_count_op, rev)
-        fidelities[i] = res["recovery_fidelity"]
+    # The trajectory through a node is deterministic once the outcomes are
+    # fixed, so each node's recovery fidelity is computed once.
+    recovery = verify_recovery(ensemble.states, model.operator_for("1"), rev)
+    fidelities = recovery["recovery_fidelity"]
 
     table = _NodeTable(ensemble.weights)
     node_rng, outcome_rng, reverse_rng = (

@@ -10,10 +10,8 @@ from photocount import (
     FidelityOne,
     MeasurementModel,
     NumericInconsistency,
-    Operator,
     OutcomeMetrics,
     OutcomeStats,
-    StateVector,
     TrajectoryStats,
     background,
     build_counter,
@@ -21,7 +19,6 @@ from photocount import (
     efficiency,
     information_gain,
     ladder,
-    verify_recovery,
 )
 
 
@@ -29,20 +26,36 @@ def build_counter_reference(kind, gamma, dim):
     """build_counter composed from ladder operators: gamma times the
     one-count ladder operator, and I - (gamma^2/2) X with X the number form
     (pc), the antinormal form (qc), or their squares (qpc, qqc) as operator
-    products.  build_counter must give the same operator bytes."""
+    products; the creation operator is the transpose of the annihilation
+    operator.  build_counter must give the same operator bytes."""
     one_count, form = {
-        CounterKind.PC: ("annihilation", "number"),
-        CounterKind.QC: ("creation", "antinormal_number"),
-        CounterKind.QPC: ("number", "number"),
-        CounterKind.QQC: ("antinormal_number", "antinormal_number"),
+        CounterKind.PC: (ladder("annihilation", dim), "number"),
+        CounterKind.QC: (ladder("annihilation", dim).T, "antinormal_number"),
+        CounterKind.QPC: (ladder("number", dim), "number"),
+        CounterKind.QQC: (ladder("antinormal_number", dim), "antinormal_number"),
     }[kind]
     quadratic = ladder(form, dim)
     if kind in (CounterKind.QPC, CounterKind.QQC):
         quadratic = quadratic @ quadratic
-    one = gamma * ladder(one_count, dim)
-    no = Operator.identity(dim) - (gamma**2 / 2.0) * quadratic
+    one = gamma * one_count
+    no = np.eye(dim, dtype=complex) - (gamma**2 / 2.0) * quadratic
+    return MeasurementModel(label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma)
+
+
+def compose_reference(first, second):
+    """compose_models one operator product at a time, (m2, m1) -> M2 @ M1
+    in the order of the outcome labels.  compose_models must give the same
+    operator bytes."""
+    outcomes, operators = [], []
+    for m2, op2 in zip(second.outcomes, second.operators):
+        for m1, op1 in zip(first.outcomes, first.operators):
+            outcomes.append(f"{m2}{m1}")
+            operators.append(op2 @ op1)
     return MeasurementModel(
-        label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma, dim=dim
+        label=f"{second.label}*{first.label}",
+        outcomes=tuple(outcomes),
+        operators=np.array(operators),
+        gamma=first.gamma,
     )
 
 
@@ -52,7 +65,7 @@ def _images_and_stats(model, ensemble):
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
     for outcome, op in zip(model.outcomes, model.operators):
-        images = ensemble.states @ op.entries.T
+        images = ensemble.states @ op.T
         cond = np.sum(np.abs(images) ** 2, axis=1)
         posterior = ensemble.weights * cond
         total = float(np.sum(posterior))
@@ -176,6 +189,21 @@ def haar_states(d, n_samples, seed, dim):
     return states
 
 
+def recovery_reference(state, op, rev):
+    """verify_recovery on one state: the normalized image op|psi>, the
+    success branch of rev applied to it, and the overlap of the renormalized
+    result with the input from np.vdot.  verify_recovery must give the same
+    bits row by row."""
+    image = op @ state
+    post = image / np.sqrt(float(np.linalg.norm(image) ** 2))
+    success_image = rev.success_op @ post
+    recovered = success_image / np.linalg.norm(success_image)
+    return {
+        "success_prob": float(np.linalg.norm(success_image) ** 2),
+        "recovery_fidelity": float(abs(np.vdot(state, recovered))),
+    }
+
+
 def trajectory_reference(kind, gamma, ensemble, trials, seed):
     """trajectory_sim with every trial held at once and the nodes drawn by
     Generator.choice, followed by the outcome and reversal uniforms of the
@@ -187,7 +215,7 @@ def trajectory_reference(kind, gamma, ensemble, trials, seed):
     success_given_one = np.minimum(rev.eta_sq / cond_one, 1.0)
     fidelities = np.array(
         [
-            verify_recovery(StateVector(state), one_count_op, rev)["recovery_fidelity"]
+            recovery_reference(state, one_count_op, rev)["recovery_fidelity"]
             for state in ensemble.states
         ]
     )

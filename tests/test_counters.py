@@ -4,8 +4,6 @@ from oracles import build_counter_reference
 
 from photocount import (
     CounterKind,
-    Operator,
-    StateVector,
     build_counter,
     completeness_residual,
     compose_models,
@@ -34,34 +32,31 @@ class TestBuildCounter:
             want = build_counter_reference(CounterKind(label), gamma, dim)
         got = resolve_model(label, gamma, dim)
         assert got.outcomes == want.outcomes
-        for mine, theirs in zip(got.operators, want.operators):
-            assert mine.entries.tobytes() == theirs.entries.tobytes()
-        assert got.operator_stack.tobytes() == want.operator_stack.tobytes()
+        assert got.operators.tobytes() == want.operators.tobytes()
         assert got.effects.tobytes() == want.effects.tobytes()
 
     def test_absorbing_one_count_annihilates(self):
         model = build_counter(CounterKind.PC, 0.3, 4)
-        image = model.operator_for("1").apply(StateVector.basis(4, 1))
+        image = model.operator_for("1") @ np.eye(4)[1]
         assert abs(image[0] - 0.3) < 1e-15
         assert np.allclose(image[1:], 0.0)
 
     def test_qnd_quantum_one_count_diagonal(self):
         model = build_counter(CounterKind.QQC, 0.3, 4)
-        diag = np.diag(model.operator_for("1").entries)
+        diag = np.diag(model.operator_for("1"))
         assert abs(diag[0] - 0.3) < 1e-15
         assert abs(diag[1] - 0.6) < 1e-15
 
     def test_emitting_counter_fires_on_vacuum(self):
         model = build_counter(CounterKind.QC, 0.3, 4)
         op = model.operator_for("1")
-        vacuum = StateVector.basis(4, 0)
-        prob = float(np.linalg.norm(op.apply(vacuum)) ** 2)
+        prob = float(np.linalg.norm(op @ np.eye(4)[0]) ** 2)
         assert abs(prob - 0.09) < 1e-15
 
     def test_no_count_operators_are_quadratic_truncations(self):
         gamma, dim = 0.2, 5
-        n = ladder("number", dim).entries
-        anti = ladder("antinormal_number", dim).entries
+        n = ladder("number", dim)
+        anti = ladder("antinormal_number", dim)
         expected = {
             CounterKind.PC: np.eye(dim) - gamma**2 / 2 * n,
             CounterKind.QC: np.eye(dim) - gamma**2 / 2 * anti,
@@ -70,7 +65,7 @@ class TestBuildCounter:
         }
         for kind, mat in expected.items():
             model = build_counter(kind, gamma, dim)
-            assert np.max(np.abs(model.operator_for("0").entries - mat)) < 1e-15
+            assert np.max(np.abs(model.operator_for("0") - mat)) < 1e-15
 
     @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.6])
     def test_gamma_range_enforced(self, gamma):
@@ -114,8 +109,8 @@ class TestComposeModels:
         both = joint.operator_for("11")
         # gamma^2 * a adag as a truncated product
         a = ladder("annihilation", 6)
-        expected = 0.09 * (a @ a.adjoint()).entries
-        assert np.max(np.abs(both.entries - expected)) < 1e-15
+        expected = 0.09 * (a @ a.T)
+        assert np.max(np.abs(both - expected)) < 1e-15
         reference = build_counter(CounterKind.QQC, 0.3, 6).operator_for("1")
         dev = proportionality_deviation(both, reference, 2)
         assert dev < 1e-12
@@ -124,16 +119,16 @@ class TestComposeModels:
         first = build_counter(CounterKind.PC, 0.2, 5)
         second = build_counter(CounterKind.PC, 0.2, 5)
         joint = compose_models(first, second)
-        n = ladder("number", 5).entries
+        n = ladder("number", 5)
         expected = (np.eye(5) - 0.02 * n) @ (np.eye(5) - 0.02 * n)
-        assert np.max(np.abs(joint.operator_for("00").entries - expected)) < 1e-15
+        assert np.max(np.abs(joint.operator_for("00") - expected)) < 1e-15
 
     def test_weak_second_stage_recovers_first(self):
         first = build_counter(CounterKind.QC, 0.3, 6)
         second = build_counter(CounterKind.PC, 1e-3, 6)
         joint = compose_models(first, second)
         for m in ("0", "1"):
-            delta = joint.operator_for(f"0{m}").entries - first.operator_for(m).entries
+            delta = joint.operator_for(f"0{m}") - first.operator_for(m)
             assert np.max(np.abs(delta)) < 2 * (1e-3) ** 2 * 6
 
     def test_outcome_labels_read_second_then_first(self):
@@ -167,8 +162,8 @@ def block_rotation_one_count(kind, gamma, dim):
 
 
 def phase_aligned_deviation(probe_op, closed_op, support_dim):
-    a = probe_op.entries[:, :support_dim]
-    b = closed_op.entries[:, :support_dim]
+    a = probe_op[:, :support_dim]
+    b = closed_op[:, :support_dim]
     inner = np.trace(b.conj().T @ a)
     phase = inner / abs(inner) if abs(inner) > 0 else 1.0
     return float(np.linalg.norm(a - phase * b, 2))
@@ -177,13 +172,14 @@ def phase_aligned_deviation(probe_op, closed_op, support_dim):
 class TestProbeModels:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_probe_hamiltonian_is_hermitian(self, kind):
-        assert probe_hamiltonian(kind, 5).is_hermitian(1e-12)
+        h = probe_hamiltonian(kind, 5)
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exact_operators_match_block_rotation_oracle(self, kind):
         model = probe_model_operators(kind, 0.1, 5)
         oracle = block_rotation_one_count(kind, 0.1, 5)
-        delta = np.abs(model.operator_for("1").entries - oracle)
+        delta = np.abs(model.operator_for("1") - oracle)
         if kind is CounterKind.QC:
             delta = delta[:, :-1]  # top level is truncation-dark in the joint space
         assert np.max(delta) < 1e-13
@@ -191,15 +187,13 @@ class TestProbeModels:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_probe_pair_is_exactly_complete(self, kind):
         model = probe_model_operators(kind, 0.2, 5)
-        total = sum(
-            (op.adjoint() @ op).entries for op in model.operators
-        )
+        total = sum(op.conj().T @ op for op in model.operators)
         assert np.max(np.abs(total - np.eye(5))) < 1e-13
 
     def test_zero_coupling_is_trivial(self):
         model = probe_model_operators(CounterKind.PC, 0.0, 5)
-        assert np.max(np.abs(model.operator_for("1").entries)) < 1e-15
-        assert np.max(np.abs(model.operator_for("0").entries - np.eye(5))) < 1e-15
+        assert np.max(np.abs(model.operator_for("1"))) < 1e-15
+        assert np.max(np.abs(model.operator_for("0") - np.eye(5))) < 1e-15
 
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2, 0.3])
     @pytest.mark.parametrize("kind", [CounterKind.PC, CounterKind.QC, CounterKind.QPC])
@@ -230,12 +224,12 @@ class TestUnitaryPartDeviation:
                 assert unitary_part_deviation(gamma * ladder(kind, 5)) < 1e-12
 
     def test_identity_has_no_unitary_part(self):
-        assert unitary_part_deviation(Operator.identity(4)) < 1e-14
+        assert unitary_part_deviation(np.eye(4)) < 1e-14
 
     def test_absorbing_and_emitting_counters_do(self):
         for gamma in (0.3, 1e-11, 1e-200):
             assert unitary_part_deviation(gamma * ladder("annihilation", 5)) > 0.5
-            assert unitary_part_deviation(gamma * ladder("creation", 5)) > 0.5
+            assert unitary_part_deviation(gamma * ladder("annihilation", 5).T) > 0.5
 
     def test_emitting_counter_matches_shift_oracle(self):
         # explicit cyclic-shift unitary at dim 4; the polar positive part is
@@ -250,9 +244,9 @@ class TestUnitaryPartDeviation:
         assert abs(oracle - np.sqrt(2 + np.sqrt(2))) < 1e-12
         # the full-space cyclic shift sits at the maximal unitary distance
         assert abs(np.linalg.norm(shift - np.eye(dim), 2) - 2.0) < 1e-12
-        value = unitary_part_deviation(0.3 * ladder("creation", dim))
+        value = unitary_part_deviation(0.3 * ladder("annihilation", dim).T)
         assert abs(value - oracle) < 1e-12
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
-            unitary_part_deviation(Operator(np.zeros((4, 4))))
+            unitary_part_deviation(np.zeros((4, 4)))

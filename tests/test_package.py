@@ -18,7 +18,7 @@ EXPORTED = {
     "Ensemble", "bloch_two_state_ensemble", "haar_populations",
     "FidelityOne", "NonReversible", "NumericInconsistency", "PhotocountError",
     "ZeroProbability",
-    "Operator", "StateVector", "ladder", "matrix_exponential",
+    "ladder", "matrix_exponential",
     "CounterReport", "OutcomeMetrics", "OutcomeStats", "background", "batched_information",
     "efficiency", "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep",
     "information_gain", "outcome_statistics", "post_measurement_state", "resolve_model",

@@ -1,7 +1,8 @@
 """Property tests of full_report and evaluate, of information as a function
 of reversibility on two levels, of the completeness residual, of the
 backgrounds and reversing measurements, of the polar structure of the
-one-count operators and of the trajectory simulation over random couplings,
+one-count operators, of composition, of the stacked recovery and of the
+trajectory simulation over random couplings,
 truncations, quadrature sizes, seeds and trial counts.  Derandomized, so
 every run draws the same examples."""
 
@@ -10,12 +11,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    compose_reference,
     evaluate_reference,
     min_effect_eigenvalue,
     polar_factors,
+    recovery_reference,
     trajectory_reference,
     two_level_gain,
 )
@@ -31,12 +34,14 @@ from photocount import (
     build_counter,
     build_reversing,
     completeness_residual,
+    compose_models,
     evaluate,
     full_report,
     outcome_statistics,
     resolve_model,
     trajectory_sim,
     unitary_part_deviation,
+    verify_recovery,
 )
 
 LABELS = ("pc", "qc", "qpc", "qqc", "joint")
@@ -154,10 +159,10 @@ def test_completeness_residual_is_the_dropped_fourth_order_term(kind, gamma, dim
 )
 def test_polar_structure_properties(kind, gamma, dim):
     op = build_counter(kind, gamma, dim).operator_for("1")
-    u, p = polar_factors(op.entries)
+    u, p = polar_factors(op)
     # Relative to the operator's scale: the polar factors of c * op are U, c * P.
-    scale = np.linalg.norm(op.entries, 2)
-    assert np.linalg.norm(u @ p - op.entries, 2) / scale <= 1e-12
+    scale = np.linalg.norm(op, 2)
+    assert np.linalg.norm(u @ p - op, 2) / scale <= 1e-12
     assert np.linalg.norm(u.conj().T @ u - np.eye(dim), 2) <= 1e-12
     assert np.max(np.abs(p - p.conj().T)) / scale <= 1e-12
     assert np.linalg.eigvalsh(p)[0] / scale >= -1e-12
@@ -186,7 +191,7 @@ def test_background_is_the_minimum_eigenvalue_of_the_effect(gamma, label, dim, s
     # M^dag M, for every outcome of the model.
     model = resolve_model(label, gamma, dim)
     for outcome, op in zip(model.outcomes, model.operators):
-        oracle = max(0.0, min_effect_eigenvalue(op.entries, support_dim))
+        oracle = max(0.0, min_effect_eigenvalue(op, support_dim))
         assert background(model, outcome, support_dim) == pytest.approx(
             oracle, rel=1e-15, abs=0.0
         )
@@ -203,7 +208,7 @@ def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, di
     # |eta|^2 at the cap against the dense eigensolver on M^dag M
     label, outcome = target
     model = resolve_model(label, gamma, dim)
-    oracle = min_effect_eigenvalue(model.operator_for(outcome).entries, support_dim)
+    oracle = min_effect_eigenvalue(model.operator_for(outcome), support_dim)
     if oracle <= 0.0:
         # The background underflows to zero at tiny coupling.
         with pytest.raises(NonReversible):
@@ -234,9 +239,50 @@ def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, see
     except NonReversible:
         # The background underflows to zero at tiny coupling.
         with pytest.raises(NonReversible):
-            trajectory_sim(kind, gamma, ens, trials, seed)
+            trajectory_sim(build_counter(kind, gamma, dim), ens, trials, seed)
         return
-    got = trajectory_sim(kind, gamma, ens, trials, seed)
+    got = trajectory_sim(build_counter(kind, gamma, dim), ens, trials, seed)
     # repr tells every float apart bit for bit, and NaN from NaN-free values
     for field in fields(want):
         assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    first=st.sampled_from(list(CounterKind)),
+    second=st.sampled_from(list(CounterKind)),
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    dim=st.integers(min_value=4, max_value=8),
+)
+def test_compose_models_equals_the_per_pair_reference(first, second, gamma, dim):
+    # One stacked product against one M2 @ M1 per outcome pair, byte for byte.
+    a, b = build_counter(first, gamma, dim), build_counter(second, gamma, dim)
+    got, want = compose_models(a, b), compose_reference(a, b)
+    assert got.outcomes == want.outcomes
+    assert got.operators.tobytes() == want.operators.tobytes()
+    assert got.effects.tobytes() == want.effects.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from([CounterKind.QC, CounterKind.QQC]),
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    nodes=st.integers(min_value=8, max_value=128),
+    dim=st.integers(min_value=4, max_value=8),
+)
+# Node 19 of this quadrature has a success probability whose libm square
+# (the reference's norm ** 2) and multiplied square differ in the last bit.
+@example(kind=CounterKind.QQC, gamma=0.5, nodes=64, dim=4)
+def test_verify_recovery_equals_the_per_state_reference(kind, gamma, nodes, dim):
+    ens = bloch_two_state_ensemble(nodes, dim)
+    model = build_counter(kind, gamma, dim)
+    try:
+        rev = build_reversing(model, "1", ens.support_dim)
+    except NonReversible:
+        # The background underflows to zero at tiny coupling.
+        return
+    op = model.operator_for("1")
+    got = verify_recovery(ens.states, op, rev)
+    want = [recovery_reference(state, op, rev) for state in ens.states]
+    for key in ("success_prob", "recovery_fidelity"):
+        assert got[key].tobytes() == np.array([w[key] for w in want]).tobytes(), key
