@@ -211,6 +211,7 @@ def _metrics_table(results: dict):
 
 def cmd_sweep(config: RunConfig, gamma_min: float, gamma_max: float, steps: int) -> dict:
     """Mean quantities across couplings plus fitted gamma^2 coefficients."""
+    # The cap bounds the drift of the fitted coefficients (--gamma-max help).
     if not 0.0 < gamma_min < gamma_max <= 0.3:
         raise ValueError("require 0 < gamma-min < gamma-max <= 0.3")
     if steps < 5:
@@ -362,7 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="mean quantities across couplings")
     p.add_argument("--gamma-min", type=float, default=0.05)
-    p.add_argument("--gamma-max", type=float, default=0.3)
+    p.add_argument(
+        "--gamma-max",
+        type=float,
+        default=0.3,
+        help="at most 0.3 (default): the fit c gamma^2 + d gamma^4 absorbs the"
+        " higher orders, and above 0.3 the qqc information coefficient drifts"
+        " more than 1e-3 from its closed form (1.7e-2 at 0.5)",
+    )
     p.add_argument("--steps", type=int, default=11)
 
     p = sub.add_parser("haar", parents=[common], help="d-level Monte Carlo information gains")

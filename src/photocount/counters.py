@@ -56,7 +56,7 @@ class CounterKind(enum.Enum):
             raise ValueError(f"unknown counter kind {label!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Labeled outcome set with one operator per outcome.
 
@@ -64,14 +64,15 @@ class MeasurementModel:
     every outcome can be applied in one matmul.  ``effects[k]`` is the
     diagonal of the effect M_k^dag M_k in the number basis, so p(k|psi) =
     sum_n |c_n|^2 effects[k, n].  Every model here has diagonal effects;
-    construction rejects one that does not.
+    construction rejects one that does not.  Models compare and hash by
+    identity, since an array field has no single truth value.
     """
 
     label: str
     outcomes: tuple[str, ...]
     operators: np.ndarray
     gamma: float
-    effects: np.ndarray = field(init=False, repr=False, compare=False)
+    effects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = np.array(self.operators, dtype=complex)

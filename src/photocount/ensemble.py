@@ -41,21 +41,22 @@ def _read_only(array, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Immutable weighted state family.
 
     ``states`` has one normalized state per row, supported on the first
     ``support_dim`` basis vectors (every later amplitude is exactly zero);
     ``weights`` are positive and sum to one.  ``populations`` holds |c_n|^2
-    of each row over those ``support_dim`` levels.
+    of each row over those ``support_dim`` levels.  Ensembles compare and
+    hash by identity, since an array field has no single truth value.
     """
 
     support_dim: int
     states: np.ndarray
     weights: np.ndarray
     thetas: Optional[np.ndarray] = field(default=None, repr=False)
-    populations: np.ndarray = field(init=False, repr=False, compare=False)
+    populations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = _read_only(self.states, complex)

@@ -27,7 +27,8 @@ outcome_statistics is a view of the same pass.
 Backgrounds and the Monte Carlo gains of batched_information read the
 model's diagonal effects and populations |c_n|^2: batched_information takes
 the populations array alone (haar_populations draws it), weighs its rows
-equally, and refuses a model whose effects exceed 1 on the support.
+equally, and refuses a model whose effects exceed 1 on the support.  Beyond
+the populations it holds one float64 per sample, plus blocks of 65,536 rows.
 evaluate keeps the dense images M|psi>: the populations form rounds
 differently and moves the 12th printed digit of some metrics and sweep
 outputs.
@@ -68,6 +69,8 @@ __all__ = [
 
 _PROB_FLOOR = 1e-15
 _IDENTITY_TOL = 1e-10
+# Rows per block of batched_information's log terms.
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -358,23 +361,48 @@ def batched_information(
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
     Only the requested outcome is evaluated, from the populations and the
     diagonal effect.  Raises ValueError if an effect exceeds 1 on the
-    support, and ZeroProbability if the outcome has zero total probability.
+    support, and ZeroProbability if the outcome (or a batch) has zero total
+    probability.
+
+    Memory: one float64 per sample beyond the populations, plus blocks of
+    65,536 rows.  The conditionals become the posterior in place, and each
+    block's log term is recomputed from its rows of the populations, so no
+    weights or terms array of the full length is held; the values are those
+    of the full-length arrays bit for bit.
     """
     n_samples, support_dim = populations.shape
     if not 1 <= support_dim <= model.dim:
         raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
     _check_effects_bounded(model, support_dim)
-    weights = np.full(n_samples, 1.0 / n_samples)
     effect = model.effect_for(outcome)[:support_dim]
-    stats = _stats(outcome, populations @ effect, weights)
-    full = information_gain(stats)
+    weight = 1.0 / n_samples
+    cond = populations @ effect
+    # The batches read the conditionals before the full pass overwrites them.
     batches = []
-    for cond, w in zip(
-        np.array_split(stats.conditional, n_batches),
-        np.array_split(weights, n_batches),
-    ):
-        batches.append(information_gain(_stats(outcome, cond, w / w.sum())))
-    return full, np.array(batches)
+    for part in np.array_split(cond, n_batches):
+        w = np.full(part.size, weight)
+        batches.append(information_gain(_stats(outcome, part, w / w.sum())))
+    if not np.all(cond > 0.0):
+        # Samples the outcome cannot occur on are compacted away.
+        full = information_gain(_stats(outcome, cond, np.full(n_samples, weight)))
+        return full, np.array(batches)
+    posterior = cond
+    posterior *= weight
+    total = float(np.sum(posterior))
+    if total <= 0.0:
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
+    posterior /= total
+    # The last block takes a lone last row: numpy forms a one-row product
+    # with dot, which rounds differently from the matrix-vector product.
+    start = 0
+    for stop in [*range(_BLOCK, n_samples - 1, _BLOCK), n_samples]:
+        terms = populations[start:stop] @ effect
+        terms /= total
+        np.log2(terms, out=terms)
+        posterior[start:stop] *= terms
+        start = stop
+    # Non-negative by Gibbs' inequality; clamp the rounding residue.
+    return max(float(np.sum(posterior)), 0.0), np.array(batches)
 
 
 def fit_gamma_squared(gammas: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from photocount import (
     information_gain,
     ladder,
 )
+from photocount.metrics import _check_effects_bounded
 
 
 def build_counter_reference(kind, gamma, dim):
@@ -137,6 +138,41 @@ def evaluate_reference(model, ensemble):
         mean_reversibility=float(mean_rev),
         backgrounds=backgrounds,
     )
+
+
+def batched_reference(model, populations, outcome="1", n_batches=100):
+    """batched_information with full-length weights, posterior and terms
+    arrays: the equal weights 1/n, the posterior and gain of the whole
+    sample through information_gain, then each batch's renormalized
+    weights.  batched_information must give the same bits, and raise the
+    same errors."""
+    n_samples, support_dim = populations.shape
+    if not 1 <= support_dim <= model.dim:
+        raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
+    _check_effects_bounded(model, support_dim)
+    weights = np.full(n_samples, 1.0 / n_samples)
+    effect = model.effect_for(outcome)[:support_dim]
+    stats = _weighted_stats(outcome, populations @ effect, weights)
+    full = information_gain(stats)
+    batches = []
+    for cond, w in zip(
+        np.array_split(stats.conditional, n_batches),
+        np.array_split(weights, n_batches),
+    ):
+        batches.append(information_gain(_weighted_stats(outcome, cond, w / w.sum())))
+    return full, np.array(batches)
+
+
+def _weighted_stats(outcome, cond, weights):
+    """OutcomeStats of conditionals under prior weights; a zero total gives
+    a zero posterior."""
+    posterior = weights * cond
+    total = float(np.sum(posterior))
+    if total > 0.0:
+        posterior /= total
+    else:
+        posterior = np.zeros_like(weights)
+    return OutcomeStats(outcome=outcome, conditional=cond, total=total, posterior=posterior)
 
 
 def two_level_gain(reversibility):

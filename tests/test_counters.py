@@ -77,6 +77,15 @@ class TestBuildCounter:
             build_counter(CounterKind.PC, 0.3, 3)
 
 
+    def test_models_compare_and_hash_by_identity(self):
+        # The operator arrays have no single truth value, so two equal
+        # builds are different objects, not an error.
+        a, b = build_counter(CounterKind.PC, 0.3, 5), build_counter(CounterKind.PC, 0.3, 5)
+        assert (a == b) is False
+        assert (a == a) is True
+        assert len({a, b, a}) == 2
+
+
 class TestCompletenessResidual:
     def test_absorbing_counter_residual_value(self):
         model = build_counter(CounterKind.PC, 0.3, 5)
