@@ -17,19 +17,17 @@ __version__ = "0.1.0"
 
 # submodule -> the names it exports
 _SUBMODULES = {
-    "counters": ("CounterKind", "MeasurementModel", "build_counter", "completeness_residual",
-                 "compose_models", "probe_model_operators", "proportionality_deviation",
-                 "unitary_part_deviation"),
+    "counters": ("CounterKind", "MeasurementModel", "background", "build_counter",
+                 "completeness_residual", "compose_models", "probe_model_operators",
+                 "proportionality_deviation", "unitary_part_deviation"),
     "ensemble": ("Ensemble", "bloch_two_state_ensemble", "haar_populations"),
-    "errors": ("FidelityOne", "NonReversible", "NumericInconsistency", "PhotocountError",
-               "ZeroProbability"),
+    "errors": ("NonReversible", "NumericInconsistency", "PhotocountError", "ZeroProbability"),
     "fock": ("ladder", "matrix_exponential"),
-    "metrics": ("CounterReport", "OutcomeMetrics", "OutcomeStats", "background",
-                "batched_information", "efficiency", "evaluate", "fit_gamma_squared",
-                "full_report", "gamma_sweep", "information_gain", "outcome_statistics",
-                "post_measurement_state", "resolve_model"),
-    "reversal": ("ReversingMeasurement", "TrajectoryStats", "build_reversing", "trajectory_sim",
-                 "verify_recovery"),
+    "metrics": ("CounterReport", "OutcomeMetrics", "OutcomeStats", "batched_information",
+                "efficiency", "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep",
+                "information_gain", "outcome_statistics", "resolve_model"),
+    "reversal": ("ReversingMeasurement", "TrajectoryStats", "build_reversing",
+                 "post_measurement_state", "trajectory_sim", "verify_recovery"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
 __all__ = list(_EXPORTS)

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from typing import Optional
 
 # OpenBLAS reads these variables once, when numpy loads it, so this runs
@@ -55,31 +55,6 @@ from .reversal import trajectory_sim  # noqa: E402
 
 COUNTER_CHOICES = ("pc", "qc", "qpc", "qqc", "joint")
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The flags every command shares; echoed as the JSON ``config``."""
-
-    counter: str = "pc"
-    gamma: float = 0.3
-    theta_nodes: int = 64
-    dim: int = 5
-    format: str = "csv"
-    seed: int = 42
-    samples: int = 100_000
-
-    def validate(self) -> None:
-        if self.counter not in COUNTER_CHOICES:
-            raise ValueError(f"counter must be one of {COUNTER_CHOICES}")
-        if not 0.0 < self.gamma <= GAMMA_MAX:
-            raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}]")
-        if self.theta_nodes < 8:
-            raise ValueError("theta-nodes must be at least 8")
-        if self.dim < 4:
-            raise ValueError("dim must be at least 4")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
 
 
 def _env(name: str, cast, fallback):
@@ -152,24 +127,24 @@ def _note_mean_fidelity_above_one(means) -> None:
               " sum_m p(m) = 1 + O(gamma^4), so the means hold to O(gamma^2)", file=sys.stderr)
 
 
-def cmd_posterior(config: RunConfig, outcome: str) -> dict:
+def cmd_posterior(args: argparse.Namespace) -> dict:
     """Prior and posterior angular densities for one outcome on a theta grid."""
-    model = resolve_model(config.counter, config.gamma, config.dim)
-    if outcome not in model.outcomes:
+    model = resolve_model(args.counter, args.gamma, args.dim)
+    if args.outcome not in model.outcomes:
         raise ValueError(f"outcome must be one of {model.outcomes}")
     # Both levels' populations against the outcome's diagonal effect give
     # p(m|theta) on the quadrature and on the printed grid.
-    effect = model.effect_for(outcome)[:2]
-    ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
+    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
+    effect = model.support_effects(ens.support_dim)[model.outcomes.index(args.outcome)]
     total = float(ens.weights @ (ens.populations @ effect))
     if total <= 0.0:
-        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
+        raise ZeroProbability(f"outcome {args.outcome!r} has zero total probability")
 
     degrees = np.linspace(0.0, 180.0, 181)
     half = np.deg2rad(degrees) / 2.0
     conditional = np.cos(half) ** 2 * effect[0] + np.sin(half) ** 2 * effect[1]
     return {
-        "outcome": outcome,
+        "outcome": args.outcome,
         "total_probability": total,
         "theta_degrees": degrees,
         "prior_density": [PRIOR_DENSITY] * degrees.size,
@@ -182,10 +157,10 @@ def _posterior_table(results: dict):
     return header, list(zip(*(results[name] for name in header)))
 
 
-def cmd_metrics(config: RunConfig) -> dict:
+def cmd_metrics(args: argparse.Namespace) -> dict:
     """Per-outcome and mean figures of merit for one counter."""
-    ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
-    report = full_report(config.counter, config.gamma, ens)
+    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
+    report = full_report(args.counter, args.gamma, ens)
     _note_mean_fidelity_above_one([report.mean_fidelity])
     return {
         "outcomes": {
@@ -209,15 +184,15 @@ def _metrics_table(results: dict):
     return header, rows
 
 
-def cmd_sweep(config: RunConfig, gamma_min: float, gamma_max: float, steps: int) -> dict:
+def cmd_sweep(args: argparse.Namespace) -> dict:
     """Mean quantities across couplings plus fitted gamma^2 coefficients."""
     # The cap bounds the drift of the fitted coefficients (--gamma-max help).
-    if not 0.0 < gamma_min < gamma_max <= 0.3:
+    if not 0.0 < args.gamma_min < args.gamma_max <= 0.3:
         raise ValueError("require 0 < gamma-min < gamma-max <= 0.3")
-    if steps < 5:
+    if args.steps < 5:
         raise ValueError("at least 5 sweep steps are required")
-    ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
-    sweep = gamma_sweep(config.counter, np.linspace(gamma_min, gamma_max, steps), ens)
+    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
+    sweep = gamma_sweep(args.counter, np.linspace(args.gamma_min, args.gamma_max, args.steps), ens)
     _note_mean_fidelity_above_one(sweep.mean_fidelity)
     return {
         "rows": {
@@ -243,16 +218,16 @@ def _sweep_table(results: dict):
     return list(columns), rows
 
 
-def cmd_haar(config: RunConfig, d: int) -> dict:
+def cmd_haar(args: argparse.Namespace) -> dict:
     """Monte Carlo one-count information gains on a d-level superposition."""
-    if d not in (2, 3, 4):
+    if args.d not in (2, 3, 4):
         raise ValueError("d must be 2, 3, or 4")
-    if config.samples < 100_000:
+    if args.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
-    populations = haar_populations(d, config.samples, config.seed, config.dim)
+    populations = haar_populations(args.d, args.samples, args.seed, args.dim)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
-        model = resolve_model(label, config.gamma, config.dim)
+        model = resolve_model(label, args.gamma, args.dim)
         values[label], batches[label] = batched_information(model, populations, outcome="1")
 
     def standard_error(batch: np.ndarray) -> float:
@@ -260,8 +235,8 @@ def cmd_haar(config: RunConfig, d: int) -> dict:
 
     diff = values["qpc"] - values["pc"]
     return {
-        "d": d,
-        "samples": config.samples,
+        "d": args.d,
+        "samples": args.samples,
         "information_gain": {
             label: {"value": values[label], "standard_error": standard_error(batches[label])}
             for label in ("pc", "qpc")
@@ -282,16 +257,16 @@ def _haar_table(results: dict):
     return ["quantity", "value", "standard_error"], rows
 
 
-def cmd_reverse(config: RunConfig) -> dict:
+def cmd_reverse(args: argparse.Namespace) -> dict:
     """Analytic and Monte Carlo reversal statistics for a reversible counter."""
-    if config.counter not in ("qc", "qqc"):
+    if args.counter not in ("qc", "qqc"):
         raise NonReversible(
-            f"counter {config.counter!r} has background = 0 for the one-count process"
+            f"counter {args.counter!r} has background = 0 for the one-count process"
         )
-    ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
-    model = resolve_model(config.counter, config.gamma, config.dim)
+    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
+    model = resolve_model(args.counter, args.gamma, args.dim)
     analytic = evaluate(model, ens).per_outcome["1"].reversibility
-    sim = trajectory_sim(model, ens, trials=config.samples, seed=config.seed)
+    sim = trajectory_sim(model, ens, trials=args.samples, seed=args.seed)
     # The rate and the recovery fidelity are conditional means; without a
     # one-count or a success they are undefined rather than empty fields.
     if sim.one_counts == 0:
@@ -313,13 +288,13 @@ def _reverse_table(results: dict):
     return list(results), [list(results.values())]
 
 
-# name -> (command, names of the command's own flags, CSV view of its results)
+# name -> (command of the parsed flags, CSV view of its results)
 COMMANDS = {
-    "posterior": (cmd_posterior, ("outcome",), _posterior_table),
-    "metrics": (cmd_metrics, (), _metrics_table),
-    "sweep": (cmd_sweep, ("gamma_min", "gamma_max", "steps"), _sweep_table),
-    "haar": (cmd_haar, ("d",), _haar_table),
-    "reverse": (cmd_reverse, (), _reverse_table),
+    "posterior": (cmd_posterior, _posterior_table),
+    "metrics": (cmd_metrics, _metrics_table),
+    "sweep": (cmd_sweep, _sweep_table),
+    "haar": (cmd_haar, _haar_table),
+    "reverse": (cmd_reverse, _reverse_table),
 }
 
 
@@ -380,17 +355,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace):
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    config.validate()
-    command, own_flags, table = COMMANDS[args.command]
-    own = {name: getattr(args, name) for name in own_flags}
-    results = command(config, **own)
+def _validate(args: argparse.Namespace) -> None:
+    """Range checks of the shared flags; argparse does not check a preset
+    default, such as ``PHOTOCOUNT_COUNTER``, against the choices."""
+    if args.counter not in COUNTER_CHOICES:
+        raise ValueError(f"counter must be one of {COUNTER_CHOICES}")
+    if not 0.0 < args.gamma <= GAMMA_MAX:
+        raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}]")
+    if args.theta_nodes < 8:
+        raise ValueError("theta-nodes must be at least 8")
+    if args.dim < 4:
+        raise ValueError("dim must be at least 4")
+    if args.samples < 1:
+        raise ValueError("samples must be positive")
 
-    if config.format == "json":
+
+def _dispatch(args: argparse.Namespace):
+    _validate(args)
+    command, table = COMMANDS[args.command]
+    results = command(args)
+
+    if args.format == "json":
         payload = {
             "command": args.command,
-            "config": {**asdict(config), **own},
+            # every flag in the parser's order, but the output path
+            "config": {k: v for k, v in vars(args).items() if k not in ("command", "output")},
             "results": results,
             "version": __version__,
         }

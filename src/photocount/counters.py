@@ -12,6 +12,11 @@ No-count operators are the order-gamma^2 truncations I - (gamma^2/2) X with
 X the corresponding quadratic form; the leftover completeness defect is
 O(gamma^4) and is tracked explicitly by ``completeness_residual`` instead of
 being absorbed into an exact square root.
+
+A model owns its support contract: ``MeasurementModel.support_effects`` is
+the one check that the effects on a state family's support are outcome
+probabilities, and every figure computed from them reads them through it.
+``background`` and ``completeness_residual`` read them unchecked.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .fock import ladder, matrix_exponential
 __all__ = [
     "CounterKind",
     "MeasurementModel",
+    "background",
     "build_counter",
     "completeness_residual",
     "compose_models",
@@ -40,6 +46,7 @@ _SUPPORT_TOL = 1e-10
 # Off-diagonal entries of an effect M^dag M, relative to the largest effect
 # entry of the model, that still count as rounding of a diagonal effect.
 _DIAGONAL_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # the smallest positive normal double
 
 
 class CounterKind(enum.Enum):
@@ -110,6 +117,44 @@ class MeasurementModel:
     def effect_for(self, outcome: str) -> np.ndarray:
         """Diagonal of M^dag M for the outcome, one entry per number level."""
         return self.effects[self._index(outcome)]
+
+    def support_effects(self, support_dim: int) -> np.ndarray:
+        """effects[:, :support_dim], checked to be outcome probabilities there.
+
+        Raises ValueError for a support outside [1, dim], for an entry above 1
+        (the coupling is too large for the truncated operators), and for a
+        positive entry below the smallest normal double, a subnormal
+        probability that keeps only a few bits.  An entry that underflows to
+        0 passes; its outcome may raise ZeroProbability where it is used.
+        """
+        _check_support(self, support_dim)
+        effects = self.effects[:, :support_dim]
+        if effects.max() > 1.0:
+            k, n = np.unravel_index(np.argmax(effects), effects.shape)
+            raise ValueError(
+                f"effect of outcome {self.outcomes[k]!r} is {effects[k, n]:.6g} > 1 "
+                f"on level {n}; gamma {self.gamma:g} is too large for this support"
+            )
+        if effects.min(where=effects > 0.0, initial=_TINY) < _TINY:
+            k, n = np.argwhere((effects > 0.0) & (effects < _TINY))[0]
+            raise ValueError(
+                f"effect of outcome {self.outcomes[k]!r} is {effects[k, n]:.6g} on level "
+                f"{n}, below the smallest normal double; gamma {self.gamma:g} is too small "
+                "for its outcome probabilities to keep their bits"
+            )
+        return effects
+
+
+def _check_support(model: MeasurementModel, support_dim: int) -> None:
+    if not 1 <= support_dim <= model.dim:
+        raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
+
+
+def background(model: MeasurementModel, outcome: str, support_dim: int) -> float:
+    """Infimum of p(m|psi) over unit states on the lowest support_dim levels:
+    the smallest diagonal effect entry there, since the effect is diagonal."""
+    _check_support(model, support_dim)
+    return max(0.0, float(np.min(model.effect_for(outcome)[:support_dim])))
 
 
 # Per kind: the diagonal offset of the one-count operator's nonzero entries

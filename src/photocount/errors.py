@@ -13,9 +13,5 @@ class NonReversible(PhotocountError):
     """A reversing measurement was requested for an operator with zero background."""
 
 
-class FidelityOne(PhotocountError):
-    """Efficiency is undefined because the fidelity loss vanishes."""
-
-
 class NumericInconsistency(PhotocountError):
     """An internal algebraic identity failed beyond its tolerance."""

@@ -36,16 +36,11 @@ def ladder(kind: str, dim: int) -> np.ndarray:
 
 
 def matrix_exponential(matrix: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * matrix), exact to machine precision at these matrix sizes.
-
-    A Hermitian matrix (max|A - A^dag| <= 1e-12) is exponentiated through its
-    eigendecomposition, V diag(exp(scale * lambda)) V^dag; only a
-    non-Hermitian one needs scipy, which is imported here so that the package
-    itself loads without it.
+    """exp(scale * matrix) of a Hermitian matrix (max|A - A^dag| <= 1e-12):
+    V diag(exp(scale * lambda)) V^dag from its eigendecomposition, exact to
+    machine precision at these sizes.  Raises ValueError for any other matrix.
     """
-    if np.max(np.abs(matrix - matrix.conj().T)) <= 1e-12:
-        eigvals, eigvecs = np.linalg.eigh(matrix)
-        return (eigvecs * np.exp(scale * eigvals)) @ eigvecs.conj().T
-    import scipy.linalg
-
-    return scipy.linalg.expm(scale * matrix)
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
+        raise ValueError("matrix_exponential requires a Hermitian matrix")
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    return (eigvecs * np.exp(scale * eigvals)) @ eigvecs.conj().T

@@ -20,18 +20,18 @@ the mutual information H(M) - H(M|A) computed from the prior and p(m|a);
 mean reversibility equals the sum of backgrounds) are checked once, to
 1e-10, in that pass.  full_report is evaluate on the model of a counter
 label; a caller that needs one figure reads it from the report.  Both
-raise ZeroProbability when some outcome has zero total probability, and
-ValueError when an effect exceeds 1 on the ensemble's support.
-outcome_statistics is a view of the same pass.
+raise ZeroProbability when some outcome has zero total probability.
+outcome_statistics is a view of the same pass.  evaluate and
+batched_information read the effects on the support through
+MeasurementModel.support_effects, which raises ValueError when they are not
+outcome probabilities there.
 
-Backgrounds and the Monte Carlo gains of batched_information read the
-model's diagonal effects and populations |c_n|^2: batched_information takes
-the populations array alone (haar_populations draws it), weighs its rows
-equally, and refuses a model whose effects exceed 1 on the support.  Beyond
-the populations it holds one float64 per sample, plus blocks of 65,536 rows.
-evaluate keeps the dense images M|psi>: the populations form rounds
-differently and moves the 12th printed digit of some metrics and sweep
-outputs.
+batched_information reads the model's diagonal effects and the populations
+|c_n|^2 alone (haar_populations draws them) and weighs the rows equally.
+Beyond the populations it holds one float64 per sample, plus blocks of
+65,536 rows.  evaluate keeps the dense images M|psi>: the populations form
+rounds differently and moves the 12th printed digit of some metrics and
+sweep outputs.
 """
 
 from __future__ import annotations
@@ -41,23 +41,16 @@ from typing import Optional
 
 import numpy as np
 
-from .counters import (
-    CounterKind,
-    MeasurementModel,
-    build_counter,
-    compose_models,
-)
+from .counters import CounterKind, MeasurementModel, build_counter, compose_models
 from .ensemble import Ensemble
-from .errors import FidelityOne, NumericInconsistency, ZeroProbability
+from .errors import NumericInconsistency, ZeroProbability
 
 __all__ = [
     "OutcomeStats",
     "OutcomeMetrics",
     "CounterReport",
-    "post_measurement_state",
     "outcome_statistics",
     "information_gain",
-    "background",
     "efficiency",
     "evaluate",
     "full_report",
@@ -67,7 +60,6 @@ __all__ = [
     "gamma_sweep",
 ]
 
-_PROB_FLOOR = 1e-15
 _IDENTITY_TOL = 1e-10
 # Rows per block of batched_information's log terms.
 _BLOCK = 65_536
@@ -101,34 +93,6 @@ class CounterReport:
     mean_fidelity: float
     mean_reversibility: float
     backgrounds: dict[str, float]
-
-
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each complex row, summed as np.linalg.norm sums one
-    vector: the dot of the real parts plus the dot of the imaginary parts.
-    Its square is taken with np.float_power, which rounds as ``norm ** 2``
-    of one float does; ``norms ** 2`` multiplies and can differ in the last
-    bit."""
-    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-
-
-def post_measurement_state(op: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Normalized rows op|psi>/||op|psi>|| of states, one row per state.
-
-    An outcome counts as unreachable on a state when its probability is at
-    most _PROB_FLOOR times ||op||_F^2, which bounds the probability on any
-    unit state, so the floor scales with the coupling; ZeroProbability is
-    raised if that holds for any row.  Each row is op @ state, a matrix-vector
-    product, so a row has the bits a single state would have.
-    """
-    images = (op @ states[..., None])[..., 0]
-    probs = np.float_power(_norms(images), 2)
-    low = float(np.min(probs))
-    if low <= _PROB_FLOOR * float(np.linalg.norm(op)) ** 2:
-        raise ZeroProbability(
-            f"outcome probability {low:.3e} is below the floor; state is unreachable"
-        )
-    return images / np.sqrt(probs)[..., None]
 
 
 def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
@@ -213,12 +177,13 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     all outcomes; both identities are checked here.
 
     Samples an outcome cannot occur on carry zero posterior weight and are
-    skipped.  Raises ValueError if an effect exceeds 1 on the support, and
+    skipped.  Raises ValueError if the effects on the support are not
+    outcome probabilities (MeasurementModel.support_effects), and
     ZeroProbability if some outcome has zero total probability, since its
     fidelity and reversibility are undefined.
     """
     images, cond, totals, posterior = _outcome_pass(model, ensemble)
-    _check_effects_bounded(model, ensemble.support_dim)
+    effects = model.support_effects(ensemble.support_dim)
     unreached = totals <= 0.0
     if unreached.any():
         outcome = model.outcomes[int(np.argmax(unreached))]
@@ -227,7 +192,7 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
     overlaps = np.abs(np.sum(products, axis=2))
-    lowest = model.effects[:, : ensemble.support_dim].min(axis=1).tolist()
+    lowest = effects.min(axis=1).tolist()
     backgrounds = {outcome: max(0.0, b) for outcome, b in zip(model.outcomes, lowest)}
     floors = np.array(list(backgrounds.values()))
     weights = ensemble.weights
@@ -263,16 +228,12 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
         info = max(gain, 0.0)
         fid = min(fid_sum, 1.0)
         rev = 0.0 if b == 0.0 else min(rev_sum, 1.0)
-        try:
-            eff = efficiency(info, fid)
-        except FidelityOne:
-            eff = None
         per_outcome[outcome] = OutcomeMetrics(
             probability=total,
             information_gain=info,
             fidelity=fid,
             reversibility=rev,
-            efficiency=eff,
+            efficiency=efficiency(info, fid),
         )
 
     mean_info = sum(m.probability * m.information_gain for m in per_outcome.values())
@@ -300,18 +261,11 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     )
 
 
-def background(model: MeasurementModel, outcome: str, support_dim: int) -> float:
-    """Infimum of p(m|psi) over unit states on the lowest support_dim levels:
-    the smallest diagonal effect entry there, since the effect is diagonal."""
-    if not 1 <= support_dim <= model.dim:
-        raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
-    return max(0.0, float(np.min(model.effect_for(outcome)[:support_dim])))
-
-
-def efficiency(information: float, fidelity: float) -> float:
-    """Information gained per unit of fidelity loss, I / (1 - F)."""
+def efficiency(information: float, fidelity: float) -> Optional[float]:
+    """Information gained per unit of fidelity loss, I / (1 - F), or None
+    when the fidelity loss vanishes and the ratio is undefined."""
     if fidelity >= 1.0 - 1e-12:
-        raise FidelityOne("fidelity loss vanishes; efficiency is undefined")
+        return None
     return information / (1.0 - fidelity)
 
 
@@ -334,19 +288,6 @@ def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     return evaluate(resolve_model(label, gamma, ensemble.dim), ensemble)
 
 
-def _check_effects_bounded(model: MeasurementModel, support_dim: int) -> None:
-    """Raise ValueError when some effect entry on the lowest support_dim
-    levels exceeds 1: an outcome probability above 1 on that support means
-    the coupling is too large for the truncated operators."""
-    effects = model.effects[:, :support_dim]
-    k, n = np.unravel_index(np.argmax(effects), effects.shape)
-    if effects[k, n] > 1.0:
-        raise ValueError(
-            f"effect of outcome {model.outcomes[k]!r} is {effects[k, n]:.6g} > 1 "
-            f"on level {n}; gamma {model.gamma:g} is too large for this support"
-        )
-
-
 def batched_information(
     model: MeasurementModel,
     populations: np.ndarray,
@@ -360,9 +301,9 @@ def batched_information(
     The full-sample value is the point estimate; the spread of the batch
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
     Only the requested outcome is evaluated, from the populations and the
-    diagonal effect.  Raises ValueError if an effect exceeds 1 on the
-    support, and ZeroProbability if the outcome (or a batch) has zero total
-    probability.
+    diagonal effect.  Raises ValueError if the effects on the support are not
+    outcome probabilities (MeasurementModel.support_effects), and
+    ZeroProbability if the outcome (or a batch) has zero total probability.
 
     Memory: one float64 per sample beyond the populations, plus blocks of
     65,536 rows.  The conditionals become the posterior in place, and each
@@ -371,9 +312,7 @@ def batched_information(
     of the full-length arrays bit for bit.
     """
     n_samples, support_dim = populations.shape
-    if not 1 <= support_dim <= model.dim:
-        raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
-    _check_effects_bounded(model, support_dim)
+    model.support_effects(support_dim)
     effect = model.effect_for(outcome)[:support_dim]
     weight = 1.0 / n_samples
     cond = populations @ effect

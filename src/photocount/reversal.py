@@ -14,18 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import MeasurementModel
+from .counters import MeasurementModel, background
 from .ensemble import Ensemble
-from .errors import NonReversible
-from .metrics import _check_effects_bounded, _norms, background, post_measurement_state
+from .errors import NonReversible, ZeroProbability
 
 __all__ = [
     "ReversingMeasurement",
     "TrajectoryStats",
     "build_reversing",
+    "post_measurement_state",
     "verify_recovery",
     "trajectory_sim",
 ]
+
+# Unreachable-state floor of post_measurement_state, relative to ||op||_F^2.
+_PROB_FLOOR = 1e-15
 
 # Smallest background, relative to the largest effect on the support, for
 # which the left inverse counts as bounded.
@@ -84,6 +87,34 @@ def build_reversing(
         fail_op=fail,
         eta_sq=float(eta_sq),
     )
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each complex row, summed as np.linalg.norm sums one
+    vector: the dot of the real parts plus the dot of the imaginary parts.
+    Its square is taken with np.float_power, which rounds as ``norm ** 2``
+    of one float does; ``norms ** 2`` multiplies and can differ in the last
+    bit."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def post_measurement_state(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Normalized rows op|psi>/||op|psi>|| of states, one row per state.
+
+    An outcome counts as unreachable on a state when its probability is at
+    most _PROB_FLOOR times ||op||_F^2, which bounds the probability on any
+    unit state, so the floor scales with the coupling; ZeroProbability is
+    raised if that holds for any row.  Each row is op @ state, a matrix-vector
+    product, so a row has the bits a single state would have.
+    """
+    images = (op @ states[..., None])[..., 0]
+    probs = np.float_power(_norms(images), 2)
+    low = float(np.min(probs))
+    if low <= _PROB_FLOOR * float(np.linalg.norm(op)) ** 2:
+        raise ZeroProbability(
+            f"outcome probability {low:.3e} is below the floor; state is unreachable"
+        )
+    return images / np.sqrt(probs)[..., None]
 
 
 def verify_recovery(
@@ -167,14 +198,15 @@ def trajectory_sim(
     Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
     blocks of _TRIAL_BLOCK, so memory does not grow with the trial count.
     The success rate conditioned on one-count converges to the counter's
-    reversibility.  Raises ValueError if an effect exceeds 1 on the support,
-    and NonReversible if the one-count has zero background there.
+    reversibility.  Raises ValueError if the effects on the support are not
+    outcome probabilities (MeasurementModel.support_effects), and
+    NonReversible if the one-count has zero background there.
     """
     if trials < 10_000:
         raise ValueError("at least 10^4 trials are required")
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
-    _check_effects_bounded(model, ensemble.support_dim)
+    model.support_effects(ensemble.support_dim)
     rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
 
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]

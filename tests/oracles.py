@@ -7,7 +7,6 @@ import numpy as np
 from photocount import (
     CounterKind,
     CounterReport,
-    FidelityOne,
     MeasurementModel,
     NumericInconsistency,
     OutcomeMetrics,
@@ -20,7 +19,6 @@ from photocount import (
     information_gain,
     ladder,
 )
-from photocount.metrics import _check_effects_bounded
 
 
 def build_counter_reference(kind, gamma, dim):
@@ -82,7 +80,9 @@ def _images_and_stats(model, ensemble):
 def evaluate_reference(model, ensemble):
     """evaluate one outcome at a time: one set of images and one background
     per outcome, each figure reduced from that outcome's rows alone.
-    evaluate must return a report with the same repr."""
+    evaluate must return a report with the same repr, and raise the same
+    errors."""
+    model.support_effects(ensemble.support_dim)
     per_outcome = {}
     backgrounds = {}
     mutual_information = 0.0
@@ -102,16 +102,12 @@ def evaluate_reference(model, ensemble):
         # Reversibility: posterior average of background / p(m|a).
         b = background(model, s.outcome, ensemble.support_dim)
         rev = 0.0 if b == 0.0 else min(float(np.sum(post * (b / cond))), 1.0)
-        try:
-            eff = efficiency(info, fid)
-        except FidelityOne:
-            eff = None
         per_outcome[s.outcome] = OutcomeMetrics(
             probability=s.total,
             information_gain=info,
             fidelity=fid,
             reversibility=rev,
-            efficiency=eff,
+            efficiency=efficiency(info, fid),
         )
         backgrounds[s.outcome] = b
 
@@ -147,9 +143,7 @@ def batched_reference(model, populations, outcome="1", n_batches=100):
     weights.  batched_information must give the same bits, and raise the
     same errors."""
     n_samples, support_dim = populations.shape
-    if not 1 <= support_dim <= model.dim:
-        raise ValueError(f"support dimension {support_dim} outside [1, {model.dim}]")
-    _check_effects_bounded(model, support_dim)
+    model.support_effects(support_dim)
     weights = np.full(n_samples, 1.0 / n_samples)
     effect = model.effect_for(outcome)[:support_dim]
     stats = _weighted_stats(outcome, populations @ effect, weights)
@@ -243,8 +237,10 @@ def recovery_reference(state, op, rev):
 def trajectory_reference(kind, gamma, ensemble, trials, seed):
     """trajectory_sim with every trial held at once and the nodes drawn by
     Generator.choice, followed by the outcome and reversal uniforms of the
-    same Philox stream."""
+    same Philox stream.  trajectory_sim must give the same bits, and raise
+    the same errors."""
     model = build_counter(kind, gamma, ensemble.dim)
+    model.support_effects(ensemble.support_dim)
     one_count_op = model.operator_for("1")
     rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]

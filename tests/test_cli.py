@@ -69,16 +69,18 @@ class TestPosterior:
     @pytest.mark.parametrize(
         "counter,outcome", [("pc", "0"), ("qc", "1"), ("qqc", "0"), ("joint", "11")]
     )
+    @pytest.mark.usefixtures("no_presets")
     def test_densities_match_the_dense_images(self, counter, outcome):
         # p(m|theta) and p(m) from populations times the diagonal effect,
         # against the squared norms of the images M|psi(theta)>
-        config = cli.RunConfig(counter=counter, dim=6)
-        results = cli.cmd_posterior(config, outcome)
-        op = resolve_model(counter, config.gamma, config.dim).operator_for(outcome)
-        ens = bloch_two_state_ensemble(config.theta_nodes, config.dim)
+        argv = ["posterior", "--counter", counter, "--outcome", outcome, "--dim", "6"]
+        args = cli.build_parser().parse_args(argv)
+        results = cli.cmd_posterior(args)
+        op = resolve_model(counter, args.gamma, args.dim).operator_for(outcome)
+        ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
         total = ens.weights @ np.sum(np.abs(ens.states @ op.T) ** 2, axis=1)
         half = np.deg2rad(results["theta_degrees"]) / 2
-        grid = np.zeros((half.size, config.dim))
+        grid = np.zeros((half.size, args.dim))
         grid[:, 0], grid[:, 1] = np.cos(half), np.sin(half)
         density = cli.PRIOR_DENSITY * np.sum(np.abs(grid @ op.T) ** 2, axis=1) / total
         assert abs(results["total_probability"] - total) <= 1e-15 * total
@@ -131,6 +133,46 @@ class TestMetricsCommand:
         rows = parse_csv(out)
         labels = [r[0] for r in rows[1:]]
         assert labels == ["00", "01", "10", "11", "mean"]
+
+
+class TestSubnormalCoupling:
+    # gamma^2, or gamma^4 for joint's "11", is a subnormal effect entry on the
+    # support, whose outcome probabilities keep only a few bits: without the
+    # refusal, metrics printed a pc one-count gain of 1.48 bits, above the 1
+    # bit of a two-level family, and a joint "11" gain of 0.3232 where the
+    # closed form is 0.0900577.
+    @pytest.mark.parametrize("argv,effect", [
+        (["metrics", "--counter", "pc", "--gamma", "1.1e-161"],
+         "effect of outcome '1' is 1.18576e-322 on level 1"),
+        (["metrics", "--counter", "joint", "--gamma", "3e-81"],
+         "effect of outcome '11' is 7.90505e-323 on level 0"),
+    ])
+    def test_subnormal_effect_is_usage_error(self, argv, effect, capsys):
+        code, out, err = run_cli([*argv, "--theta-nodes", "71", "--dim", "7"], capsys)
+        assert code == 2
+        assert out == ""
+        assert effect in err
+        assert f"below the smallest normal double; gamma {argv[-1]} is too small" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["posterior", "--counter", "joint", "--outcome", "11", "--gamma", "3e-81"],
+        ["haar", "--d", "2", "--gamma", "1.1e-161"],
+        ["reverse", "--counter", "qc", "--gamma", "1.1e-161"],
+    ])
+    def test_every_command_refuses_a_subnormal_effect(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "below the smallest normal double" in err
+
+    def test_smallest_normal_coupling_still_reports(self, capsys):
+        # gamma^2 = 2.25e-308 is just above the smallest normal double.
+        argv = ["metrics", "--counter", "pc", "--gamma", "1.5e-154",
+                "--theta-nodes", "256", "--dim", "8"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        one = next(r for r in parse_csv(out) if r[0] == "1")
+        assert one[1:4] == ["1.125e-308", "0.278652479556", "0.533333333333"]
 
 
 class TestSweep:
@@ -302,11 +344,11 @@ class TestOutputDiscipline:
         assert code == 2
 
     def test_floating_point_error_is_numeric_failure(self, capsys, monkeypatch):
-        def divide_by_zero(config):
+        def divide_by_zero(args):
             return {"value": np.float64(1.0) / np.float64(0.0)}
 
-        _, own_flags, table = cli.COMMANDS["metrics"]
-        monkeypatch.setitem(cli.COMMANDS, "metrics", (divide_by_zero, own_flags, table))
+        _, table = cli.COMMANDS["metrics"]
+        monkeypatch.setitem(cli.COMMANDS, "metrics", (divide_by_zero, table))
         code, out, err = run_cli(["metrics"], capsys)
         assert code == 4
         assert out == ""
@@ -318,6 +360,20 @@ class TestFreshProcess:
         probe = "import sys, photocount.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True).stdout
         assert out == b"[]\n"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("metrics_joint", ["metrics", "--counter", "joint"]),
+        ("haar_d3", ["haar", "--d", "3"]),
+        ("reverse_qqc", ["reverse", "--counter", "qqc"]),
+    ])
+    def test_commands_run_without_scipy(self, name, argv):
+        # None in sys.modules makes every import of scipy raise ImportError.
+        probe = ("import sys; sys.modules['scipy'] = None; from photocount.cli import main; "
+                 "raise SystemExit(main(sys.argv[1:]))")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PHOTOCOUNT_")}
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (GOLDEN / f"{name}.csv").read_bytes()
 
     def test_subprocess_rerun_is_byte_identical(self):
         cmd = [sys.executable, "-m", "photocount", "reverse", "--counter", "qqc",

@@ -6,7 +6,6 @@ import photocount.metrics as metrics
 from photocount import (
     CounterKind,
     Ensemble,
-    FidelityOne,
     NumericInconsistency,
     ZeroProbability,
     background,
@@ -478,8 +477,8 @@ class TestEfficiency:
         assert efficiency(0.0, 0.5) == 0.0
 
     def test_unit_fidelity_rejected(self):
-        with pytest.raises(FidelityOne):
-            efficiency(0.1, 1.0)
+        assert efficiency(0.1, 1.0) is None
+        assert efficiency(0.1, 1.0 - 1e-13) is None
 
 
 class TestFullReport:

@@ -1,10 +1,13 @@
 """The package namespace: lazy exports that load nothing and change no
-process-wide setting until a name is read."""
+process-wide setting until a name is read; and the imports between the
+package's modules."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,7 @@ EXPORTED = {
     "compose_models", "probe_model_operators", "proportionality_deviation",
     "unitary_part_deviation",
     "Ensemble", "bloch_two_state_ensemble", "haar_populations",
-    "FidelityOne", "NonReversible", "NumericInconsistency", "PhotocountError",
+    "NonReversible", "NumericInconsistency", "PhotocountError",
     "ZeroProbability",
     "ladder", "matrix_exponential",
     "CounterReport", "OutcomeMetrics", "OutcomeStats", "background", "batched_information",
@@ -60,3 +63,36 @@ def test_submodules_and_unknown_names():
     assert photocount.fock is sys.modules["photocount.fock"]
     with pytest.raises(AttributeError, match="min_eigenvalue"):
         photocount.min_eigenvalue
+
+
+def _package_imports():
+    """(module, imported module, names) for every import of a package module
+    in src/photocount; the imported module is "" for the package itself, and
+    names is empty for a plain import."""
+    package = Path(photocount.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level > 0 or module.split(".")[0] == "photocount":
+                    target = module.removeprefix("photocount").lstrip(".")
+                    yield path.stem, target, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "photocount":
+                        yield path.stem, alias.name.removeprefix("photocount").lstrip("."), []
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = [
+        f"{module} imports {name} from {target}"
+        for module, target, names in _package_imports()
+        for name in names
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert private == []
+
+
+def test_reversal_imports_nothing_from_metrics():
+    imported = {target for module, target, _ in _package_imports() if module == "reversal"}
+    assert imported == {"counters", "ensemble", "errors"}

@@ -1,13 +1,14 @@
 """Property tests of full_report and evaluate, of information as a function
 of reversibility on two levels, of the one-count orderings of the four
-counters, of the completeness residual, of the backgrounds and reversing
-measurements, of the polar structure of the one-count operators, of
-composition, of the stacked recovery, of the trajectory simulation and of
-the batched Monte Carlo gains over random couplings, truncations,
-quadrature sizes, sample counts, seeds and trial counts.  Derandomized, so
-every run draws the same examples."""
+counters, of the sweep's reversibility-loss fit, of the completeness
+residual, of the backgrounds and reversing measurements, of the polar
+structure of the one-count operators, of composition, of the stacked
+recovery, of the trajectory simulation and of the batched Monte Carlo gains
+over random couplings, truncations, quadrature sizes, sample counts, seeds
+and trial counts.  Derandomized, so every run draws the same examples."""
 
 import math
+import re
 import sys
 from dataclasses import fields
 
@@ -41,6 +42,7 @@ from photocount import (
     evaluate,
     batched_information,
     full_report,
+    gamma_sweep,
     haar_populations,
     outcome_statistics,
     resolve_model,
@@ -62,6 +64,12 @@ LABELS = ("pc", "qc", "qpc", "qqc", "joint")
 def test_full_report_properties(gamma, label, dim, nodes):
     ens = bloch_two_state_ensemble(nodes, dim)
     model = resolve_model(label, gamma, dim)
+    support = model.effects[:, : ens.support_dim]
+    if np.any((support > 0.0) & (support < sys.float_info.min)):
+        # A subnormal effect on the support at tiny coupling is refused.
+        with pytest.raises(ValueError, match="below the smallest normal double"):
+            full_report(label, gamma, ens)
+        return
     if min(s.total for s in outcome_statistics(model, ens)) <= 0.0:
         # An outcome probability underflows to zero at tiny coupling.
         with pytest.raises(ZeroProbability):
@@ -109,17 +117,16 @@ def test_one_count_orderings_of_the_four_counters(gamma, nodes, dim):
     # The paper's one-count orderings on the uniform two-level family.
     ens = bloch_two_state_ensemble(nodes, dim)
     if gamma * gamma < sys.float_info.min:
-        # Documented exception: below gamma = 1.49e-154, gamma^2 is
-        # subnormal, so the one-count conditionals keep only a few bits
-        # (pc's gain read 0.99 bits at gamma = 1.1e-161 on (71, 7)) or
-        # underflow to zero.  The orderings are not asserted there; each
-        # report has finite figures or raises ZeroProbability.
+        # Below gamma = 1.49e-154 no report is made.  Each one-count effect
+        # has the entry gamma^2 on the support (on |1> for pc and qpc, on |0>
+        # for qc and qqc).  A subnormal entry keeps only a few bits (pc's gain
+        # would read 1.48 bits at gamma = 1.1e-161 on (71, 7)), so the model
+        # refuses it; an entry that underflows to zero leaves the one-count
+        # with zero probability.
+        refusal = ValueError if gamma * gamma > 0.0 else ZeroProbability
         for label in ("pc", "qc", "qpc", "qqc"):
-            try:
-                m = full_report(label, gamma, ens).per_outcome["1"]
-            except ZeroProbability:
-                continue
-            assert all(math.isfinite(v) for v in (m.information_gain, m.fidelity, m.reversibility))
+            with pytest.raises(refusal):
+                full_report(label, gamma, ens)
         return
     one = {
         label: full_report(label, gamma, ens).per_outcome["1"]
@@ -135,6 +142,43 @@ def test_one_count_orderings_of_the_four_counters(gamma, nodes, dim):
     # pc and qpc share R = 0.  Their one-count conditionals are both
     # gamma^2 |c_1|^2, so the tie is exact.
     assert info["pc"] == info["qpc"] > info["qqc"] > info["qc"]
+
+
+# gamma^2 and gamma^4 coefficients (X_max - X_min, X_max^2 / 4) of the
+# reversibility loss on the two-level support, from X of each closed form.
+REVERSIBILITY_LOSS = {"pc": (1.0, 0.25), "qc": (1.0, 1.0), "qpc": (1.0, 0.25), "qqc": (3.0, 4.0)}
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    label=st.sampled_from(sorted(REVERSIBILITY_LOSS)),
+    nodes=st.integers(min_value=8, max_value=256),
+    dim=st.integers(min_value=4, max_value=8),
+    gamma_min=st.floats(min_value=1e-3, max_value=0.45),
+    width=st.floats(min_value=0.05, max_value=0.5),
+    steps=st.integers(min_value=2, max_value=15),
+)
+def test_reversibility_loss_fit_is_exact(label, nodes, dim, gamma_min, width, steps):
+    # The mean reversibility is the sum of the backgrounds, the smallest
+    # effect entries on |0> and |1>: 1 - X_max g^2 + (X_max^2/4) g^4 for the
+    # no-count and X_min g^2 for the one-count.  So the loss is exactly
+    # (X_max - X_min) g^2 - (X_max^2/4) g^4 at every coupling, and the fit
+    # c g^2 + d g^4 returns c up to rounding.
+    gammas = np.linspace(gamma_min, min(gamma_min + width, 0.5), steps)
+    sweep = gamma_sweep(label, gammas, bloch_two_state_ensemble(nodes, dim))
+    coefficient, _ = sweep.fits()["reversibility_loss"]
+    # The tolerance is derived, not chosen.  Each loss 1 - R is read from
+    # sums of `nodes` terms whose total is near 1, so it is accurate to
+    # nodes * eps (the recursive-summation bound).  A perturbation of the
+    # values moves the least-squares coefficients by at most its norm over
+    # the smallest singular value, cond / sigma_max times that norm, and the
+    # backward-stable solve adds cond * eps * |(c, d)|.
+    singular = np.linalg.svd(np.column_stack([gammas**2, gammas**4]), compute_uv=False)
+    cond = singular[0] / singular[-1]
+    eps = np.finfo(float).eps
+    c, d = REVERSIBILITY_LOSS[label]
+    tol = eps * cond * (nodes * math.sqrt(steps) / singular[0] + math.hypot(c, d))
+    assert abs(coefficient - c) <= tol
 
 
 def _outcome(fn, *args):
@@ -279,9 +323,10 @@ def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, see
     ens = bloch_two_state_ensemble(nodes, dim)
     try:
         want = trajectory_reference(kind, gamma, ens, trials, seed)
-    except NonReversible:
-        # The background underflows to zero at tiny coupling.
-        with pytest.raises(NonReversible):
+    except (NonReversible, ValueError) as exc:
+        # At tiny coupling the background underflows to zero, or the effects
+        # on the support are subnormal and refused.
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
             trajectory_sim(build_counter(kind, gamma, dim), ens, trials, seed)
         return
     got = trajectory_sim(build_counter(kind, gamma, dim), ens, trials, seed)
