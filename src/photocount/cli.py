@@ -2,9 +2,7 @@
 
 Subcommands: ``posterior``, ``metrics``, ``sweep``, ``haar``, ``reverse``.
 Output is CSV or JSON with numbers printed to 12 significant digits; given
-the same flags and seed the output is byte-identical across runs.  Every
-flag can be preset through an environment variable with the ``PHOTOCOUNT_``
-prefix (e.g. ``PHOTOCOUNT_SEED``).
+the same flags and seed the output is byte-identical across runs.
 
 Importing this module loads numpy's OpenBLAS with one thread unless the
 caller has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
@@ -55,16 +53,6 @@ from .reversal import trajectory_sim  # noqa: E402
 
 COUNTER_CHOICES = ("pc", "qc", "qpc", "qqc", "joint")
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"PHOTOCOUNT_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid value {raw!r} for PHOTOCOUNT_{name}") from None
 
 
 def format_number(value) -> str:
@@ -301,29 +289,17 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--counter",
-        choices=COUNTER_CHOICES,
-        default=_env("COUNTER", str, "pc"),
-        help="counter model (default: pc)",
+        "--counter", choices=COUNTER_CHOICES, default="pc", help="counter model (default: pc)"
     )
-    common.add_argument("--gamma", type=float, default=_env("GAMMA", float, 0.3))
+    common.add_argument("--gamma", type=float, default=0.3)
+    common.add_argument("--theta-nodes", type=int, default=64)
+    common.add_argument("--dim", type=int, default=5)
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--seed", type=int, default=42)
     common.add_argument(
-        "--theta-nodes", type=int, default=_env("THETA_NODES", int, 64)
+        "--samples", type=int, default=100_000, help="Monte Carlo sample / trial count"
     )
-    common.add_argument("--dim", type=int, default=_env("DIM", int, 5))
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=_env("FORMAT", str, "csv"),
-    )
-    common.add_argument("--seed", type=int, default=_env("SEED", int, 42))
-    common.add_argument(
-        "--samples",
-        type=int,
-        default=_env("SAMPLES", int, 100_000),
-        help="Monte Carlo sample / trial count",
-    )
-    common.add_argument("--output", default=_env("OUTPUT", str, None))
+    common.add_argument("--output")
 
     parser = argparse.ArgumentParser(
         prog="photocount",
@@ -356,10 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Range checks of the shared flags; argparse does not check a preset
-    default, such as ``PHOTOCOUNT_COUNTER``, against the choices."""
-    if args.counter not in COUNTER_CHOICES:
-        raise ValueError(f"counter must be one of {COUNTER_CHOICES}")
+    """Range checks of the shared flags; argparse checks their types and
+    choices."""
     if not 0.0 < args.gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}]")
     if args.theta_nodes < 8:
@@ -395,12 +369,7 @@ def _dispatch(args: argparse.Namespace):
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except ValueError as exc:  # bad environment override
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         # Overflow, division by zero and invalid operations raise
         # FloatingPointError instead of printing inf or NaN as empty fields.

@@ -13,6 +13,11 @@ X the corresponding quadratic form; the leftover completeness defect is
 O(gamma^4) and is tracked explicitly by ``completeness_residual`` instead of
 being absorbed into an exact square root.
 
+The ``joint`` counter (``build_joint``: qc, then pc) multiplies the two
+closed-form stacks as ``compose_models`` does and validates one model.  A
+model keeps a read-only complex operator array and copies any other one
+(``fock.read_only``), so a caller's writeable array stays writeable.
+
 A model owns its support contract: ``MeasurementModel.support_effects`` is
 the one check that the effects on a state family's support are outcome
 probabilities, and every figure computed from them reads them through it.
@@ -27,13 +32,14 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import ladder, matrix_exponential
+from .fock import ladder, matrix_exponential, read_only
 
 __all__ = [
     "CounterKind",
     "MeasurementModel",
     "background",
     "build_counter",
+    "build_joint",
     "completeness_residual",
     "compose_models",
     "probe_model_operators",
@@ -82,7 +88,7 @@ class MeasurementModel:
     effects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        stack = np.array(self.operators, dtype=complex)
+        stack = read_only(self.operators, complex)
         if stack.ndim != 3 or stack.shape != (len(self.outcomes), stack.shape[2], stack.shape[2]):
             raise ValueError("one square operator per outcome is required")
         # One flattened M^dag M per row; every (dim + 1)-th entry is diagonal.
@@ -91,13 +97,10 @@ class MeasurementModel:
         effects = diagonal.real.copy()
         diagonal[:] = 0.0
         off_diagonal = np.abs(grams).max(axis=1) > _DIAGONAL_TOL * effects.max()
-        for outcome, bad in zip(self.outcomes, off_diagonal):
-            if bad:
-                raise ValueError(
-                    f"effect of outcome {outcome!r} is not diagonal in the number basis"
-                )
-        for array in (stack, effects):
-            array.setflags(write=False)
+        if off_diagonal.any():
+            outcome = self.outcomes[int(np.argmax(off_diagonal))]
+            raise ValueError(f"effect of outcome {outcome!r} is not diagonal in the number basis")
+        effects.setflags(write=False)
         object.__setattr__(self, "operators", stack)
         object.__setattr__(self, "effects", effects)
 
@@ -157,15 +160,15 @@ def background(model: MeasurementModel, outcome: str, support_dim: int) -> float
     return max(0.0, float(np.min(model.effect_for(outcome)[:support_dim])))
 
 
-# Per kind: the diagonal offset of the one-count operator's nonzero entries
-# (a on the superdiagonal, a^dag on the subdiagonal), those entries, and
-# X(n) of the no-count operator I - (gamma^2/2) X, as functions of the
-# number levels n = 0, ..., dim - 1.
+# Per kind: the (row, column) where the one-count operator's diagonal of
+# nonzero entries starts (a on the superdiagonal, a^dag on the subdiagonal),
+# those entries, and X(n) of the no-count operator I - (gamma^2/2) X, as
+# functions of the number levels n = 0, ..., dim - 1.
 _CLOSED_FORMS = {
-    CounterKind.PC: (1, lambda n: np.sqrt(n[1:]), lambda n: n),
-    CounterKind.QC: (-1, lambda n: np.sqrt(n[1:]), lambda n: n + 1.0),
-    CounterKind.QPC: (0, lambda n: n, lambda n: n * n),
-    CounterKind.QQC: (0, lambda n: n + 1.0, lambda n: (n + 1.0) ** 2),
+    CounterKind.PC: ((0, 1), lambda n: np.sqrt(n[1:]), lambda n: n),
+    CounterKind.QC: ((1, 0), lambda n: np.sqrt(n[1:]), lambda n: n + 1.0),
+    CounterKind.QPC: ((0, 0), lambda n: n, lambda n: n * n),
+    CounterKind.QQC: ((0, 0), lambda n: n + 1.0, lambda n: (n + 1.0) ** 2),
 }
 
 
@@ -177,14 +180,41 @@ def _validate(gamma: float, dim: int, allow_zero_gamma: bool = False) -> None:
         raise ValueError("truncation dimension must be at least 4")
 
 
+def _closed_form(kind: CounterKind, gamma: float, dim: int) -> np.ndarray:
+    """Read-only (no-count, one-count) operator stack of a counter."""
+    _validate(gamma, dim)
+    (row, column), one_count, quadratic = _CLOSED_FORMS[kind]
+    n = np.arange(dim, dtype=float)
+    operators = np.zeros((2, dim, dim), dtype=complex)
+    # Flattened row by row, a diagonal is a slice of step dim + 1.
+    flat = operators.reshape(2, -1)
+    flat[0, :: dim + 1] = 1.0 - (gamma**2 / 2.0) * quadratic(n)
+    flat[1, row * dim + column :: dim + 1] = gamma * one_count(n)
+    operators.setflags(write=False)
+    return operators
+
+
+def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Read-only stack of M2 @ M1 for each (second, first) operator pair."""
+    products = (second[:, None] @ first[None]).reshape(-1, *first.shape[1:])
+    products.setflags(write=False)
+    return products
+
+
 def build_counter(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel:
     """Closed-form two-outcome model for the requested counter."""
-    _validate(gamma, dim)
-    offset, one_count, quadratic = _CLOSED_FORMS[kind]
-    n = np.arange(dim, dtype=float)
-    one = np.diag(gamma * one_count(n), offset)
-    no = np.diag(1.0 - (gamma**2 / 2.0) * quadratic(n))
-    return MeasurementModel(label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma)
+    return MeasurementModel(
+        label=kind.value, outcomes=("0", "1"), operators=_closed_form(kind, gamma, dim), gamma=gamma
+    )
+
+
+def build_joint(gamma: float, dim: int) -> MeasurementModel:
+    """The emitting counter followed by the absorbing one: the operators and
+    outcomes of compose_models(build_counter(QC, ...), build_counter(PC, ...)),
+    bit for bit, as one model labeled 'joint' that is validated once."""
+    first, second = (_closed_form(kind, gamma, dim) for kind in (CounterKind.QC, CounterKind.PC))
+    return MeasurementModel(label="joint", outcomes=("00", "01", "10", "11"),
+                            operators=_products(first, second), gamma=gamma)
 
 
 def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
@@ -203,11 +233,10 @@ def compose_models(first: MeasurementModel, second: MeasurementModel) -> Measure
     """
     if first.dim != second.dim:
         raise ValueError("cannot compose models of different dimension")
-    products = second.operators[:, None] @ first.operators[None]
     return MeasurementModel(
         label=f"{second.label}*{first.label}",
         outcomes=tuple(f"{m2}{m1}" for m2 in second.outcomes for m1 in first.outcomes),
-        operators=products.reshape(-1, first.dim, first.dim),
+        operators=_products(first.operators, second.operators),
         gamma=first.gamma,
     )
 

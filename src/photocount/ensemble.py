@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .fock import read_only
+
 __all__ = [
     "Ensemble",
     "bloch_two_state_ensemble",
@@ -28,17 +30,6 @@ __all__ = [
 # norm's temporaries then stay block-sized instead of growing with the
 # sample count.
 _NORMALIZE_ROWS = 65_536
-
-
-def _read_only(array, dtype) -> np.ndarray:
-    """array as a read-only ndarray of dtype: a read-only input of that dtype
-    is kept as it is, anything else is copied, so the caller's own arrays
-    stay writeable."""
-    if isinstance(array, np.ndarray) and array.dtype == dtype and not array.flags.writeable:
-        return array
-    out = np.array(array, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +50,8 @@ class Ensemble:
     populations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = _read_only(self.states, complex)
-        weights = _read_only(self.weights, float)
+        states = read_only(self.states, complex)
+        weights = read_only(self.weights, float)
         if states.ndim != 2 or states.shape[0] != weights.size:
             raise ValueError("states and weights are inconsistent")
         if not 1 <= self.support_dim <= states.shape[1]:

@@ -35,6 +35,18 @@ def ladder(kind: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown ladder kind {kind!r}; expected one of {LADDER_KINDS}")
 
 
+def read_only(array, dtype) -> np.ndarray:
+    """array as a read-only ndarray of dtype, the form in which models and
+    ensembles hold their arrays: a read-only input of that dtype is kept as
+    it is, anything else is copied, so the caller's own arrays stay
+    writeable."""
+    if isinstance(array, np.ndarray) and array.dtype == dtype and not array.flags.writeable:
+        return array
+    out = np.array(array, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 def matrix_exponential(matrix: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * matrix) of a Hermitian matrix (max|A - A^dag| <= 1e-12):
     V diag(exp(scale * lambda)) V^dag from its eigendecomposition, exact to

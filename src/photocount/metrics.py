@@ -19,9 +19,10 @@ over its positive entries.  The two identities (mean information equals
 the mutual information H(M) - H(M|A) computed from the prior and p(m|a);
 mean reversibility equals the sum of backgrounds) are checked once, to
 1e-10, in that pass.  full_report is evaluate on the model of a counter
-label; a caller that needs one figure reads it from the report.  Both
-raise ZeroProbability when some outcome has zero total probability.
-outcome_statistics is a view of the same pass.  evaluate and
+label, which resolve_model builds and validates once, also for 'joint'
+(counters.build_joint); a caller that needs one figure reads it from the
+report.  Both raise ZeroProbability when some outcome has zero total
+probability.  outcome_statistics is a view of the same pass.  evaluate and
 batched_information read the effects on the support through
 MeasurementModel.support_effects, which raises ValueError when they are not
 outcome probabilities there.
@@ -41,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counters import CounterKind, MeasurementModel, build_counter, compose_models
+from .counters import CounterKind, MeasurementModel, build_counter, build_joint
 from .ensemble import Ensemble
 from .errors import NumericInconsistency, ZeroProbability
 
@@ -108,8 +109,8 @@ def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
 def _outcome_pass(model: MeasurementModel, ensemble: Ensemble):
     """Images M|psi(a)> of every outcome and state, (K, N, dim), and from
     their squared norms the conditionals p(m|a) (K, N), totals p(m) (K,)
-    and posteriors p(a|m) (K, N); an outcome of zero total probability has
-    a zero posterior."""
+    and posteriors p(a|m) (K, N), and whether every total is positive; an
+    outcome of zero total probability has a zero posterior."""
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
     images = ensemble.states @ model.operators.transpose(0, 2, 1)
@@ -119,17 +120,18 @@ def _outcome_pass(model: MeasurementModel, ensemble: Ensemble):
     posterior = ensemble.weights * cond
     totals = posterior.sum(axis=1)
     reached = totals > 0.0
-    if reached.all():
+    everywhere = bool(reached.all())
+    if everywhere:
         posterior /= totals[:, None]
     else:
         posterior[reached] /= totals[reached, None]
         posterior[~reached] = 0.0
-    return images, cond, totals, posterior
+    return images, cond, totals, posterior, everywhere
 
 
 def outcome_statistics(model: MeasurementModel, ensemble: Ensemble) -> list[OutcomeStats]:
     """Conditional probabilities p(m|a), totals p(m), and posteriors p(a|m)."""
-    _, cond, totals, posterior = _outcome_pass(model, ensemble)
+    _, cond, totals, posterior, _ = _outcome_pass(model, ensemble)
     return [
         OutcomeStats(outcome=outcome, conditional=c, total=t, posterior=p)
         for outcome, c, t, p in zip(model.outcomes, cond, totals.tolist(), posterior)
@@ -160,16 +162,19 @@ def _figures(weights, cond, post, totals, overlaps, backgrounds) -> np.ndarray:
     reversibility sums of R outcomes, one column of a (4, R) array each,
     from R rows of conditionals (every one positive), posteriors and
     overlaps, and the R totals and backgrounds."""
+    figures = np.empty((4, len(totals)))
     terms = cond / totals[:, None]
     np.log2(terms, out=terms)
     terms *= post
+    terms.sum(axis=1, out=figures[0])
     # This outcome's share of H(M) - H(M|A), from the prior and p(m|a).
-    shares = np.sum(weights * cond * np.log2(cond), axis=1) - totals * np.log2(totals)
+    shares = (weights * cond * np.log2(cond)).sum(axis=1)
+    np.subtract(shares, totals * np.log2(totals), out=figures[1])
     # Fidelity: posterior average of |<psi(a)|psi(m,a)>|; reversibility:
     # posterior average of background / p(m|a).
-    fidelities = np.sum(post * (overlaps / np.sqrt(cond)), axis=1)
-    reversibilities = np.sum(post * (backgrounds[:, None] / cond), axis=1)
-    return np.array([np.sum(terms, axis=1), shares, fidelities, reversibilities])
+    (post * (overlaps / np.sqrt(cond))).sum(axis=1, out=figures[2])
+    (post * (backgrounds[:, None] / cond)).sum(axis=1, out=figures[3])
+    return figures
 
 
 def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
@@ -182,40 +187,40 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     ZeroProbability if some outcome has zero total probability, since its
     fidelity and reversibility are undefined.
     """
-    images, cond, totals, posterior = _outcome_pass(model, ensemble)
+    images, cond, totals, posterior, reached = _outcome_pass(model, ensemble)
     effects = model.support_effects(ensemble.support_dim)
-    unreached = totals <= 0.0
-    if unreached.any():
-        outcome = model.outcomes[int(np.argmax(unreached))]
+    if not reached:
+        outcome = model.outcomes[int(np.argmax(totals <= 0.0))]
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     # The products overwrite the images, which nothing reads afterwards, so
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
-    overlaps = np.abs(np.sum(products, axis=2))
-    lowest = effects.min(axis=1).tolist()
-    backgrounds = {outcome: max(0.0, b) for outcome, b in zip(model.outcomes, lowest)}
-    floors = np.array(list(backgrounds.values()))
+    overlaps = np.abs(products.sum(axis=2))
+    floors = np.maximum(effects.min(axis=1), 0.0)
+    backgrounds = dict(zip(model.outcomes, floors.tolist()))
     weights = ensemble.weights
 
-    # Rows with a zero conditional are compacted to their positive entries
-    # one by one; every other row is reduced in one stacked call.
     positive = cond > 0.0
-    full = positive.all(axis=1)
-    figures = np.empty((4, len(model.outcomes)))
-    rows = slice(None) if full.all() else full
-    figures[:, rows] = _figures(
-        weights, cond[rows], posterior[rows], totals[rows], overlaps[rows], floors[rows]
-    )
-    for k in np.flatnonzero(~full):
-        mask = positive[k]
-        figures[:, k] = _figures(
-            weights[mask],
-            cond[k, mask][None],
-            posterior[k, mask][None],
-            totals[k : k + 1],
-            overlaps[k, mask][None],
-            floors[k : k + 1],
-        )[:, 0]
+    if positive.all():
+        figures = _figures(weights, cond, posterior, totals, overlaps, floors)
+    else:
+        # Rows with a zero conditional are compacted to their positive
+        # entries one by one; every other row is reduced in one stacked call.
+        full = positive.all(axis=1)
+        figures = np.empty((4, len(model.outcomes)))
+        figures[:, full] = _figures(
+            weights, cond[full], posterior[full], totals[full], overlaps[full], floors[full]
+        )
+        for k in np.flatnonzero(~full):
+            mask = positive[k]
+            figures[:, k] = _figures(
+                weights[mask],
+                cond[k, mask][None],
+                posterior[k, mask][None],
+                totals[k : k + 1],
+                overlaps[k, mask][None],
+                floors[k : k + 1],
+            )[:, 0]
 
     per_outcome: dict[str, OutcomeMetrics] = {}
     mutual_information = 0.0
@@ -271,15 +276,9 @@ def efficiency(information: float, fidelity: float) -> Optional[float]:
 
 def resolve_model(label: str, gamma: float, dim: int) -> MeasurementModel:
     """Model for a counter label, or for 'joint': an emitting counter
-    followed by an absorbing one."""
+    followed by an absorbing one, built as one model (build_joint)."""
     if label == "joint":
-        first = build_counter(CounterKind.QC, gamma, dim)
-        second = build_counter(CounterKind.PC, gamma, dim)
-        model = compose_models(first, second)
-        # Relabel the fresh, already validated model in place:
-        # dataclasses.replace would rebuild it and re-run the effect check.
-        object.__setattr__(model, "label", "joint")
-        return model
+        return build_joint(gamma, dim)
     return build_counter(CounterKind.parse(label), gamma, dim)
 
 

@@ -69,7 +69,6 @@ class TestPosterior:
     @pytest.mark.parametrize(
         "counter,outcome", [("pc", "0"), ("qc", "1"), ("qqc", "0"), ("joint", "11")]
     )
-    @pytest.mark.usefixtures("no_presets")
     def test_densities_match_the_dense_images(self, counter, outcome):
         # p(m|theta) and p(m) from populations times the diagonal effect,
         # against the squared norms of the images M|psi(theta)>
@@ -324,20 +323,13 @@ class TestOutputDiscipline:
         assert code == code2 == 0
         assert target.read_bytes().decode() == out
 
-    def test_environment_overrides_and_flag_precedence(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHOTOCOUNT_GAMMA", "0.2")
-        _, out, _ = run_cli(["metrics", "--counter", "pc", "--format", "json"], capsys)
-        assert json.loads(out)["config"]["gamma"] == 0.2
-        _, out, _ = run_cli(
-            ["metrics", "--counter", "pc", "--gamma", "0.1", "--format", "json"], capsys
-        )
-        assert json.loads(out)["config"]["gamma"] == 0.1
-
-    def test_invalid_environment_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHOTOCOUNT_SEED", "not-a-number")
-        code, _, err = run_cli(["metrics"], capsys)
-        assert code == 2
-        assert "PHOTOCOUNT_SEED" in err
+    def test_environment_sets_no_flag(self, capsys, monkeypatch):
+        # neither an invalid format nor another outcome reaches the command
+        monkeypatch.setenv("PHOTOCOUNT_FORMAT", "xml")
+        monkeypatch.setenv("PHOTOCOUNT_OUTCOME", "0")
+        code, out, err = run_cli(["posterior", "--counter", "qc"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "posterior_qc_1.csv").read_text()
 
     def test_gamma_validation_is_usage_error(self, capsys):
         code, _, _ = run_cli(["metrics", "--gamma", "0.7"], capsys)
@@ -370,8 +362,7 @@ class TestFreshProcess:
         # None in sys.modules makes every import of scipy raise ImportError.
         probe = ("import sys; sys.modules['scipy'] = None; from photocount.cli import main; "
                  "raise SystemExit(main(sys.argv[1:]))")
-        env = {k: v for k, v in os.environ.items() if not k.startswith("PHOTOCOUNT_")}
-        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True)
+        run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout == (GOLDEN / f"{name}.csv").read_bytes()
 
@@ -435,13 +426,6 @@ class TestBlasThreads:
         assert outs[0] == outs[1] and outs[0]
 
 
-@pytest.fixture
-def no_presets(monkeypatch):
-    for key in [k for k in os.environ if k.startswith("PHOTOCOUNT_")]:
-        monkeypatch.delenv(key)
-
-
-@pytest.mark.usefixtures("no_presets")
 class TestMeanFidelityNote:
     @pytest.mark.parametrize("name,argv", [
         ("metrics_qqc", ["metrics", "--counter", "qqc"]),

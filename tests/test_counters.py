@@ -4,6 +4,7 @@ from oracles import build_counter_reference
 
 from photocount import (
     CounterKind,
+    MeasurementModel,
     build_counter,
     completeness_residual,
     compose_models,
@@ -84,6 +85,24 @@ class TestBuildCounter:
         assert (a == b) is False
         assert (a == a) is True
         assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("label", ["pc", "qc", "qpc", "qqc", "joint"])
+    def test_built_operators_are_read_only(self, label):
+        assert not resolve_model(label, 0.3, 5).operators.flags.writeable
+
+    def test_a_read_only_complex_array_is_kept_and_any_other_copied(self):
+        arr = build_counter(CounterKind.QC, 0.3, 5).operators.copy()
+        before = arr.tobytes()
+        copied = MeasurementModel(label="qc", outcomes=("0", "1"), operators=arr, gamma=0.3)
+        assert copied.operators is not arr and not copied.operators.flags.writeable
+        assert arr.flags.writeable and arr.tobytes() == before
+        arr.setflags(write=False)
+        kept = MeasurementModel(label="qc", outcomes=("0", "1"), operators=arr, gamma=0.3)
+        assert kept.operators is arr
+        real = arr.real.copy()
+        real.setflags(write=False)
+        converted = MeasurementModel(label="qc", outcomes=("0", "1"), operators=real, gamma=0.3)
+        assert converted.operators is not real and converted.operators.dtype == complex
 
 
 class TestCompletenessResidual:

@@ -10,7 +10,6 @@ change, with ``python tests/test_golden.py``.
 """
 
 import io
-import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -53,11 +52,6 @@ GOLDEN_FILES = [
 ]
 
 
-def _clear_env():
-    for name in [k for k in os.environ if k.startswith("PHOTOCOUNT_")]:
-        del os.environ[name]
-
-
 def _run(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -67,15 +61,12 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("name,fmt", GOLDEN_FILES)
-def test_output_matches_golden(name, fmt, monkeypatch):
-    for key in [k for k in os.environ if k.startswith("PHOTOCOUNT_")]:
-        monkeypatch.delenv(key)
+def test_output_matches_golden(name, fmt):
     expected = (GOLDEN / f"{name}.{fmt}").read_text()
     assert _run(CASES[name] + ["--format", fmt]) == expected
 
 
 if __name__ == "__main__":
-    _clear_env()
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt in GOLDEN_FILES:
         (GOLDEN / f"{name}.{fmt}").write_text(_run(CASES[name] + ["--format", fmt]))

@@ -368,10 +368,10 @@ class TestMutualInformationIdentity:
         exact = metrics._outcome_pass
 
         def skewed(model, ensemble):
-            images, cond, totals, posterior = exact(model, ensemble)
+            images, cond, totals, posterior, reached = exact(model, ensemble)
             cond = cond.copy()
             cond[1] *= 1.01
-            return images, cond, totals, posterior
+            return images, cond, totals, posterior, reached
 
         monkeypatch.setattr(metrics, "_outcome_pass", skewed)
         with pytest.raises(NumericInconsistency, match="mutual-information"):
@@ -448,21 +448,31 @@ class TestBatchedInformation:
 
 
 class TestResolveModel:
-    def test_joint_model_is_validated_once_per_stage(self, monkeypatch):
-        # two counters and their composition: the relabeled joint model is
-        # not rebuilt, so its effect check does not run a fourth time
-        checks = []
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Labels of the models whose construction runs the effect check."""
+        labels = []
         check = MeasurementModel.__post_init__
 
         def counted(model):
-            checks.append(model.label)
+            labels.append(model.label)
             check(model)
 
         monkeypatch.setattr(MeasurementModel, "__post_init__", counted)
+        return labels
+
+    def test_joint_model_is_validated_once_per_stage(self, checks):
+        # the joint model is built from the two counters' operator stacks,
+        # so only the model itself runs the effect check
         model = resolve_model("joint", 0.3, 6)
-        assert checks == ["qc", "pc", "pc*qc"]
+        assert checks == ["joint"]
         assert model.label == "joint"
         assert model.outcomes == ("00", "01", "10", "11")
+
+    @pytest.mark.parametrize("label", ["pc", "qc", "qpc", "qqc", "joint"])
+    def test_full_report_validates_one_model(self, label, bloch, checks):
+        full_report(label, 0.3, bloch)
+        assert checks == [label]
 
 
 class TestEfficiency:

@@ -96,3 +96,27 @@ def test_no_module_imports_another_modules_private_name():
 def test_reversal_imports_nothing_from_metrics():
     imported = {target for module, target, _ in _package_imports() if module == "reversal"}
     assert imported == {"counters", "ensemble", "errors"}
+
+
+def test_frozen_fields_are_set_only_in_post_init():
+    # A model or ensemble is mutated only while it is being constructed.
+    package = Path(photocount.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "__post_init__"
+            for node in ast.walk(function)
+        }
+        outside += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and id(node) not in inside
+        ]
+    assert outside == []

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     batched_reference,
+    build_counter_reference,
     compose_reference,
     evaluate_reference,
     min_effect_eigenvalue,
@@ -346,6 +347,28 @@ def test_compose_models_equals_the_per_pair_reference(first, second, gamma, dim)
     # One stacked product against one M2 @ M1 per outcome pair, byte for byte.
     a, b = build_counter(first, gamma, dim), build_counter(second, gamma, dim)
     got, want = compose_models(a, b), compose_reference(a, b)
+    assert got.outcomes == want.outcomes
+    assert got.operators.tobytes() == want.operators.tobytes()
+    assert got.effects.tobytes() == want.effects.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    log_gamma=st.floats(min_value=math.log(1e-8), max_value=math.log(0.5)),
+    dim=st.integers(min_value=4, max_value=8),
+)
+@example(log_gamma=math.log(1e-8), dim=4)
+@example(log_gamma=math.log(0.5), dim=8)
+def test_joint_model_equals_the_composition(log_gamma, dim):
+    # The joint model, built from the two closed-form stacks and validated
+    # once, against the composed models of the ladder-product counters.
+    gamma = min(math.exp(log_gamma), 0.5)
+    got = resolve_model("joint", gamma, dim)
+    want = compose_models(
+        build_counter_reference(CounterKind.QC, gamma, dim),
+        build_counter_reference(CounterKind.PC, gamma, dim),
+    )
+    assert (got.label, got.gamma) == ("joint", gamma)
     assert got.outcomes == want.outcomes
     assert got.operators.tobytes() == want.operators.tobytes()
     assert got.effects.tobytes() == want.effects.tobytes()
