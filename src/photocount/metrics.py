@@ -189,14 +189,14 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     """
     images, cond, totals, posterior, reached = _outcome_pass(model, ensemble)
     effects = model.support_effects(ensemble.support_dim)
-    if not reached:
+    if not reached and (totals <= 0.0).any():  # a NaN total is not zero
         outcome = model.outcomes[int(np.argmax(totals <= 0.0))]
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     # The products overwrite the images, which nothing reads afterwards, so
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
     overlaps = np.abs(products.sum(axis=2))
-    floors = np.maximum(effects.min(axis=1), 0.0)
+    floors = np.fmax(effects.min(axis=1), 0.0)  # fmax, like max(0.0, b), maps NaN to 0
     backgrounds = dict(zip(model.outcomes, floors.tolist()))
     weights = ensemble.weights
 

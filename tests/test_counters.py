@@ -86,10 +86,6 @@ class TestBuildCounter:
         assert (a == a) is True
         assert len({a, b, a}) == 2
 
-    @pytest.mark.parametrize("label", ["pc", "qc", "qpc", "qqc", "joint"])
-    def test_built_operators_are_read_only(self, label):
-        assert not resolve_model(label, 0.3, 5).operators.flags.writeable
-
     def test_a_read_only_complex_array_is_kept_and_any_other_copied(self):
         arr = build_counter(CounterKind.QC, 0.3, 5).operators.copy()
         before = arr.tobytes()

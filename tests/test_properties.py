@@ -31,6 +31,7 @@ from oracles import (
 from photocount import (
     CounterKind,
     Ensemble,
+    MeasurementModel,
     NonReversible,
     PhotocountError,
     ZeroProbability,
@@ -211,6 +212,18 @@ def test_evaluate_equals_the_per_outcome_reference(gamma, label, dim, nodes, vac
     model = resolve_model(label, gamma, dim)
     # repr tells every float apart bit for bit, and NaN from NaN-free values
     assert _outcome(evaluate, model, ens) == _outcome(evaluate_reference, model, ens)
+
+
+@pytest.mark.parametrize("entry", [(1, 1, 0), (0, 0, 0), (0, 1, 1)])
+def test_evaluate_equals_the_per_outcome_reference_on_a_nan_entry(entry):
+    # A NaN total is not a zero probability, and a NaN background reads 0,
+    # in the stacked pass as in the per-outcome loop.
+    operators = build_counter(CounterKind.QC, 0.3, 5).operators.copy()
+    operators[entry] = np.nan
+    model = MeasurementModel(label="nan", outcomes=("0", "1"), operators=operators, gamma=0.3)
+    ens = bloch_two_state_ensemble(16, 5)
+    with np.errstate(invalid="ignore"):
+        assert _outcome(evaluate, model, ens) == _outcome(evaluate_reference, model, ens)
 
 
 # X(n) of the no-count operator I - (gamma^2/2) X of each closed form.
