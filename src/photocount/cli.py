@@ -39,19 +39,12 @@ if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
-from .counters import GAMMA_MAX  # noqa: E402
+from .counters import GAMMA_MAX, LABELS, build_counter  # noqa: E402
 from .ensemble import bloch_two_state_ensemble, haar_populations  # noqa: E402
 from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
-from .metrics import (  # noqa: E402
-    batched_information,
-    evaluate,
-    full_report,
-    gamma_sweep,
-    resolve_model,
-)
+from .metrics import batched_information, evaluate, full_report, gamma_sweep  # noqa: E402
 from .reversal import trajectory_sim  # noqa: E402
 
-COUNTER_CHOICES = ("pc", "qc", "qpc", "qqc", "joint")
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
 
 
@@ -117,7 +110,7 @@ def _note_mean_fidelity_above_one(means) -> None:
 
 def cmd_posterior(args: argparse.Namespace) -> dict:
     """Prior and posterior angular densities for one outcome on a theta grid."""
-    model = resolve_model(args.counter, args.gamma, args.dim)
+    model = build_counter(args.counter, args.gamma, args.dim)
     if args.outcome not in model.outcomes:
         raise ValueError(f"outcome must be one of {model.outcomes}")
     # Both levels' populations against the outcome's diagonal effect give
@@ -215,7 +208,7 @@ def cmd_haar(args: argparse.Namespace) -> dict:
     populations = haar_populations(args.d, args.samples, args.seed, args.dim)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
-        model = resolve_model(label, args.gamma, args.dim)
+        model = build_counter(label, args.gamma, args.dim)
         values[label], batches[label] = batched_information(model, populations, outcome="1")
 
     def standard_error(batch: np.ndarray) -> float:
@@ -247,12 +240,17 @@ def _haar_table(results: dict):
 
 def cmd_reverse(args: argparse.Namespace) -> dict:
     """Analytic and Monte Carlo reversal statistics for a reversible counter."""
+    model = build_counter(args.counter, args.gamma, args.dim)
+    if "1" not in model.outcomes:
+        raise NonReversible(
+            f"counter {args.counter!r} has no one-count outcome '1' to reverse;"
+            f" its outcomes are {', '.join(model.outcomes)}"
+        )
     if args.counter not in ("qc", "qqc"):
         raise NonReversible(
             f"counter {args.counter!r} has background = 0 for the one-count process"
         )
     ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
-    model = resolve_model(args.counter, args.gamma, args.dim)
     analytic = evaluate(model, ens).per_outcome["1"].reversibility
     sim = trajectory_sim(model, ens, trials=args.samples, seed=args.seed)
     # The rate and the recovery fidelity are conditional means; without a
@@ -289,7 +287,7 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--counter", choices=COUNTER_CHOICES, default="pc", help="counter model (default: pc)"
+        "--counter", choices=LABELS, default="pc", help="counter model (default: pc)"
     )
     common.add_argument("--gamma", type=float, default=0.3)
     common.add_argument("--theta-nodes", type=int, default=64)

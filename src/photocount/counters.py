@@ -13,10 +13,10 @@ X the corresponding quadratic form; the leftover completeness defect is
 O(gamma^4) and is tracked explicitly by ``completeness_residual`` instead of
 being absorbed into an exact square root.
 
-The ``joint`` counter (``build_joint``: qc, then pc) multiplies the two
-closed-form stacks as ``compose_models`` does and validates one model.  A
-model keeps a read-only complex operator array and copies any other one
-(``fock.read_only``), so a caller's writeable array stays writeable.
+``build_counter`` builds each counter in ``LABELS``: these four and ``joint``
+(qc, then pc), whose stacks it multiplies as ``compose_models`` does into
+one validated model.  A model copies any operator array that something
+writeable backs (``fock.read_only``), so its effects cannot go stale.
 
 A model owns its support contract: ``MeasurementModel.support_effects`` is
 the one check that the effects on a state family's support are outcome
@@ -26,7 +26,6 @@ probabilities, and every figure computed from them reads them through it.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,11 +34,9 @@ import numpy as np
 from .fock import ladder, matrix_exponential, read_only
 
 __all__ = [
-    "CounterKind",
     "MeasurementModel",
     "background",
     "build_counter",
-    "build_joint",
     "completeness_residual",
     "compose_models",
     "probe_model_operators",
@@ -55,18 +52,8 @@ _DIAGONAL_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # the smallest positive normal double
 
 
-class CounterKind(enum.Enum):
-    PC = "pc"
-    QC = "qc"
-    QPC = "qpc"
-    QQC = "qqc"
-
-    @classmethod
-    def parse(cls, label: str) -> "CounterKind":
-        try:
-            return cls(label.lower())
-        except ValueError:
-            raise ValueError(f"unknown counter kind {label!r}") from None
+# The counters build_counter builds, as the CLI's --counter flag names them.
+LABELS = ("pc", "qc", "qpc", "qqc", "joint")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,15 +147,15 @@ def background(model: MeasurementModel, outcome: str, support_dim: int) -> float
     return max(0.0, float(np.min(model.effect_for(outcome)[:support_dim])))
 
 
-# Per kind: the (row, column) where the one-count operator's diagonal of
-# nonzero entries starts (a on the superdiagonal, a^dag on the subdiagonal),
-# those entries, and X(n) of the no-count operator I - (gamma^2/2) X, as
-# functions of the number levels n = 0, ..., dim - 1.
+# Per paper counter: the (row, column) where the one-count operator's
+# diagonal of nonzero entries starts (a on the superdiagonal, a^dag on the
+# subdiagonal), those entries, and X(n) of the no-count operator
+# I - (gamma^2/2) X, as functions of the number levels n = 0, ..., dim - 1.
 _CLOSED_FORMS = {
-    CounterKind.PC: ((0, 1), lambda n: np.sqrt(n[1:]), lambda n: n),
-    CounterKind.QC: ((1, 0), lambda n: np.sqrt(n[1:]), lambda n: n + 1.0),
-    CounterKind.QPC: ((0, 0), lambda n: n, lambda n: n * n),
-    CounterKind.QQC: ((0, 0), lambda n: n + 1.0, lambda n: (n + 1.0) ** 2),
+    "pc": ((0, 1), lambda n: np.sqrt(n[1:]), lambda n: n),
+    "qc": ((1, 0), lambda n: np.sqrt(n[1:]), lambda n: n + 1.0),
+    "qpc": ((0, 0), lambda n: n, lambda n: n * n),
+    "qqc": ((0, 0), lambda n: n + 1.0, lambda n: (n + 1.0) ** 2),
 }
 
 
@@ -180,10 +167,10 @@ def _validate(gamma: float, dim: int, allow_zero_gamma: bool = False) -> None:
         raise ValueError("truncation dimension must be at least 4")
 
 
-def _closed_form(kind: CounterKind, gamma: float, dim: int) -> np.ndarray:
+def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
     """Read-only (no-count, one-count) operator stack of a counter."""
     _validate(gamma, dim)
-    (row, column), one_count, quadratic = _CLOSED_FORMS[kind]
+    (row, column), one_count, quadratic = _CLOSED_FORMS[label]
     n = np.arange(dim, dtype=float)
     operators = np.zeros((2, dim, dim), dtype=complex)
     # Flattened row by row, a diagonal is a slice of step dim + 1.
@@ -195,25 +182,25 @@ def _closed_form(kind: CounterKind, gamma: float, dim: int) -> np.ndarray:
 
 
 def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Read-only stack of M2 @ M1 for each (second, first) operator pair."""
-    products = (second[:, None] @ first[None]).reshape(-1, *first.shape[1:])
+    """Read-only stack of M2 @ M1 for each (second, first) operator pair; the
+    product is frozen before the reshape, so no writeable array backs it."""
+    products = second[:, None] @ first[None]
     products.setflags(write=False)
-    return products
+    return products.reshape(-1, *first.shape[1:])
 
 
-def build_counter(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel:
-    """Closed-form two-outcome model for the requested counter."""
-    return MeasurementModel(
-        label=kind.value, outcomes=("0", "1"), operators=_closed_form(kind, gamma, dim), gamma=gamma
-    )
-
-
-def build_joint(gamma: float, dim: int) -> MeasurementModel:
-    """The emitting counter followed by the absorbing one: the operators and
-    outcomes of compose_models(build_counter(QC, ...), build_counter(PC, ...)),
-    bit for bit, as one model labeled 'joint' that is validated once."""
-    first, second = (_closed_form(kind, gamma, dim) for kind in (CounterKind.QC, CounterKind.PC))
-    return MeasurementModel(label="joint", outcomes=("00", "01", "10", "11"),
+def build_counter(label: str, gamma: float, dim: int) -> MeasurementModel:
+    """Closed-form model of a counter in LABELS; 'joint' has the operators and
+    outcomes of compose_models(build_counter("qc", ...), build_counter("pc",
+    ...)), bit for bit, validated once.  An unknown label raises ValueError
+    before gamma and dim are checked."""
+    if label not in LABELS:
+        raise ValueError(f"unknown counter kind {label!r}; expected one of {LABELS}")
+    if label != "joint":
+        return MeasurementModel(label=label, outcomes=("0", "1"),
+                                operators=_closed_form(label, gamma, dim), gamma=gamma)
+    first, second = (_closed_form(kind, gamma, dim) for kind in ("qc", "pc"))
+    return MeasurementModel(label=label, outcomes=("00", "01", "10", "11"),
                             operators=_products(first, second), gamma=gamma)
 
 
@@ -241,26 +228,29 @@ def compose_models(first: MeasurementModel, second: MeasurementModel) -> Measure
     )
 
 
-def probe_hamiltonian(kind: CounterKind, dim: int) -> np.ndarray:
+def probe_hamiltonian(label: str, dim: int) -> np.ndarray:
     """Field-probe coupling with the energy scale factored out.
 
     The joint basis is field-major: index 2n + p with p the probe level.
     For the absorbing/emitting counters the probe is a two-level atom under
     an exchange coupling; for the QND counters it is a pair of degenerate
-    levels driven at a rate set by the photon-number form.
+    levels driven at a rate set by the photon-number form.  'joint' and an
+    unknown label have no probe and raise ValueError.
     """
+    if label not in _CLOSED_FORMS:
+        raise ValueError(f"no probe model for counter {label!r}")
     raise_op = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
     lower_op = raise_op.conj().T
     flip = raise_op + lower_op
-    if kind in (CounterKind.PC, CounterKind.QC):
+    if label in ("pc", "qc"):
         a = ladder("annihilation", dim)
         return np.kron(a, raise_op) + np.kron(a.conj().T, lower_op)
-    if kind is CounterKind.QPC:
+    if label == "qpc":
         return np.kron(ladder("number", dim), flip)
     return np.kron(ladder("antinormal_number", dim), flip)
 
 
-def probe_model_operators(kind: CounterKind, gamma: float, dim: int) -> MeasurementModel:
+def probe_model_operators(label: str, gamma: float, dim: int) -> MeasurementModel:
     """Exact measurement operators from the unitary probe interaction.
 
     The probe starts in |g> (pc) or |e> (qc) or the first QND level, evolves
@@ -270,11 +260,11 @@ def probe_model_operators(kind: CounterKind, gamma: float, dim: int) -> Measurem
     phase of -i on the one-count branch.
     """
     _validate(gamma, dim, allow_zero_gamma=True)
-    joint_unitary = matrix_exponential(probe_hamiltonian(kind, dim), -1j * gamma)
-    init = 1 if kind is CounterKind.QC else 0
+    joint_unitary = matrix_exponential(probe_hamiltonian(label, dim), -1j * gamma)
+    init = 1 if label == "qc" else 0
     count_on = 1 - init
     return MeasurementModel(
-        label=f"probe_{kind.value}",
+        label=f"probe_{label}",
         outcomes=("0", "1"),
         operators=(joint_unitary[init::2, init::2], joint_unitary[count_on::2, init::2]),
         gamma=gamma,

@@ -37,11 +37,17 @@ def ladder(kind: str, dim: int) -> np.ndarray:
 
 def read_only(array, dtype) -> np.ndarray:
     """array as a read-only ndarray of dtype, the form in which models and
-    ensembles hold their arrays: a read-only input of that dtype is kept as
-    it is, anything else is copied, so the caller's own arrays stay
-    writeable."""
-    if isinstance(array, np.ndarray) and array.dtype == dtype and not array.flags.writeable:
-        return array
+    ensembles hold their arrays.  An input of that dtype is kept as it is
+    when nothing writeable backs it: it and every array it views are
+    read-only, down to one that owns its memory.  Anything else is copied,
+    so a held array cannot change under its holder, and the caller's own
+    arrays stay writeable."""
+    if isinstance(array, np.ndarray) and array.dtype == dtype:
+        backing = array
+        while isinstance(backing, np.ndarray) and not backing.flags.writeable:
+            backing = backing.base
+        if backing is None:
+            return array
     out = np.array(array, dtype=dtype)
     out.setflags(write=False)
     return out

@@ -18,11 +18,11 @@ the effects).  An outcome row with a zero conditional is reduced on its own,
 over its positive entries.  The two identities (mean information equals
 the mutual information H(M) - H(M|A) computed from the prior and p(m|a);
 mean reversibility equals the sum of backgrounds) are checked once, to
-1e-10, in that pass.  full_report is evaluate on the model of a counter
-label, which resolve_model builds and validates once, also for 'joint'
-(counters.build_joint); a caller that needs one figure reads it from the
-report.  Both raise ZeroProbability when some outcome has zero total
-probability.  outcome_statistics is a view of the same pass.  evaluate and
+1e-10, in that pass.  full_report is evaluate on the model that
+counters.build_counter builds and validates once for a counter label, also
+for 'joint'; a caller that needs one figure reads it from the report.  Both
+raise ZeroProbability when some outcome has zero total probability.
+outcome_statistics is a view of the same pass.  evaluate and
 batched_information read the effects on the support through
 MeasurementModel.support_effects, which raises ValueError when they are not
 outcome probabilities there.
@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counters import CounterKind, MeasurementModel, build_counter, build_joint
+from .counters import MeasurementModel, build_counter
 from .ensemble import Ensemble
 from .errors import NumericInconsistency, ZeroProbability
 
@@ -55,7 +55,6 @@ __all__ = [
     "efficiency",
     "evaluate",
     "full_report",
-    "resolve_model",
     "batched_information",
     "fit_gamma_squared",
     "gamma_sweep",
@@ -274,17 +273,9 @@ def efficiency(information: float, fidelity: float) -> Optional[float]:
     return information / (1.0 - fidelity)
 
 
-def resolve_model(label: str, gamma: float, dim: int) -> MeasurementModel:
-    """Model for a counter label, or for 'joint': an emitting counter
-    followed by an absorbing one, built as one model (build_joint)."""
-    if label == "joint":
-        return build_joint(gamma, dim)
-    return build_counter(CounterKind.parse(label), gamma, dim)
-
-
 def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     """All per-outcome and mean figures of merit for one counter at one gamma."""
-    return evaluate(resolve_model(label, gamma, ensemble.dim), ensemble)
+    return evaluate(build_counter(label, gamma, ensemble.dim), ensemble)
 
 
 def batched_information(

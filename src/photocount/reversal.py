@@ -3,9 +3,9 @@
 A one-count process with operator M is physically reversible on a subspace
 when M has a bounded left inverse there; the reversing measurement is the
 two-outcome model {success, fail} with success operator eta * pinv(M) and a
-Hermitian square-root completion on the fail branch.  |eta|^2 is capped by
-the background of M, and at the cap the success probability conditioned on
-a one-count equals the reversibility figure of the counter.
+Hermitian square-root completion on the fail branch.  |eta|^2 is the
+background of M, its largest valid value, where the success probability
+conditioned on a one-count equals the reversibility figure of the counter.
 """
 
 from __future__ import annotations
@@ -54,20 +54,18 @@ class ReversingMeasurement:
 
 
 def build_reversing(
-    model: MeasurementModel, outcome: str, support_dim: int, eta_fraction: float = 1.0
+    model: MeasurementModel, outcome: str, support_dim: int
 ) -> ReversingMeasurement:
     """Reversing measurement for one outcome of a model on the lowest
     support_dim levels.
 
     The success operator is eta * pinv(M restricted to those levels), zero
-    off the support image; |eta|^2 = eta_fraction * background keeps the pair
-    {success, fail} a valid measurement, with equality at eta_fraction = 1
-    giving the maximal success probability.  The background must exceed
-    _INVERSE_FLOOR times the largest effect on the support, so the test does
-    not depend on the coupling's scale.
+    off the support image; |eta|^2 = background, the largest value that
+    keeps the pair {success, fail} a valid measurement, gives the maximal
+    success probability.  The background must exceed _INVERSE_FLOOR times
+    the largest effect on the support, so the test does not depend on the
+    coupling's scale.
     """
-    if not 0.0 < eta_fraction <= 1.0:
-        raise ValueError("eta_fraction must lie in (0, 1]")
     floor = background(model, outcome, support_dim)
     if floor <= _INVERSE_FLOOR * float(np.max(model.effect_for(outcome)[:support_dim])):
         raise NonReversible(
@@ -76,8 +74,7 @@ def build_reversing(
     op = model.operator_for(outcome)
     restricted = op.copy()
     restricted[:, support_dim:] = 0.0
-    eta_sq = eta_fraction * floor
-    success = np.sqrt(eta_sq) * np.linalg.pinv(restricted)
+    success = np.sqrt(floor) * np.linalg.pinv(restricted)
     defect = np.eye(model.dim) - success.conj().T @ success
     eigvals, eigvecs = np.linalg.eigh(defect)
     fail = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
@@ -85,7 +82,7 @@ def build_reversing(
         target_outcome=outcome,
         success_op=success,
         fail_op=fail,
-        eta_sq=float(eta_sq),
+        eta_sq=floor,
     )
 
 
@@ -207,7 +204,7 @@ def trajectory_sim(
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
     model.support_effects(ensemble.support_dim)
-    rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
+    rev = build_reversing(model, "1", ensemble.support_dim)
 
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]
     success_given_one = np.minimum(rev.eta_sq / cond_one, 1.0)

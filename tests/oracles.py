@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from photocount import (
-    CounterKind,
     CounterReport,
     MeasurementModel,
     NumericInconsistency,
@@ -28,17 +27,17 @@ def build_counter_reference(kind, gamma, dim):
     products; the creation operator is the transpose of the annihilation
     operator.  build_counter must give the same operator bytes."""
     one_count, form = {
-        CounterKind.PC: (ladder("annihilation", dim), "number"),
-        CounterKind.QC: (ladder("annihilation", dim).T, "antinormal_number"),
-        CounterKind.QPC: (ladder("number", dim), "number"),
-        CounterKind.QQC: (ladder("antinormal_number", dim), "antinormal_number"),
+        "pc": (ladder("annihilation", dim), "number"),
+        "qc": (ladder("annihilation", dim).T, "antinormal_number"),
+        "qpc": (ladder("number", dim), "number"),
+        "qqc": (ladder("antinormal_number", dim), "antinormal_number"),
     }[kind]
     quadratic = ladder(form, dim)
-    if kind in (CounterKind.QPC, CounterKind.QQC):
+    if kind in ("qpc", "qqc"):
         quadratic = quadratic @ quadratic
     one = gamma * one_count
     no = np.eye(dim, dtype=complex) - (gamma**2 / 2.0) * quadratic
-    return MeasurementModel(label=kind.value, outcomes=("0", "1"), operators=(no, one), gamma=gamma)
+    return MeasurementModel(label=kind, outcomes=("0", "1"), operators=(no, one), gamma=gamma)
 
 
 def compose_reference(first, second):
@@ -242,7 +241,7 @@ def trajectory_reference(kind, gamma, ensemble, trials, seed):
     model = build_counter(kind, gamma, ensemble.dim)
     model.support_effects(ensemble.support_dim)
     one_count_op = model.operator_for("1")
-    rev = build_reversing(model, "1", ensemble.support_dim, eta_fraction=1.0)
+    rev = build_reversing(model, "1", ensemble.support_dim)
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]
     success_given_one = np.minimum(rev.eta_sq / cond_one, 1.0)
     fidelities = np.array(

@@ -76,7 +76,7 @@ def test_02_one_count_fidelities(bloch):
     }
     errs = {}
     for label in LABELS:
-        model = pc.resolve_model(label, 0.3, 5)
+        model = pc.build_counter(label, 0.3, 5)
         errs[label] = abs(pc.evaluate(model, bloch).per_outcome["1"].fidelity - targets[label])
     check(
         "02 one-count fidelities",
@@ -88,7 +88,7 @@ def test_02_one_count_fidelities(bloch):
 def test_03_one_count_reversibilities(bloch):
     errs = {}
     for label in LABELS:
-        model = pc.resolve_model(label, 0.3, 5)
+        model = pc.build_counter(label, 0.3, 5)
         rev = pc.evaluate(model, bloch).per_outcome["1"].reversibility
         errs[label] = abs(rev - REVERSIBILITIES[label])
     check(
@@ -101,7 +101,7 @@ def test_03_one_count_reversibilities(bloch):
 def test_04_one_count_total_probabilities(bloch):
     errs = {}
     for label in LABELS:
-        model = pc.resolve_model(label, 0.3, 5)
+        model = pc.build_counter(label, 0.3, 5)
         stats = pc.outcome_statistics(model, bloch)
         errs[label] = abs(stats[1].total - ONE_COUNT_PROBS[label])
     check(
@@ -148,7 +148,7 @@ def test_06_identity_suite(bloch):
     ok = True
     for label in LABELS:
         for gamma in (0.1, 0.3):
-            model = pc.resolve_model(label, gamma, 5)
+            model = pc.build_counter(label, gamma, 5)
             stats = pc.outcome_statistics(model, bloch)
             by_outcome = sum(s.total * pc.information_gain(s) for s in stats)
             # H(M) - H(M|A) from the prior weights and p(m|a)
@@ -178,10 +178,9 @@ def test_07_probe_model_equivalence():
     failures = []
     worst = 0.0
     for label in LABELS:
-        kind = pc.CounterKind.parse(label)
         for gamma in (0.05, 0.1, 0.2):
-            probe = pc.probe_model_operators(kind, gamma, 6).operator_for("1")
-            closed = pc.build_counter(kind, gamma, 6).operator_for("1")
+            probe = pc.probe_model_operators(label, gamma, 6).operator_for("1")
+            closed = pc.build_counter(label, gamma, 6).operator_for("1")
             a = probe @ support
             b = closed @ support
             inner = np.trace(b.conj().T @ a)
@@ -200,10 +199,10 @@ def test_07_probe_model_equivalence():
 
 def test_08_joint_measurement_proportionality():
     joint = pc.compose_models(
-        pc.build_counter(pc.CounterKind.QC, 0.3, 6),
-        pc.build_counter(pc.CounterKind.PC, 0.3, 6),
+        pc.build_counter("qc", 0.3, 6),
+        pc.build_counter("pc", 0.3, 6),
     )
-    reference = pc.build_counter(pc.CounterKind.QQC, 0.3, 6).operator_for("1")
+    reference = pc.build_counter("qqc", 0.3, 6).operator_for("1")
     dev = pc.proportionality_deviation(joint.operator_for("11"), reference, 2)
     check("08 double count implements the QND quantum counter", dev <= 1e-12, f"dev = {dev:.2e}")
 
@@ -212,7 +211,7 @@ def test_09_reversal_end_to_end(bloch):
     ok = True
     details = []
     for label, target in (("qc", 2 / 3), ("qqc", 2 / 5)):
-        model = pc.resolve_model(label, 0.3, 5)
+        model = pc.build_counter(label, 0.3, 5)
         analytic = pc.evaluate(model, bloch).per_outcome["1"].reversibility
         ok = ok and abs(analytic - target) <= 1e-12
 
@@ -239,7 +238,7 @@ def test_09_reversal_end_to_end(bloch):
 def test_10_polar_structure():
     devs = {
         label: pc.unitary_part_deviation(
-            pc.build_counter(pc.CounterKind.parse(label), 0.3, 5).operator_for("1")
+            pc.build_counter(label, 0.3, 5).operator_for("1")
         )
         for label in LABELS
     }
@@ -260,7 +259,7 @@ def test_11_three_level_information_ordering():
     populations = pc.haar_populations(3, 1_000_000, 42, 5)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
-        model = pc.resolve_model(label, 0.3, 5)
+        model = pc.build_counter(label, 0.3, 5)
         values[label], batches[label] = pc.batched_information(model, populations, "1")
     diff = values["qpc"] - values["pc"]
     diff_se = float(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photocount import bloch_two_state_ensemble, cli, resolve_model
+from photocount import bloch_two_state_ensemble, build_counter, cli
 from photocount.cli import format_number, main
 
 
@@ -75,7 +75,7 @@ class TestPosterior:
         argv = ["posterior", "--counter", counter, "--outcome", outcome, "--dim", "6"]
         args = cli.build_parser().parse_args(argv)
         results = cli.cmd_posterior(args)
-        op = resolve_model(counter, args.gamma, args.dim).operator_for(outcome)
+        op = build_counter(counter, args.gamma, args.dim).operator_for(outcome)
         ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
         total = ens.weights @ np.sum(np.abs(ens.states @ op.T) ** 2, axis=1)
         half = np.deg2rad(results["theta_degrees"]) / 2
@@ -285,6 +285,17 @@ class TestReverse:
         code, _, err = run_cli(["reverse", "--counter", "pc"], capsys)
         assert code == 3
         assert "background = 0" in err
+
+    def test_joint_counter_has_no_one_count_to_reverse(self, capsys):
+        # Its double count "11" has a positive background; the command
+        # reverses outcome "1", which the joint counter does not have.
+        code, out, err = run_cli(["reverse", "--counter", "joint"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: counter 'joint' has no one-count outcome '1' to reverse;"
+            " its outcomes are 00, 01, 10, 11\n"
+        )
 
 
 class TestOutputDiscipline:

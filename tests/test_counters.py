@@ -3,7 +3,6 @@ import pytest
 from oracles import build_counter_reference
 
 from photocount import (
-    CounterKind,
     MeasurementModel,
     build_counter,
     completeness_residual,
@@ -11,12 +10,11 @@ from photocount import (
     ladder,
     probe_model_operators,
     proportionality_deviation,
-    resolve_model,
     unitary_part_deviation,
 )
 from photocount.counters import probe_hamiltonian
 
-ALL_KINDS = tuple(CounterKind)
+ALL_KINDS = ("pc", "qc", "qpc", "qqc")
 
 
 class TestBuildCounter:
@@ -26,30 +24,30 @@ class TestBuildCounter:
     def test_operators_match_the_ladder_products_bit_for_bit(self, label, dim, gamma):
         if label == "joint":
             want = compose_models(
-                build_counter_reference(CounterKind.QC, gamma, dim),
-                build_counter_reference(CounterKind.PC, gamma, dim),
+                build_counter_reference("qc", gamma, dim),
+                build_counter_reference("pc", gamma, dim),
             )
         else:
-            want = build_counter_reference(CounterKind(label), gamma, dim)
-        got = resolve_model(label, gamma, dim)
+            want = build_counter_reference(label, gamma, dim)
+        got = build_counter(label, gamma, dim)
         assert got.outcomes == want.outcomes
         assert got.operators.tobytes() == want.operators.tobytes()
         assert got.effects.tobytes() == want.effects.tobytes()
 
     def test_absorbing_one_count_annihilates(self):
-        model = build_counter(CounterKind.PC, 0.3, 4)
+        model = build_counter("pc", 0.3, 4)
         image = model.operator_for("1") @ np.eye(4)[1]
         assert abs(image[0] - 0.3) < 1e-15
         assert np.allclose(image[1:], 0.0)
 
     def test_qnd_quantum_one_count_diagonal(self):
-        model = build_counter(CounterKind.QQC, 0.3, 4)
+        model = build_counter("qqc", 0.3, 4)
         diag = np.diag(model.operator_for("1"))
         assert abs(diag[0] - 0.3) < 1e-15
         assert abs(diag[1] - 0.6) < 1e-15
 
     def test_emitting_counter_fires_on_vacuum(self):
-        model = build_counter(CounterKind.QC, 0.3, 4)
+        model = build_counter("qc", 0.3, 4)
         op = model.operator_for("1")
         prob = float(np.linalg.norm(op @ np.eye(4)[0]) ** 2)
         assert abs(prob - 0.09) < 1e-15
@@ -59,10 +57,10 @@ class TestBuildCounter:
         n = ladder("number", dim)
         anti = ladder("antinormal_number", dim)
         expected = {
-            CounterKind.PC: np.eye(dim) - gamma**2 / 2 * n,
-            CounterKind.QC: np.eye(dim) - gamma**2 / 2 * anti,
-            CounterKind.QPC: np.eye(dim) - gamma**2 / 2 * (n @ n),
-            CounterKind.QQC: np.eye(dim) - gamma**2 / 2 * (anti @ anti),
+            "pc": np.eye(dim) - gamma**2 / 2 * n,
+            "qc": np.eye(dim) - gamma**2 / 2 * anti,
+            "qpc": np.eye(dim) - gamma**2 / 2 * (n @ n),
+            "qqc": np.eye(dim) - gamma**2 / 2 * (anti @ anti),
         }
         for kind, mat in expected.items():
             model = build_counter(kind, gamma, dim)
@@ -71,23 +69,29 @@ class TestBuildCounter:
     @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.6])
     def test_gamma_range_enforced(self, gamma):
         with pytest.raises(ValueError):
-            build_counter(CounterKind.PC, gamma, 5)
+            build_counter("pc", gamma, 5)
 
     def test_dim_floor_enforced(self):
         with pytest.raises(ValueError):
-            build_counter(CounterKind.PC, 0.3, 3)
+            build_counter("pc", 0.3, 3)
 
+    @pytest.mark.parametrize("label", ["QC", "joint ", "probe_qc", ""])
+    def test_unknown_label_is_refused_before_the_coupling(self, label):
+        # Labels are case-sensitive, as the CLI's choices are; the label is
+        # checked before gamma, which is out of range here.
+        with pytest.raises(ValueError, match=f"unknown counter kind {label!r}"):
+            build_counter(label, 0.9, 5)
 
     def test_models_compare_and_hash_by_identity(self):
         # The operator arrays have no single truth value, so two equal
         # builds are different objects, not an error.
-        a, b = build_counter(CounterKind.PC, 0.3, 5), build_counter(CounterKind.PC, 0.3, 5)
+        a, b = build_counter("pc", 0.3, 5), build_counter("pc", 0.3, 5)
         assert (a == b) is False
         assert (a == a) is True
         assert len({a, b, a}) == 2
 
     def test_a_read_only_complex_array_is_kept_and_any_other_copied(self):
-        arr = build_counter(CounterKind.QC, 0.3, 5).operators.copy()
+        arr = build_counter("qc", 0.3, 5).operators.copy()
         before = arr.tobytes()
         copied = MeasurementModel(label="qc", outcomes=("0", "1"), operators=arr, gamma=0.3)
         assert copied.operators is not arr and not copied.operators.flags.writeable
@@ -100,19 +104,37 @@ class TestBuildCounter:
         converted = MeasurementModel(label="qc", outcomes=("0", "1"), operators=real, gamma=0.3)
         assert converted.operators is not real and converted.operators.dtype == complex
 
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        # The view cannot be written, but its base can: a model that kept the
+        # view would report effects its operators no longer have.
+        fresh = build_counter("qc", 0.3, 5)
+        base = fresh.operators.copy()
+        view = base[:]
+        view.setflags(write=False)
+        model = MeasurementModel(label="qc", outcomes=("0", "1"), operators=view, gamma=0.3)
+        base[1] *= 2.0
+        assert model.operators.tobytes() == fresh.operators.tobytes()
+        assert model.effects.tobytes() == fresh.effects.tobytes()
+
+    def test_the_joint_stack_is_kept_without_a_copy(self):
+        # _products freezes the product before reshaping it, so the model
+        # keeps the view and nothing writeable backs it.
+        operators = build_counter("joint", 0.3, 5).operators
+        assert operators.base is not None and not operators.base.flags.writeable
+
 
 class TestCompletenessResidual:
     def test_absorbing_counter_residual_value(self):
-        model = build_counter(CounterKind.PC, 0.3, 5)
+        model = build_counter("pc", 0.3, 5)
         residual = completeness_residual(model, 2)
         assert abs(residual - 0.3**4 / 4) < 1e-15
 
     def test_qnd_photon_residual_value(self):
-        model = build_counter(CounterKind.QPC, 0.1, 5)
+        model = build_counter("qpc", 0.1, 5)
         residual = completeness_residual(model, 2)
         assert abs(residual - 2.5e-5) < 1e-15
 
-    @pytest.mark.parametrize("kind", [CounterKind.PC, CounterKind.QPC])
+    @pytest.mark.parametrize("kind", ["pc", "qpc"])
     def test_residual_scales_as_fourth_power(self, kind):
         r1 = completeness_residual(build_counter(kind, 0.1, 5), 2)
         r2 = completeness_residual(build_counter(kind, 0.2, 5), 2)
@@ -127,58 +149,58 @@ class TestCompletenessResidual:
 
 class TestComposeModels:
     def test_double_count_implements_qnd_quantum(self):
-        first = build_counter(CounterKind.QC, 0.3, 6)
-        second = build_counter(CounterKind.PC, 0.3, 6)
+        first = build_counter("qc", 0.3, 6)
+        second = build_counter("pc", 0.3, 6)
         joint = compose_models(first, second)
         both = joint.operator_for("11")
         # gamma^2 * a adag as a truncated product
         a = ladder("annihilation", 6)
         expected = 0.09 * (a @ a.T)
         assert np.max(np.abs(both - expected)) < 1e-15
-        reference = build_counter(CounterKind.QQC, 0.3, 6).operator_for("1")
+        reference = build_counter("qqc", 0.3, 6).operator_for("1")
         dev = proportionality_deviation(both, reference, 2)
         assert dev < 1e-12
 
     def test_double_no_count_is_the_direct_product(self):
-        first = build_counter(CounterKind.PC, 0.2, 5)
-        second = build_counter(CounterKind.PC, 0.2, 5)
+        first = build_counter("pc", 0.2, 5)
+        second = build_counter("pc", 0.2, 5)
         joint = compose_models(first, second)
         n = ladder("number", 5)
         expected = (np.eye(5) - 0.02 * n) @ (np.eye(5) - 0.02 * n)
         assert np.max(np.abs(joint.operator_for("00") - expected)) < 1e-15
 
     def test_weak_second_stage_recovers_first(self):
-        first = build_counter(CounterKind.QC, 0.3, 6)
-        second = build_counter(CounterKind.PC, 1e-3, 6)
+        first = build_counter("qc", 0.3, 6)
+        second = build_counter("pc", 1e-3, 6)
         joint = compose_models(first, second)
         for m in ("0", "1"):
             delta = joint.operator_for(f"0{m}") - first.operator_for(m)
             assert np.max(np.abs(delta)) < 2 * (1e-3) ** 2 * 6
 
     def test_outcome_labels_read_second_then_first(self):
-        first = build_counter(CounterKind.QC, 0.3, 5)
-        second = build_counter(CounterKind.PC, 0.3, 5)
+        first = build_counter("qc", 0.3, 5)
+        second = build_counter("pc", 0.3, 5)
         joint = compose_models(first, second)
         assert joint.outcomes == ("00", "01", "10", "11")
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compose_models(
-                build_counter(CounterKind.PC, 0.3, 5),
-                build_counter(CounterKind.PC, 0.3, 6),
+                build_counter("pc", 0.3, 5),
+                build_counter("pc", 0.3, 6),
             )
 
 
 def block_rotation_one_count(kind, gamma, dim):
     """Independent oracle: per-level 2x2 rotation of the probe interaction."""
     mat = np.zeros((dim, dim), dtype=complex)
-    if kind is CounterKind.PC:
+    if kind == "pc":
         for n in range(1, dim):
             mat[n - 1, n] = -1j * np.sin(gamma * np.sqrt(n))
-    elif kind is CounterKind.QC:
+    elif kind == "qc":
         for n in range(dim - 1):
             mat[n + 1, n] = -1j * np.sin(gamma * np.sqrt(n + 1))
-    elif kind is CounterKind.QPC:
+    elif kind == "qpc":
         mat[np.diag_indices(dim)] = -1j * np.sin(gamma * np.arange(dim))
     else:
         mat[np.diag_indices(dim)] = -1j * np.sin(gamma * np.arange(1, dim + 1))
@@ -204,7 +226,7 @@ class TestProbeModels:
         model = probe_model_operators(kind, 0.1, 5)
         oracle = block_rotation_one_count(kind, 0.1, 5)
         delta = np.abs(model.operator_for("1") - oracle)
-        if kind is CounterKind.QC:
+        if kind == "qc":
             delta = delta[:, :-1]  # top level is truncation-dark in the joint space
         assert np.max(delta) < 1e-13
 
@@ -214,13 +236,20 @@ class TestProbeModels:
         total = sum(op.conj().T @ op for op in model.operators)
         assert np.max(np.abs(total - np.eye(5))) < 1e-13
 
+    @pytest.mark.parametrize("label", ["joint", "QC", "bogus"])
+    def test_a_label_without_a_probe_is_refused(self, label):
+        with pytest.raises(ValueError, match=f"no probe model for counter {label!r}"):
+            probe_hamiltonian(label, 5)
+        with pytest.raises(ValueError, match=f"no probe model for counter {label!r}"):
+            probe_model_operators(label, 0.1, 5)
+
     def test_zero_coupling_is_trivial(self):
-        model = probe_model_operators(CounterKind.PC, 0.0, 5)
+        model = probe_model_operators("pc", 0.0, 5)
         assert np.max(np.abs(model.operator_for("1"))) < 1e-15
         assert np.max(np.abs(model.operator_for("0") - np.eye(5))) < 1e-15
 
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2, 0.3])
-    @pytest.mark.parametrize("kind", [CounterKind.PC, CounterKind.QC, CounterKind.QPC])
+    @pytest.mark.parametrize("kind", ["pc", "qc", "qpc"])
     def test_closed_forms_agree_within_gamma_cubed(self, kind, gamma):
         probe = probe_model_operators(kind, gamma, 6)
         closed = build_counter(kind, gamma, 6)
@@ -233,8 +262,8 @@ class TestProbeModels:
     def test_qnd_quantum_deviation_is_the_sine_defect(self, gamma):
         # the one-count eigenvalue on |1> is 2*gamma, so the deviation is
         # |2g - sin 2g| ~ (4/3) g^3: larger than g^3 at every coupling
-        probe = probe_model_operators(CounterKind.QQC, gamma, 6)
-        closed = build_counter(CounterKind.QQC, gamma, 6)
+        probe = probe_model_operators("qqc", gamma, 6)
+        closed = build_counter("qqc", gamma, 6)
         dev = phase_aligned_deviation(
             probe.operator_for("1"), closed.operator_for("1"), 2
         )

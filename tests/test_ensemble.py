@@ -8,9 +8,9 @@ from photocount import (
     Ensemble,
     batched_information,
     bloch_two_state_ensemble,
+    build_counter,
     evaluate,
     haar_populations,
-    resolve_model,
 )
 
 LN2 = np.log(2.0)
@@ -89,7 +89,7 @@ class TestBlochEnsemble:
             weights=bloch64.weights,
             thetas=bloch64.thetas,
         )
-        model = resolve_model("pc", 0.3, 5)
+        model = build_counter("pc", 0.3, 5)
         fidelities = [
             evaluate(model, ens).per_outcome["1"].fidelity for ens in (phased, bloch64)
         ]
@@ -125,7 +125,7 @@ class TestHaarEnsemble:
         populations = np.zeros((10_000, 2))
         populations[::2, 0] = 1.0
         populations[1::2, 1] = 1.0
-        full, _ = batched_information(resolve_model("pc", 0.3, 4), populations, "1")
+        full, _ = batched_information(build_counter("pc", 0.3, 4), populations, "1")
         assert abs(full - 1.0) < 1e-12
 
     def test_deterministic_for_a_seed(self):
@@ -162,7 +162,7 @@ class TestHaarEnsemble:
         tracemalloc.start()
         try:
             populations = haar_populations(4, 10**6, 42, 6)
-            batched_information(resolve_model("pc", 0.3, 6), populations, "1")
+            batched_information(build_counter("pc", 0.3, 6), populations, "1")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -174,7 +174,7 @@ class TestHaarEnsemble:
         # of 65,536 rows: 9.1 MB measured at 10^6 rows.  Full-length
         # weights, posterior and terms arrays would take 33 MB.
         populations = haar_populations(4, 10**6, 42, 6)
-        model = resolve_model("pc", 0.3, 6)
+        model = build_counter("pc", 0.3, 6)
         tracemalloc.start()
         try:
             batched_information(model, populations, "1")
@@ -234,6 +234,22 @@ class TestImmutability:
         states[0, 0] = 0.0
         weights[0] = 0.0
         assert ens.states[0, 0] == 1.0 and ens.weights[0] == 0.5
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self, bloch64):
+        # Read-only views whose bases stay writeable: the ensemble copies
+        # them, so writing the bases changes neither its arrays nor the
+        # statistics read from them.
+        states, weights = bloch64.states.copy(), bloch64.weights.copy()
+        views = states[:], weights[:]
+        for view in views:
+            view.setflags(write=False)
+        ens = Ensemble(support_dim=2, states=views[0], weights=views[1], thetas=bloch64.thetas)
+        states[:, 0], states[:, 1] = states[:, 1].copy(), states[:, 0].copy()
+        weights[::-1] = weights.copy()
+        for name in ("states", "weights", "populations"):
+            assert getattr(ens, name).tobytes() == getattr(bloch64, name).tobytes(), name
+        model = build_counter("qc", 0.3, 5)
+        assert evaluate(model, ens) == evaluate(model, bloch64)
 
     def test_constructed_ensembles_are_read_only(self, bloch64):
         for array in (bloch64.states, bloch64.weights, bloch64.populations):

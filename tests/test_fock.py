@@ -4,7 +4,7 @@ import scipy.linalg
 from oracles import min_effect_eigenvalue, polar_factors
 
 from photocount import ladder, matrix_exponential
-from photocount.counters import probe_hamiltonian, CounterKind
+from photocount.counters import probe_hamiltonian
 
 
 def brute_force_creation(dim):
@@ -137,14 +137,14 @@ class TestMatrixExponential:
 
     def test_exchange_coupling_block_against_series(self):
         gamma = 0.3
-        h = probe_hamiltonian(CounterKind.PC, 4)
+        h = probe_hamiltonian("pc", 4)
         out = matrix_exponential(h, -1j * gamma)
         oracle = series_exponential(h, -1j * gamma)
         assert np.max(np.abs(out - oracle)) < 1e-13
         # |1, g> (index 2) <-> |0, e> (index 1): off-diagonal magnitude sin(gamma)
         assert abs(abs(out[1, 2]) - np.sin(gamma)) < 1e-13
 
-    @pytest.mark.parametrize("kind", list(CounterKind))
+    @pytest.mark.parametrize("kind", ["pc", "qc", "qpc", "qqc"])
     @pytest.mark.parametrize("dim", [4, 5, 8])
     def test_hermitian_path_matches_scipy_expm(self, kind, dim):
         # Hermitian operators take the eigendecomposition path, scipy's

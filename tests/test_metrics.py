@@ -4,7 +4,6 @@ from oracles import haar_states
 
 import photocount.metrics as metrics
 from photocount import (
-    CounterKind,
     Ensemble,
     NumericInconsistency,
     ZeroProbability,
@@ -20,7 +19,6 @@ from photocount import (
     information_gain,
     outcome_statistics,
     post_measurement_state,
-    resolve_model,
 )
 from photocount.counters import MeasurementModel
 from photocount.fock import ladder
@@ -64,7 +62,7 @@ class TestEffects:
         # reads qpc's n^2 plus twice pc's n plus gamma^2
         gamma = 0.3
         effects = {
-            label: build_counter(CounterKind(label), gamma, 6).effect_for("1")
+            label: build_counter(label, gamma, 6).effect_for("1")
             for label in ("pc", "qpc", "qqc")
         }
         rng = np.random.default_rng(17)
@@ -75,13 +73,13 @@ class TestEffects:
             assert abs(p["qqc"] - (p["qpc"] + 2 * p["pc"] + gamma**2)) < 1e-12
 
     def test_absorbing_counter_ignores_vacuum(self):
-        model = build_counter(CounterKind.PC, 0.3, 5)
+        model = build_counter("pc", 0.3, 5)
         assert model.effect_for("1")[0] == 0.0
         vacuum = np.eye(5)[0]
         assert born_probability(model.operator_for("1"), vacuum) < 1e-30
 
     def test_emitting_counter_on_one_photon(self):
-        model = build_counter(CounterKind.QC, 0.3, 5)
+        model = build_counter("qc", 0.3, 5)
         assert abs(model.effect_for("1")[1] - 0.18) < 1e-15
 
     def test_identity_gives_unity(self):
@@ -93,7 +91,7 @@ class TestEffects:
 
     @pytest.mark.parametrize("label", ALL_LABELS + ("joint",))
     def test_effects_are_born_probabilities_on_random_states(self, label):
-        model = resolve_model(label, 0.3, 6)
+        model = build_counter(label, 0.3, 6)
         rng = np.random.default_rng(23)
         for _ in range(200):
             raw = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -123,7 +121,7 @@ class TestEffects:
         assert not model.operators.flags.writeable
 
     def test_unknown_outcome_raises_key_error(self):
-        model = build_counter(CounterKind.QC, 0.3, 5)
+        model = build_counter("qc", 0.3, 5)
         with pytest.raises(KeyError):
             model.effect_for("2")
         with pytest.raises(KeyError):
@@ -132,30 +130,30 @@ class TestEffects:
 
 class TestPostMeasurementState:
     def test_absorbing_one_count_collapses_to_vacuum(self):
-        op = build_counter(CounterKind.PC, 0.3, 5).operator_for("1")
+        op = build_counter("pc", 0.3, 5).operator_for("1")
         post = post_measurement_state(op, plus_state())
         assert abs(abs(post[0]) - 1.0) < 1e-12
 
     def test_qnd_photon_one_count_projects_out_vacuum(self):
-        op = build_counter(CounterKind.QPC, 0.3, 5).operator_for("1")
+        op = build_counter("qpc", 0.3, 5).operator_for("1")
         post = post_measurement_state(op, plus_state())
         assert abs(abs(post[1]) - 1.0) < 1e-12
 
     def test_qnd_quantum_one_count_preserves_number_states(self):
-        op = build_counter(CounterKind.QQC, 0.3, 5).operator_for("1")
+        op = build_counter("qqc", 0.3, 5).operator_for("1")
         posts = post_measurement_state(op, np.eye(5)[:3])
         for n in range(3):
             assert abs(abs(posts[n, n]) - 1.0) < 1e-12
 
     def test_impossible_outcome_raises(self):
         for gamma in (0.3, 1e-8):
-            op = build_counter(CounterKind.PC, gamma, 5).operator_for("1")
+            op = build_counter("pc", gamma, 5).operator_for("1")
             with pytest.raises(ZeroProbability):
                 post_measurement_state(op, np.eye(5)[:2])
 
     def test_small_coupling_outcome_is_reachable(self):
         # p = gamma^2 = 1e-16: small, but a count on |1> leaves |0>
-        op = build_counter(CounterKind.PC, 1e-8, 5).operator_for("1")
+        op = build_counter("pc", 1e-8, 5).operator_for("1")
         post = post_measurement_state(op, np.eye(5)[1])
         assert abs(abs(post[0]) - 1.0) < 1e-12
 
@@ -163,13 +161,13 @@ class TestPostMeasurementState:
 class TestOutcomeStatistics:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_totals(self, bloch, label):
-        model = resolve_model(label, 0.3, 5)
+        model = build_counter(label, 0.3, 5)
         stats = outcome_statistics(model, bloch)
         one = stats[model.outcomes.index("1")]
         assert abs(one.total - P1_CLOSED[label]) < 1e-12
 
     def test_posterior_definition_and_normalization(self, bloch):
-        model = resolve_model("qc", 0.3, 5)
+        model = build_counter("qc", 0.3, 5)
         for s in outcome_statistics(model, bloch):
             assert abs(s.total - float(np.sum(bloch.weights * s.conditional))) < 1e-12
             expected = bloch.weights * s.conditional / s.total
@@ -178,7 +176,7 @@ class TestOutcomeStatistics:
 
     def test_emitting_posterior_keeps_vacuum_alive(self, bloch):
         # posterior/prior at theta -> 0 tends to (0 + 1)/(3/2) = 2/3
-        model = resolve_model("qc", 0.3, 5)
+        model = build_counter("qc", 0.3, 5)
         stats = outcome_statistics(model, bloch)
         one = stats[1]
         idx = int(np.argmin(bloch.thetas))
@@ -189,7 +187,7 @@ class TestOutcomeStatistics:
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
     def test_totals_sum_to_one_within_completeness_defect(self, bloch, label, gamma):
-        model = resolve_model(label, gamma, 5)
+        model = build_counter(label, gamma, 5)
         residual = completeness_residual(model, bloch.support_dim)
         total = sum(s.total for s in outcome_statistics(model, bloch))
         assert abs(total - 1.0) <= 2 * residual + 1e-12
@@ -198,26 +196,26 @@ class TestOutcomeStatistics:
 class TestInformationGain:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_closed_forms(self, bloch, label):
-        model = resolve_model(label, 0.3, 5)
+        model = build_counter(label, 0.3, 5)
         stats = outcome_statistics(model, bloch)
         assert abs(information_gain(stats[1]) - I1_CLOSED[label]) < 1e-9
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_gains_are_nonnegative(self, bloch, label):
-        model = resolve_model(label, 0.3, 5)
+        model = build_counter(label, 0.3, 5)
         for s in outcome_statistics(model, bloch):
             assert information_gain(s) >= 0.0
 
     @pytest.mark.parametrize("label", ALL_LABELS + ("joint",))
     def test_gains_are_nonnegative_at_tiny_coupling(self, bloch, label):
         # At gamma = 1e-4 the no-count relative entropy rounds to about -8e-17.
-        model = resolve_model(label, 1e-4, 5)
+        model = build_counter(label, 1e-4, 5)
         for s in outcome_statistics(model, bloch):
             assert information_gain(s) >= 0.0
 
     def test_one_count_gain_is_coupling_independent(self, bloch):
-        model_a = resolve_model("qqc", 0.1, 5)
-        model_b = resolve_model("qqc", 0.3, 5)
+        model_a = build_counter("qqc", 0.1, 5)
+        model_b = build_counter("qqc", 0.3, 5)
         ga = information_gain(outcome_statistics(model_a, bloch)[1])
         gb = information_gain(outcome_statistics(model_b, bloch)[1])
         assert abs(ga - gb) < 1e-14
@@ -225,7 +223,7 @@ class TestInformationGain:
     def test_no_count_gain_vanishes_at_low_order(self, bloch):
         for label in ALL_LABELS:
             for gamma in (0.1, 0.3):
-                model = resolve_model(label, gamma, 5)
+                model = build_counter(label, gamma, 5)
                 stats = outcome_statistics(model, bloch)
                 assert information_gain(stats[0]) <= 10 * gamma**4
 
@@ -234,19 +232,19 @@ class TestMeanInformation:
     def test_absorbing_counter_quadratic_coefficient(self, bloch):
         # mean gain ~ 0.139 gamma^2 up to the O(gamma^4) no-count piece
         gamma = 0.3
-        value = evaluate(resolve_model("pc", gamma, 5), bloch).mean_information
+        value = evaluate(build_counter("pc", gamma, 5), bloch).mean_information
         assert abs(value - 0.5 * (1 - 1 / (2 * LN2)) * gamma**2) < gamma**4
 
     def test_qnd_quantum_quadratic_coefficient(self, bloch):
         gamma = 0.3
-        value = evaluate(resolve_model("qqc", gamma, 5), bloch).mean_information
+        value = evaluate(build_counter("qqc", gamma, 5), bloch).mean_information
         target = (47 / 6 - 5 / (4 * LN2) - 2.5 * np.log2(5)) * gamma**2
         assert abs(value - target) < 10 * gamma**4
 
     def test_scaled_mean_has_a_small_coupling_limit(self, bloch):
         gammas = np.array([0.05, 0.1, 0.2, 0.3])
         scaled = [
-            evaluate(resolve_model("pc", g, 5), bloch).mean_information / g**2
+            evaluate(build_counter("pc", g, 5), bloch).mean_information / g**2
             for g in gammas
         ]
         target = 0.5 * (1 - 1 / (2 * LN2))
@@ -256,7 +254,7 @@ class TestMeanInformation:
 
 class TestFidelity:
     def test_absorbing_one_count_fidelity(self, bloch):
-        model = resolve_model("pc", 0.3, 5)
+        model = build_counter("pc", 0.3, 5)
         assert abs(evaluate(model, bloch).per_outcome["1"].fidelity - 8 / 15) < 1e-9
 
     def test_emitting_one_count_fidelity_beta_value(self, bloch):
@@ -264,19 +262,19 @@ class TestFidelity:
 
         # independent quadrature for B(3/4, 3/2) = int s^(-1/4) (1-s)^(1/2) ds
         beta_value, _ = quad(lambda s: 1.0, 0.0, 1.0, weight="alg", wvar=(-0.25, 0.5))
-        model = resolve_model("qc", 0.3, 5)
+        model = build_counter("qc", 0.3, 5)
         fidelity = evaluate(model, bloch).per_outcome["1"].fidelity
         assert abs(fidelity - beta_value / 3) < 1e-9
 
     def test_qnd_one_count_fidelities(self, bloch):
         for label, target in (("qpc", 0.8), ("qqc", 652 / 675)):
-            fidelity = evaluate(resolve_model(label, 0.3, 5), bloch).per_outcome["1"].fidelity
+            fidelity = evaluate(build_counter(label, 0.3, 5), bloch).per_outcome["1"].fidelity
             assert abs(fidelity - target) < 1e-9
 
     def test_no_count_fidelity_close_to_unity(self, bloch):
         for label in ALL_LABELS:
             for gamma in (0.1, 0.3):
-                model = resolve_model(label, gamma, 5)
+                model = build_counter(label, gamma, 5)
                 assert 1 - evaluate(model, bloch).per_outcome["0"].fidelity <= 10 * gamma**4
 
     @pytest.mark.parametrize(
@@ -285,37 +283,37 @@ class TestFidelity:
     )
     def test_mean_fidelity_expansions(self, bloch, label, coefficient):
         gamma = 0.3
-        value = evaluate(resolve_model(label, gamma, 5), bloch).mean_fidelity
+        value = evaluate(build_counter(label, gamma, 5), bloch).mean_fidelity
         assert abs(value - (1 - coefficient * gamma**2)) < 20 * gamma**4
 
 
 class TestBackgroundAndReversibility:
     def test_support_outside_truncation_rejected(self):
-        model = resolve_model("qc", 0.3, 5)
+        model = build_counter("qc", 0.3, 5)
         for support_dim in (0, 6):
             with pytest.raises(ValueError, match="support dimension"):
                 background(model, "1", support_dim)
 
     def test_backgrounds(self, bloch):
         d = bloch.support_dim
-        assert background(resolve_model("pc", 0.3, 5), "1", d) < 1e-14
-        assert abs(background(resolve_model("qc", 0.3, 5), "1", d) - 0.09) < 1e-14
-        assert abs(background(resolve_model("qqc", 0.3, 5), "1", d) - 0.09) < 1e-14
+        assert background(build_counter("pc", 0.3, 5), "1", d) < 1e-14
+        assert abs(background(build_counter("qc", 0.3, 5), "1", d) - 0.09) < 1e-14
+        assert abs(background(build_counter("qqc", 0.3, 5), "1", d) - 0.09) < 1e-14
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_reversibilities(self, bloch, label):
-        model = resolve_model(label, 0.3, 5)
+        model = build_counter(label, 0.3, 5)
         rev = evaluate(model, bloch).per_outcome["1"].reversibility
         assert abs(rev - R1_CLOSED[label]) < 1e-12
 
     def test_no_count_reversibility_expansion(self, bloch):
         gamma = 0.3
-        value = evaluate(resolve_model("qc", gamma, 5), bloch).per_outcome["0"].reversibility
+        value = evaluate(build_counter("qc", gamma, 5), bloch).per_outcome["0"].reversibility
         assert abs(value - (1 - gamma**2 / 2)) < 1e-2
 
     def test_background_is_a_pointwise_floor(self, bloch):
         for label in ALL_LABELS:
-            model = resolve_model(label, 0.3, 5)
+            model = build_counter(label, 0.3, 5)
             b = background(model, "1", bloch.support_dim)
             stats = outcome_statistics(model, bloch)[1]
             assert b <= stats.conditional.min() + 1e-12
@@ -325,7 +323,7 @@ class TestBackgroundAndReversibility:
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
     def test_mean_reversibility_equals_background_sum(self, bloch, label, gamma):
-        model = resolve_model(label, gamma, 5)
+        model = build_counter(label, gamma, 5)
         total = sum(background(model, m, bloch.support_dim) for m in model.outcomes)
         assert abs(evaluate(model, bloch).mean_reversibility - total) < 1e-10
 
@@ -334,7 +332,7 @@ class TestBackgroundAndReversibility:
     )
     def test_mean_reversibility_expansions(self, bloch, label, coefficient):
         for gamma in (0.1, 0.3):
-            value = evaluate(resolve_model(label, gamma, 5), bloch).mean_reversibility
+            value = evaluate(build_counter(label, gamma, 5), bloch).mean_reversibility
             assert abs(value - (1 - coefficient * gamma**2)) < 5 * gamma**4
 
 
@@ -353,7 +351,7 @@ class TestMutualInformationIdentity:
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
     def test_outcome_average_equals_double_sum(self, bloch, label, gamma):
-        model = resolve_model(label, gamma, 5)
+        model = build_counter(label, gamma, 5)
         stats = outcome_statistics(model, bloch)
         by_outcome = sum(s.total * information_gain(s) for s in stats)
         conditionals = np.array([s.conditional for s in stats])
@@ -390,7 +388,7 @@ class TestBatchedInformation:
     def test_populations_path_matches_dense_images(self, d, label):
         states = haar_states(d, 20_000, 11, d + 2)
         weights = np.full(20_000, 1.0 / 20_000)
-        model = resolve_model(label, 0.3, d + 2)
+        model = build_counter(label, 0.3, d + 2)
         op = model.operator_for("1")
         cond = np.sum(np.abs(states @ op.T) ** 2, axis=1)
         populations = haar_populations(d, 20_000, 11, d + 2)
@@ -408,7 +406,7 @@ class TestBatchedInformation:
         # arrays of np.array_split(np.arange(n)) pick, so the gains are equal
         populations = haar_populations(3, 10_007, 5, 5)
         weights = np.full(10_007, 1.0 / 10_007)
-        model = resolve_model("qpc", 0.3, 5)
+        model = build_counter("qpc", 0.3, 5)
         cond = populations @ model.effect_for("1")[:3]
         _, batches = batched_information(model, populations, "1", n_batches)
         indexed = []
@@ -420,7 +418,7 @@ class TestBatchedInformation:
     def test_unknown_outcome_raises_key_error(self):
         populations = haar_populations(2, 10_000, 1, 4)
         with pytest.raises(KeyError):
-            batched_information(resolve_model("pc", 0.3, 4), populations, "2")
+            batched_information(build_counter("pc", 0.3, 4), populations, "2")
 
     def test_zero_total_batch_raises(self):
         # the first of 100 batches holds only the vacuum, where gamma * a
@@ -429,25 +427,25 @@ class TestBatchedInformation:
         populations[:100, 0] = 1.0
         populations[100:, 1] = 1.0
         with pytest.raises(ZeroProbability, match="'1'"):
-            batched_information(resolve_model("pc", 0.3, 4), populations, "1")
+            batched_information(build_counter("pc", 0.3, 4), populations, "1")
 
     @pytest.mark.parametrize("support_dim", [0, 5])
     def test_support_outside_truncation_rejected(self, support_dim):
         populations = np.full((10_000, support_dim), 1.0 / max(support_dim, 1))
         with pytest.raises(ValueError, match="support dimension"):
-            batched_information(resolve_model("pc", 0.3, 4), populations, "1")
+            batched_information(build_counter("pc", 0.3, 4), populations, "1")
 
     def test_effect_above_one_rejected(self):
         # gamma^2 n^2 of qpc is 2.25 on |3> at gamma = 0.5, and exactly 1 on |2>
         populations = haar_populations(4, 10_000, 1, 6)
-        model = resolve_model("qpc", 0.5, 6)
+        model = build_counter("qpc", 0.5, 6)
         with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 3"):
             batched_information(model, populations, "1")
         full, _ = batched_information(model, populations[:, :3], "1")
         assert full > 0.0
 
 
-class TestResolveModel:
+class TestOneValidatedModel:
     @pytest.fixture
     def checks(self, monkeypatch):
         """Labels of the models whose construction runs the effect check."""
@@ -464,7 +462,7 @@ class TestResolveModel:
     def test_joint_model_is_validated_once_per_stage(self, checks):
         # the joint model is built from the two counters' operator stacks,
         # so only the model itself runs the effect check
-        model = resolve_model("joint", 0.3, 6)
+        model = build_counter("joint", 0.3, 6)
         assert checks == ["joint"]
         assert model.label == "joint"
         assert model.outcomes == ("00", "01", "10", "11")
@@ -537,7 +535,7 @@ class TestFullReport:
             states=np.eye(5)[:1],
             weights=np.ones(1),
         )
-        model = resolve_model("pc", 0.3, 5)
+        model = build_counter("pc", 0.3, 5)
         with pytest.raises(ZeroProbability, match="'1'"):
             information_gain(outcome_statistics(model, vacuum)[1])
         with pytest.raises(ZeroProbability):
@@ -549,7 +547,7 @@ class TestFullReport:
         # gamma^2 n^2 of qpc is 2.25 on |3> at gamma = 0.5; the Bloch support
         # of the same model stays below 1
         ens = Ensemble(support_dim=4, states=np.eye(6)[:4], weights=np.full(4, 0.25))
-        model = resolve_model("qpc", 0.5, 6)
+        model = build_counter("qpc", 0.5, 6)
         with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 3"):
             evaluate(model, ens)
         evaluate(model, bloch_two_state_ensemble(16, 6))

@@ -15,7 +15,7 @@ import photocount
 
 # The names photocount exported when its __init__ imported every submodule.
 EXPORTED = {
-    "CounterKind", "MeasurementModel", "build_counter", "completeness_residual",
+    "MeasurementModel", "build_counter", "completeness_residual",
     "compose_models", "probe_model_operators", "proportionality_deviation",
     "unitary_part_deviation",
     "Ensemble", "bloch_two_state_ensemble", "haar_populations",
@@ -24,7 +24,7 @@ EXPORTED = {
     "ladder", "matrix_exponential",
     "CounterReport", "OutcomeMetrics", "OutcomeStats", "background", "batched_information",
     "efficiency", "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep",
-    "information_gain", "outcome_statistics", "post_measurement_state", "resolve_model",
+    "information_gain", "outcome_statistics", "post_measurement_state",
     "ReversingMeasurement", "TrajectoryStats", "build_reversing", "trajectory_sim",
     "verify_recovery",
 }

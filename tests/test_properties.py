@@ -5,8 +5,13 @@ residual, of the backgrounds and reversing measurements, of the polar
 structure of the one-count operators, of composition, of the stacked
 recovery, of the trajectory simulation and of the batched Monte Carlo gains
 over random couplings, truncations, quadrature sizes, sample counts, seeds
-and trial counts.  Derandomized, so every run draws the same examples."""
+and trial counts; and of the CLI's outputs and exit codes over random
+flags.  Derandomized, so every run draws the same examples."""
 
+import contextlib
+import csv
+import io
+import json
 import math
 import re
 import sys
@@ -29,7 +34,6 @@ from oracles import (
 )
 
 from photocount import (
-    CounterKind,
     Ensemble,
     MeasurementModel,
     NonReversible,
@@ -47,13 +51,14 @@ from photocount import (
     gamma_sweep,
     haar_populations,
     outcome_statistics,
-    resolve_model,
     trajectory_sim,
     unitary_part_deviation,
     verify_recovery,
 )
+from photocount import cli
+from photocount.counters import LABELS
 
-LABELS = ("pc", "qc", "qpc", "qqc", "joint")
+PAPER_LABELS = LABELS[:4]  # the two-outcome counters
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -65,7 +70,7 @@ LABELS = ("pc", "qc", "qpc", "qqc", "joint")
 )
 def test_full_report_properties(gamma, label, dim, nodes):
     ens = bloch_two_state_ensemble(nodes, dim)
-    model = resolve_model(label, gamma, dim)
+    model = build_counter(label, gamma, dim)
     support = model.effects[:, : ens.support_dim]
     if np.any((support > 0.0) & (support < sys.float_info.min)):
         # A subnormal effect on the support at tiny coupling is refused.
@@ -209,7 +214,7 @@ def test_evaluate_equals_the_per_outcome_reference(gamma, label, dim, nodes, vac
             states=np.vstack([ens.states, np.eye(dim)[:1]]),
             weights=np.append((1.0 - vacuum_weight) * ens.weights, vacuum_weight),
         )
-    model = resolve_model(label, gamma, dim)
+    model = build_counter(label, gamma, dim)
     # repr tells every float apart bit for bit, and NaN from NaN-free values
     assert _outcome(evaluate, model, ens) == _outcome(evaluate_reference, model, ens)
 
@@ -218,7 +223,7 @@ def test_evaluate_equals_the_per_outcome_reference(gamma, label, dim, nodes, vac
 def test_evaluate_equals_the_per_outcome_reference_on_a_nan_entry(entry):
     # A NaN total is not a zero probability, and a NaN background reads 0,
     # in the stacked pass as in the per-outcome loop.
-    operators = build_counter(CounterKind.QC, 0.3, 5).operators.copy()
+    operators = build_counter("qc", 0.3, 5).operators.copy()
     operators[entry] = np.nan
     model = MeasurementModel(label="nan", outcomes=("0", "1"), operators=operators, gamma=0.3)
     ens = bloch_two_state_ensemble(16, 5)
@@ -228,16 +233,16 @@ def test_evaluate_equals_the_per_outcome_reference_on_a_nan_entry(entry):
 
 # X(n) of the no-count operator I - (gamma^2/2) X of each closed form.
 QUADRATIC_FORMS = {
-    CounterKind.PC: lambda n: n,
-    CounterKind.QC: lambda n: n + 1,
-    CounterKind.QPC: lambda n: n**2,
-    CounterKind.QQC: lambda n: (n + 1) ** 2,
+    "pc": lambda n: n,
+    "qc": lambda n: n + 1,
+    "qpc": lambda n: n**2,
+    "qqc": lambda n: (n + 1) ** 2,
 }
 
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
-    kind=st.sampled_from(list(CounterKind)),
+    kind=st.sampled_from(PAPER_LABELS),
     gamma=st.floats(min_value=1e-2, max_value=0.5),
     dim=st.integers(min_value=4, max_value=8),
     support_dim=st.integers(min_value=1, max_value=2),
@@ -254,7 +259,7 @@ def test_completeness_residual_is_the_dropped_fourth_order_term(kind, gamma, dim
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
-    kind=st.sampled_from(list(CounterKind)),
+    kind=st.sampled_from(PAPER_LABELS),
     gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
     dim=st.integers(min_value=4, max_value=8),
 )
@@ -268,7 +273,7 @@ def test_polar_structure_properties(kind, gamma, dim):
     assert np.max(np.abs(p - p.conj().T)) / scale <= 1e-12
     assert np.linalg.eigvalsh(p)[0] / scale >= -1e-12
     deviation = unitary_part_deviation(op)
-    if kind in (CounterKind.QPC, CounterKind.QQC):
+    if kind in ("qpc", "qqc"):
         assert deviation <= 1e-12
     else:
         assert deviation >= 1.0
@@ -290,7 +295,7 @@ def test_polar_structure_properties(kind, gamma, dim):
 def test_background_is_the_minimum_eigenvalue_of_the_effect(gamma, label, dim, support_dim):
     # The smallest diagonal effect entry against the dense eigensolver on
     # M^dag M, for every outcome of the model.
-    model = resolve_model(label, gamma, dim)
+    model = build_counter(label, gamma, dim)
     for outcome, op in zip(model.outcomes, model.operators):
         oracle = max(0.0, min_effect_eigenvalue(op, support_dim))
         assert background(model, outcome, support_dim) == pytest.approx(
@@ -308,7 +313,7 @@ def test_background_is_the_minimum_eigenvalue_of_the_effect(gamma, label, dim, s
 def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, dim, support_dim):
     # |eta|^2 at the cap against the dense eigensolver on M^dag M
     label, outcome = target
-    model = resolve_model(label, gamma, dim)
+    model = build_counter(label, gamma, dim)
     oracle = min_effect_eigenvalue(model.operator_for(outcome), support_dim)
     if oracle <= 0.0:
         # The background underflows to zero at tiny coupling.
@@ -322,7 +327,7 @@ def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, di
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
-    kind=st.sampled_from([CounterKind.QC, CounterKind.QQC]),
+    kind=st.sampled_from(["qc", "qqc"]),
     gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
     nodes=st.integers(min_value=8, max_value=128),
     dim=st.integers(min_value=4, max_value=8),
@@ -351,8 +356,8 @@ def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, see
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
-    first=st.sampled_from(list(CounterKind)),
-    second=st.sampled_from(list(CounterKind)),
+    first=st.sampled_from(PAPER_LABELS),
+    second=st.sampled_from(PAPER_LABELS),
     gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
     dim=st.integers(min_value=4, max_value=8),
 )
@@ -376,10 +381,10 @@ def test_joint_model_equals_the_composition(log_gamma, dim):
     # The joint model, built from the two closed-form stacks and validated
     # once, against the composed models of the ladder-product counters.
     gamma = min(math.exp(log_gamma), 0.5)
-    got = resolve_model("joint", gamma, dim)
+    got = build_counter("joint", gamma, dim)
     want = compose_models(
-        build_counter_reference(CounterKind.QC, gamma, dim),
-        build_counter_reference(CounterKind.PC, gamma, dim),
+        build_counter_reference("qc", gamma, dim),
+        build_counter_reference("pc", gamma, dim),
     )
     assert (got.label, got.gamma) == ("joint", gamma)
     assert got.outcomes == want.outcomes
@@ -389,14 +394,14 @@ def test_joint_model_equals_the_composition(log_gamma, dim):
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
-    kind=st.sampled_from([CounterKind.QC, CounterKind.QQC]),
+    kind=st.sampled_from(["qc", "qqc"]),
     gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
     nodes=st.integers(min_value=8, max_value=128),
     dim=st.integers(min_value=4, max_value=8),
 )
 # Node 19 of this quadrature has a success probability whose libm square
 # (the reference's norm ** 2) and multiplied square differ in the last bit.
-@example(kind=CounterKind.QQC, gamma=0.5, nodes=64, dim=4)
+@example(kind="qqc", gamma=0.5, nodes=64, dim=4)
 def test_verify_recovery_equals_the_per_state_reference(kind, gamma, nodes, dim):
     ens = bloch_two_state_ensemble(nodes, dim)
     model = build_counter(kind, gamma, dim)
@@ -454,7 +459,7 @@ def test_batched_information_equals_the_full_length_reference(
     # none) give zero conditionals, which take the compacting path, and a
     # zero head of the sample can empty the first batches.
     dim = d + extra
-    model = resolve_model(label, gamma, dim)
+    model = build_counter(label, gamma, dim)
     outcome = model.outcomes[outcome_index % len(model.outcomes)]
     populations = haar_populations(d, n_samples, seed, dim)
     if zero_stride or zero_head:
@@ -464,3 +469,105 @@ def test_batched_information_equals_the_full_length_reference(
         populations[:zero_head] = 0.0
     want = _gains(model, populations, outcome, n_batches, batched_reference)
     assert _gains(model, populations, outcome, n_batches, batched_information) == want
+
+
+# What each printed result is: a probability (or fidelity or reversibility)
+# in [0, 1], a gain in [0, log2 support], or a number that need only be
+# finite; a value takes the kind of its outermost name listed here, and any
+# other value is finite.
+_CLI_KINDS = {
+    **dict.fromkeys(("information_gain", "information_gain_pc", "information_gain_qpc",
+                     "mean_information"), "gain"),
+    **dict.fromkeys(("probability", "total_probability", "background", "fidelity",
+                     "reversibility", "mean_fidelity", "mean_reversibility",
+                     "analytic_reversibility", "empirical_success_rate",
+                     "mean_recovery_fidelity"), "unit"),
+    **dict.fromkeys(("gamma2_coefficient", "fit_residual_rms"), "finite"),
+}
+
+
+def _cli_values(text, fmt):
+    """(names, value) of every value a CLI run printed: its path in the JSON
+    results, or its CSV row label (when the row has one) and column.  An
+    empty field or null is None."""
+    if fmt == "json":
+        stack = [((), json.loads(text)["results"])]
+        while stack:
+            names, value = stack.pop()
+            if isinstance(value, dict):
+                stack.extend(((*names, key), v) for key, v in value.items())
+            elif isinstance(value, list):
+                stack.extend((names, v) for v in value)
+            elif not isinstance(value, str):
+                yield names, value
+        return
+    header, *rows = csv.reader(io.StringIO(text))
+    for row in rows:
+        labelled = header[0] in ("outcome", "quantity") or row[0] in _CLI_KINDS
+        prefix = (row[0],) if labelled else ()
+        for column, cell in list(zip(header, row))[labelled:]:
+            yield (*prefix, column), float(cell) if cell else None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    command=st.sampled_from(sorted(cli.COMMANDS)),
+    counter=st.sampled_from(LABELS),
+    # Log-uniform down to 1e-200, where most couplings give subnormal or zero
+    # effects and are refused, and down to 1e-4, where most runs print
+    # figures; plus the largest coupling and 1.49e-154, whose effects are
+    # just below the smallest normal double.
+    gamma=st.one_of(
+        st.sampled_from([0.5, 1.49e-154]),
+        st.floats(math.log(1e-200), math.log(0.5)).map(math.exp),
+        st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
+    ),
+    dim=st.integers(min_value=4, max_value=8),
+    nodes=st.integers(min_value=8, max_value=96),
+    outcome=st.sampled_from(["0", "1", "00", "11", "2"]),
+    d=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+# The qqc means pass 1 (the stderr note); joint has four outcomes.
+@example(command="metrics", counter="qqc", gamma=0.3, dim=5, nodes=64, outcome="1", d=3,
+         seed=42, fmt="csv")
+@example(command="metrics", counter="joint", gamma=0.3, dim=6, nodes=64, outcome="1", d=3,
+         seed=42, fmt="json")
+@example(command="posterior", counter="joint", gamma=0.3, dim=5, nodes=64, outcome="11",
+         d=3, seed=42, fmt="json")
+def test_cli_prints_bounded_finite_numbers_or_fails_with_one_line(
+    command, counter, gamma, dim, nodes, outcome, d, seed, fmt
+):
+    # Monte Carlo sizes at the command floors: 10^5 Haar samples, 10^4
+    # reversal trials.
+    samples = 100_000 if command == "haar" else 10_000
+    argv = [command, "--counter", counter, "--gamma", repr(gamma), "--dim", str(dim),
+            "--theta-nodes", str(nodes), "--samples", str(samples), "--seed", str(seed),
+            "--format", fmt]
+    argv += {"posterior": ["--outcome", outcome], "haar": ["--d", str(d)]}.get(command, [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code != 0:
+        assert code in (2, 3, 4), err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+
+    support = d if command == "haar" else 2
+    # A mean sums p(m) = 1 + O(gamma^4) over outcomes (the note on stderr),
+    # so it may pass 1 by the completeness residual, at the sweep's largest
+    # coupling for sweep; 1e-11 covers the 12-digit printing.
+    model = build_counter(counter, 0.3 if command == "sweep" else gamma, dim)
+    slack = 1.0 + completeness_residual(model, 2) + 1e-11
+    for names, value in _cli_values(out, fmt):
+        if value is None:
+            # An undefined efficiency, and the mean row's empty fields.
+            assert "efficiency" in names or names[0] == "mean", names
+            continue
+        assert math.isfinite(value), names
+        kind = next((_CLI_KINDS[n] for n in names if n in _CLI_KINDS), "finite")
+        mean = any(n in ("mean", "means") or n.startswith("mean_") for n in names)
+        top = {"unit": 1.0, "gain": math.log2(support), "finite": math.inf}[kind]
+        assert kind == "finite" or 0.0 <= value <= top * (slack if mean else 1.0), (names, value)
