@@ -49,15 +49,14 @@ PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
 
 
 def format_number(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
+    """value as printed; None is an empty field, and a non-finite float is
+    refused (exit 4) rather than printed as one."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return ""
-        return format(v, ".12g")
+        if not math.isfinite(value):
+            raise PhotocountError(f"cannot print the non-finite number {float(value)!r}")
+        return format(float(value), ".12g")
     if value is None:
         return ""
     return str(value)
@@ -80,19 +79,13 @@ def _json_scalar(value) -> str:
 
 
 def _json_emit(value, level: int) -> str:
+    # A record nests non-empty dicts, and its lists hold numbers only.
     pad, inner = "  " * level, "  " * (level + 1)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [f"{inner}{json.dumps(str(k))}: {_json_emit(v, level + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
-            return "[" + ", ".join(_json_scalar(v) for v in seq) + "]"
-        return "[\n" + ",\n".join(f"{inner}{_json_emit(v, level + 1)}" for v in seq) + "\n" + pad + "]"
+        return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
     return _json_scalar(value)
 
 
@@ -246,13 +239,11 @@ def cmd_reverse(args: argparse.Namespace) -> dict:
             f"counter {args.counter!r} has no one-count outcome '1' to reverse;"
             f" its outcomes are {', '.join(model.outcomes)}"
         )
-    if args.counter not in ("qc", "qqc"):
-        raise NonReversible(
-            f"counter {args.counter!r} has background = 0 for the one-count process"
-        )
     ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
-    analytic = evaluate(model, ens).per_outcome["1"].reversibility
+    # The simulation builds the reversing measurement, so a one-count with
+    # zero background raises NonReversible before anything is evaluated.
     sim = trajectory_sim(model, ens, trials=args.samples, seed=args.seed)
+    analytic = evaluate(model, ens).per_outcome["1"].reversibility
     # The rate and the recovery fidelity are conditional means; without a
     # one-count or a success they are undefined rather than empty fields.
     if sim.one_counts == 0:
@@ -370,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Overflow, division by zero and invalid operations raise
-        # FloatingPointError instead of printing inf or NaN as empty fields.
+        # FloatingPointError where they happen, not at the output.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             _dispatch(args)
     except NonReversible as exc:

@@ -15,13 +15,14 @@ being absorbed into an exact square root.
 
 ``build_counter`` builds each counter in ``LABELS``: these four and ``joint``
 (qc, then pc), whose stacks it multiplies as ``compose_models`` does into
-one validated model.  A model copies any operator array that something
-writeable backs (``fock.read_only``), so its effects cannot go stale.
+one validated model.  A model holds a read-only copy of its operator
+array (``fock.read_only``), so its effects cannot go stale.
 
 A model owns its support contract: ``MeasurementModel.support_effects`` is
 the one check that the effects on a state family's support are outcome
 probabilities, and every figure computed from them reads them through it.
-``background`` and ``completeness_residual`` read them unchecked.
+``background`` and ``completeness_residual`` check only that the support
+lies in [1, dim].
 """
 
 from __future__ import annotations
@@ -33,16 +34,6 @@ import numpy as np
 
 from .fock import ladder, matrix_exponential, read_only
 
-__all__ = [
-    "MeasurementModel",
-    "background",
-    "build_counter",
-    "completeness_residual",
-    "compose_models",
-    "probe_model_operators",
-    "unitary_part_deviation",
-    "proportionality_deviation",
-]
 
 GAMMA_MAX = 0.5
 _SUPPORT_TOL = 1e-10
@@ -168,7 +159,7 @@ def _validate(gamma: float, dim: int, allow_zero_gamma: bool = False) -> None:
 
 
 def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
-    """Read-only (no-count, one-count) operator stack of a counter."""
+    """(no-count, one-count) operator stack of a counter."""
     _validate(gamma, dim)
     (row, column), one_count, quadratic = _CLOSED_FORMS[label]
     n = np.arange(dim, dtype=float)
@@ -177,16 +168,12 @@ def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
     flat = operators.reshape(2, -1)
     flat[0, :: dim + 1] = 1.0 - (gamma**2 / 2.0) * quadratic(n)
     flat[1, row * dim + column :: dim + 1] = gamma * one_count(n)
-    operators.setflags(write=False)
     return operators
 
 
 def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Read-only stack of M2 @ M1 for each (second, first) operator pair; the
-    product is frozen before the reshape, so no writeable array backs it."""
-    products = second[:, None] @ first[None]
-    products.setflags(write=False)
-    return products.reshape(-1, *first.shape[1:])
+    """Stack of M2 @ M1 for each (second, first) operator pair."""
+    return (second[:, None] @ first[None]).reshape(-1, *first.shape[1:])
 
 
 def build_counter(label: str, gamma: float, dim: int) -> MeasurementModel:
@@ -207,6 +194,7 @@ def build_counter(label: str, gamma: float, dim: int) -> MeasurementModel:
 def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
     """Spectral norm of I - sum_m M_m^dag M_m on the lowest support_dim levels:
     the largest |1 - sum_m effects[m, n]| there, since every effect is diagonal."""
+    _check_support(model, support_dim)
     return float(np.max(np.abs(1.0 - model.effects[:, :support_dim].sum(axis=0))))
 
 

@@ -20,11 +20,6 @@ import numpy as np
 
 from .fock import read_only
 
-__all__ = [
-    "Ensemble",
-    "bloch_two_state_ensemble",
-    "haar_populations",
-]
 
 # Rows normalized per block in haar_populations: the amplitudes and the
 # norm's temporaries then stay block-sized instead of growing with the
@@ -68,6 +63,8 @@ class Ensemble:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "populations", populations)
+        if self.thetas is not None:
+            object.__setattr__(self, "thetas", read_only(self.thetas, float))
 
     @property
     def dim(self) -> int:
@@ -103,10 +100,7 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     thetas = (x + 1.0) * (np.pi / 2.0)
     weights = (np.pi / 2.0) * w * np.sin(thetas) / 2.0
     weights = weights / weights.sum()
-    states = _bloch_states(thetas, dim)
-    for array in (states, weights):
-        array.setflags(write=False)
-    return Ensemble(support_dim=2, states=states, weights=weights, thetas=thetas)
+    return Ensemble(support_dim=2, states=_bloch_states(thetas, dim), weights=weights, thetas=thetas)
 
 
 def haar_populations(d: int, n_samples: int, seed: int, dim: int) -> np.ndarray:

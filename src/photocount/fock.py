@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ladder", "matrix_exponential"]
 
 LADDER_KINDS = ("annihilation", "number", "antinormal_number")
 
@@ -36,18 +35,9 @@ def ladder(kind: str, dim: int) -> np.ndarray:
 
 
 def read_only(array, dtype) -> np.ndarray:
-    """array as a read-only ndarray of dtype, the form in which models and
-    ensembles hold their arrays.  An input of that dtype is kept as it is
-    when nothing writeable backs it: it and every array it views are
-    read-only, down to one that owns its memory.  Anything else is copied,
-    so a held array cannot change under its holder, and the caller's own
-    arrays stay writeable."""
-    if isinstance(array, np.ndarray) and array.dtype == dtype:
-        backing = array
-        while isinstance(backing, np.ndarray) and not backing.flags.writeable:
-            backing = backing.base
-        if backing is None:
-            return array
+    """A read-only copy of array as an ndarray of dtype, the form in which
+    models and ensembles hold their arrays: a held array cannot change
+    under its holder, and the caller's own arrays stay writeable."""
     out = np.array(array, dtype=dtype)
     out.setflags(write=False)
     return out

@@ -46,19 +46,6 @@ from .counters import MeasurementModel, build_counter
 from .ensemble import Ensemble
 from .errors import NumericInconsistency, ZeroProbability
 
-__all__ = [
-    "OutcomeStats",
-    "OutcomeMetrics",
-    "CounterReport",
-    "outcome_statistics",
-    "information_gain",
-    "efficiency",
-    "evaluate",
-    "full_report",
-    "batched_information",
-    "fit_gamma_squared",
-    "gamma_sweep",
-]
 
 _IDENTITY_TOL = 1e-10
 # Rows per block of batched_information's log terms.

@@ -18,14 +18,6 @@ from .counters import MeasurementModel, background
 from .ensemble import Ensemble
 from .errors import NonReversible, ZeroProbability
 
-__all__ = [
-    "ReversingMeasurement",
-    "TrajectoryStats",
-    "build_reversing",
-    "post_measurement_state",
-    "verify_recovery",
-    "trajectory_sim",
-]
 
 # Unreachable-state floor of post_measurement_state, relative to ||op||_F^2.
 _PROB_FLOOR = 1e-15

@@ -157,6 +157,7 @@ class TestSubnormalCoupling:
         ["posterior", "--counter", "joint", "--outcome", "11", "--gamma", "3e-81"],
         ["haar", "--d", "2", "--gamma", "1.1e-161"],
         ["reverse", "--counter", "qc", "--gamma", "1.1e-161"],
+        ["reverse", "--counter", "pc", "--gamma", "1.1e-161"],
     ])
     def test_every_command_refuses_a_subnormal_effect(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -222,6 +223,12 @@ class TestHaar:
         code, _, _ = run_cli(["haar", "--samples", "1000"], capsys)
         assert code == 2
 
+    def test_superposition_dimension_is_two_to_four(self, capsys):
+        code, out, err = run_cli(["haar", "--d", "5", "--dim", "8"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: d must be 2, 3, or 4\n"
+
     def test_support_must_stay_below_truncation_edge(self, capsys):
         code, out, err = run_cli(["haar", "--d", "4", "--dim", "5"], capsys)
         assert code == 2
@@ -281,10 +288,19 @@ class TestReverse:
         assert out == ""
         assert "no one-count in 100000 trials" in err
 
-    def test_absorbing_counter_exits_nonreversible(self, capsys):
-        code, _, err = run_cli(["reverse", "--counter", "pc"], capsys)
+    @pytest.mark.parametrize("counter", ["pc", "qpc"])
+    def test_absorbing_counter_exits_nonreversible(self, capsys, counter):
+        code, _, err = run_cli(["reverse", "--counter", counter], capsys)
         assert code == 3
         assert "background = 0" in err
+
+    def test_underflowed_background_exits_nonreversible(self, capsys):
+        # gamma^2 = 1e-340 underflows to 0, so the qc one-count has no
+        # bounded left inverse, as for pc.
+        code, out, err = run_cli(["reverse", "--counter", "qc", "--gamma", "1e-170"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: background = 0; no bounded left inverse on the support\n"
 
     def test_joint_counter_has_no_one_count_to_reverse(self, capsys):
         # Its double count "11" has a positive background; the command
@@ -346,6 +362,17 @@ class TestOutputDiscipline:
         code, _, _ = run_cli(["metrics", "--gamma", "0.7"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--theta-nodes", "7"], "theta-nodes must be at least 8"),
+        (["--dim", "3"], "dim must be at least 4"),
+        (["--samples", "0"], "samples must be positive"),
+    ])
+    def test_shared_flag_range_is_usage_error(self, flags, message, capsys):
+        code, out, err = run_cli(["metrics", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_floating_point_error_is_numeric_failure(self, capsys, monkeypatch):
         def divide_by_zero(args):
             return {"value": np.float64(1.0) / np.float64(0.0)}
@@ -356,6 +383,17 @@ class TestOutputDiscipline:
         assert code == 4
         assert out == ""
         assert "divide by zero" in err
+
+    def test_non_finite_number_is_numeric_failure(self, capsys, monkeypatch):
+        # A NaN that no numpy operation raised on is refused at the output
+        # instead of printed as an empty field.
+        _, table = cli.COMMANDS["reverse"]
+        monkeypatch.setitem(cli.COMMANDS, "reverse", (lambda args: {"value": np.float64("nan")}, table))
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(["reverse", "--format", fmt], capsys)
+            assert code == 4
+            assert out == ""
+            assert err == "error: cannot print the non-finite number nan\n"
 
 
 class TestFreshProcess:

@@ -90,15 +90,17 @@ class TestBuildCounter:
         assert (a == a) is True
         assert len({a, b, a}) == 2
 
-    def test_a_read_only_complex_array_is_kept_and_any_other_copied(self):
+    def test_every_operator_array_is_held_as_a_read_only_copy(self):
         arr = build_counter("qc", 0.3, 5).operators.copy()
         before = arr.tobytes()
         copied = MeasurementModel(label="qc", outcomes=("0", "1"), operators=arr, gamma=0.3)
         assert copied.operators is not arr and not copied.operators.flags.writeable
         assert arr.flags.writeable and arr.tobytes() == before
+        # A read-only array that owns its memory is copied too.
         arr.setflags(write=False)
-        kept = MeasurementModel(label="qc", outcomes=("0", "1"), operators=arr, gamma=0.3)
-        assert kept.operators is arr
+        frozen = MeasurementModel(label="qc", outcomes=("0", "1"), operators=arr, gamma=0.3)
+        assert frozen.operators is not arr and not frozen.operators.flags.writeable
+        assert frozen.operators.tobytes() == before
         real = arr.real.copy()
         real.setflags(write=False)
         converted = MeasurementModel(label="qc", outcomes=("0", "1"), operators=real, gamma=0.3)
@@ -115,12 +117,6 @@ class TestBuildCounter:
         base[1] *= 2.0
         assert model.operators.tobytes() == fresh.operators.tobytes()
         assert model.effects.tobytes() == fresh.effects.tobytes()
-
-    def test_the_joint_stack_is_kept_without_a_copy(self):
-        # _products freezes the product before reshaping it, so the model
-        # keeps the view and nothing writeable backs it.
-        operators = build_counter("joint", 0.3, 5).operators
-        assert operators.base is not None and not operators.base.flags.writeable
 
 
 class TestCompletenessResidual:
@@ -139,6 +135,13 @@ class TestCompletenessResidual:
         r1 = completeness_residual(build_counter(kind, 0.1, 5), 2)
         r2 = completeness_residual(build_counter(kind, 0.2, 5), 2)
         assert abs(r2 / r1 - 16.0) < 0.16
+
+    @pytest.mark.parametrize("support_dim", [0, 6])
+    def test_support_outside_the_truncation_is_refused(self, support_dim):
+        # Without the check, 6 gave the whole-space value and 0 numpy's
+        # zero-size reduction error.
+        with pytest.raises(ValueError, match=rf"support dimension {support_dim} outside \[1, 5\]"):
+            completeness_residual(build_counter("qc", 0.3, 5), support_dim)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_residual_bounded_for_small_gamma(self, kind):

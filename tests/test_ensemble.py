@@ -221,6 +221,16 @@ class TestSupport:
                     weights=np.ones(1),
                 )
 
+    @pytest.mark.parametrize("states,weights,message", [
+        (np.eye(5)[:2], np.ones(1), "states and weights are inconsistent"),
+        (np.eye(5)[0], np.ones(1), "states and weights are inconsistent"),
+        (np.eye(5)[:2], np.array([1.5, -0.5]), "weights must be positive"),
+        (np.eye(5)[:2], np.array([0.5, 0.6]), "weights must sum to one"),
+    ])
+    def test_inconsistent_or_unnormalized_weights_rejected(self, states, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Ensemble(support_dim=2, states=states, weights=weights)
+
 
 class TestImmutability:
     def test_caller_arrays_stay_writeable(self):
@@ -252,6 +262,6 @@ class TestImmutability:
         assert evaluate(model, ens) == evaluate(model, bloch64)
 
     def test_constructed_ensembles_are_read_only(self, bloch64):
-        for array in (bloch64.states, bloch64.weights, bloch64.populations):
+        for array in (bloch64.states, bloch64.weights, bloch64.populations, bloch64.thetas):
             assert not array.flags.writeable
         assert not haar_populations(3, 10_000, 4, 5).flags.writeable

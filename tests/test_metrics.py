@@ -192,6 +192,10 @@ class TestOutcomeStatistics:
         total = sum(s.total for s in outcome_statistics(model, bloch))
         assert abs(total - 1.0) <= 2 * residual + 1e-12
 
+    def test_model_and_ensemble_dimensions_must_agree(self, bloch):
+        with pytest.raises(ValueError, match="ensemble and model dimensions differ"):
+            outcome_statistics(build_counter("qc", 0.3, 6), bloch)
+
 
 class TestInformationGain:
     @pytest.mark.parametrize("label", ALL_LABELS)
@@ -373,6 +377,20 @@ class TestMutualInformationIdentity:
 
         monkeypatch.setattr(metrics, "_outcome_pass", skewed)
         with pytest.raises(NumericInconsistency, match="mutual-information"):
+            full_report("pc", 0.3, bloch)
+
+    def test_inconsistent_reversibilities_are_caught(self, bloch, monkeypatch):
+        # Every reversibility sum scaled by 1.01 while the backgrounds are
+        # kept: the no-count's mean reversibility no longer sums to them.
+        exact = metrics._figures
+
+        def skewed(*args):
+            figures = exact(*args)
+            figures[3] *= 1.01
+            return figures
+
+        monkeypatch.setattr(metrics, "_figures", skewed)
+        with pytest.raises(NumericInconsistency, match="reversibility/background"):
             full_report("pc", 0.3, bloch)
 
 

@@ -120,3 +120,19 @@ def test_frozen_fields_are_set_only_in_post_init():
             and id(node) not in inside
         ]
     assert outside == []
+
+
+def test_only_the_package_lists_public_names():
+    # __init__._SUBMODULES is the one list of public names; a module's own
+    # __all__ would repeat it.
+    package = Path(photocount.__file__).parent
+    assigned = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    ]
+    assert assigned == []
