@@ -30,9 +30,9 @@ outcome probabilities there.
 batched_information reads the model's diagonal effects and the populations
 |c_n|^2 alone (haar_populations draws them) and weighs the rows equally.
 Beyond the populations it holds one float64 per sample, plus blocks of
-65,536 rows.  evaluate keeps the dense images M|psi>: the populations form
-rounds differently and moves the 12th printed digit of some metrics and
-sweep outputs.
+ensemble.BLOCK_ROWS (16,384) rows.  evaluate keeps the dense images
+M|psi>: the populations form rounds differently and moves the 12th printed
+digit of some metrics and sweep outputs.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ from typing import Optional
 import numpy as np
 
 from .counters import MeasurementModel, build_counter
-from .ensemble import Ensemble
+from .ensemble import BLOCK_ROWS, Ensemble
 from .errors import NumericInconsistency, ZeroProbability
 
 
 _IDENTITY_TOL = 1e-10
-# Rows per block of batched_information's log terms.
-_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -278,17 +276,20 @@ def batched_information(
     The full-sample value is the point estimate; the spread of the batch
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
     Only the requested outcome is evaluated, from the populations and the
-    diagonal effect.  Raises ValueError if the effects on the support are not
-    outcome probabilities (MeasurementModel.support_effects), and
+    diagonal effect.  Raises ValueError if n_batches lies outside
+    [1, n_samples] (a batch would be empty) or if the effects on the support
+    are not outcome probabilities (MeasurementModel.support_effects), and
     ZeroProbability if the outcome (or a batch) has zero total probability.
 
     Memory: one float64 per sample beyond the populations, plus blocks of
-    65,536 rows.  The conditionals become the posterior in place, and each
-    block's log term is recomputed from its rows of the populations, so no
-    weights or terms array of the full length is held; the values are those
-    of the full-length arrays bit for bit.
+    BLOCK_ROWS (16,384) rows.  The conditionals become the posterior in
+    place, and each block's log term is recomputed from its rows of the
+    populations, so no weights or terms array of the full length is held;
+    the values are those of the full-length arrays bit for bit.
     """
     n_samples, support_dim = populations.shape
+    if not 1 <= n_batches <= n_samples:
+        raise ValueError(f"n_batches = {n_batches} outside [1, {n_samples}]")
     model.support_effects(support_dim)
     effect = model.effect_for(outcome)[:support_dim]
     weight = 1.0 / n_samples
@@ -298,7 +299,8 @@ def batched_information(
     for part in np.array_split(cond, n_batches):
         w = np.full(part.size, weight)
         batches.append(information_gain(_stats(outcome, part, w / w.sum())))
-    if not np.all(cond > 0.0):
+    # min() builds no n-byte mask as cond > 0 would; a NaN fails either test.
+    if not cond.min() > 0.0:
         # Samples the outcome cannot occur on are compacted away.
         full = information_gain(_stats(outcome, cond, np.full(n_samples, weight)))
         return full, np.array(batches)
@@ -311,7 +313,7 @@ def batched_information(
     # The last block takes a lone last row: numpy forms a one-row product
     # with dot, which rounds differently from the matrix-vector product.
     start = 0
-    for stop in [*range(_BLOCK, n_samples - 1, _BLOCK), n_samples]:
+    for stop in [*range(BLOCK_ROWS, n_samples - 1, BLOCK_ROWS), n_samples]:
         terms = populations[start:stop] @ effect
         terms /= total
         np.log2(terms, out=terms)

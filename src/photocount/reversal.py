@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import MeasurementModel, background
-from .ensemble import Ensemble
+from .ensemble import BLOCK_ROWS, Ensemble
 from .errors import NonReversible, ZeroProbability
 
 
@@ -25,10 +25,6 @@ _PROB_FLOOR = 1e-15
 # Smallest background, relative to the largest effect on the support, for
 # which the left inverse counts as bounded.
 _INVERSE_FLOOR = 1e-12
-
-# Trials simulated per block in trajectory_sim: its per-trial arrays then
-# stay block-sized instead of growing with the trial count.
-_TRIAL_BLOCK = 65_536
 
 # Buckets of the node lookup table; a power of two, so u * _NODE_BUCKETS is
 # exact and every bucket edge is a double.
@@ -185,7 +181,10 @@ def trajectory_sim(
     the outcome uniforms and the reversal uniforms sit at offsets 0, trials
     and 2 * trials of the one stream, and each node is drawn as
     Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
-    blocks of _TRIAL_BLOCK, so memory does not grow with the trial count.
+    blocks of ensemble.BLOCK_ROWS (16,384), so the per-trial arrays stay
+    block-sized; the fidelity of each successful reversal is kept (8 bytes,
+    twice at the final concatenation) so that the mean is np.mean's of the
+    whole sample, and that memory grows with the trial count.
     The success rate conditioned on one-count converges to the counter's
     reversibility.  Raises ValueError if the effects on the support are not
     outcome probabilities (MeasurementModel.support_effects), and
@@ -211,8 +210,8 @@ def trajectory_sim(
     )
     n_one = 0
     blocks = []
-    for start in range(0, trials, _TRIAL_BLOCK):
-        size = min(_TRIAL_BLOCK, trials - start)
+    for start in range(0, trials, BLOCK_ROWS):
+        size = min(BLOCK_ROWS, trials - start)
         nodes = table.nodes(node_rng.random(size))
         one_count_mask = outcome_rng.random(size) < cond_one[nodes]
         success_mask = one_count_mask & (reverse_rng.random(size) < success_given_one[nodes])

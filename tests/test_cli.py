@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,23 @@ class TestHaar:
         gap = doc["results"]["difference_qpc_minus_pc"]
         assert gap["sign"] == 1
         assert gap["value"] > 3 * gap["standard_error"]
+
+    def test_default_run_holds_about_its_populations(self, capsys):
+        # `haar --d 3` at its default 10^5 samples needs 2.4 MB of
+        # populations; block temporaries of BLOCK_ROWS rows bring the traced
+        # peak to 4.3 MB, and blocks of 65,536 rows took 9.8 MB.  The first
+        # call pays the lazy imports and caches, so the second is traced.
+        # A memory bound, not a timing bound.
+        assert run_cli(["haar", "--d", "3"], capsys)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(["haar", "--d", "3"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 2 * 3 * 8 * 10**5
 
     def test_sample_floor(self, capsys):
         code, _, _ = run_cli(["haar", "--samples", "1000"], capsys)

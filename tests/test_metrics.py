@@ -447,6 +447,14 @@ class TestBatchedInformation:
         with pytest.raises(ZeroProbability, match="'1'"):
             batched_information(build_counter("pc", 0.3, 4), populations, "1")
 
+    @pytest.mark.parametrize("n_batches", [0, 10_001])
+    def test_batch_count_outside_one_to_sample_count_rejected(self, n_batches):
+        # 10,001 batches of 10,000 samples would leave one empty, whose zero
+        # total was reported as the outcome's although p(1) > 0
+        populations = haar_populations(3, 10_000, 1, 5)
+        with pytest.raises(ValueError, match=f"n_batches = {n_batches} outside"):
+            batched_information(build_counter("pc", 0.3, 5), populations, "1", n_batches)
+
     @pytest.mark.parametrize("support_dim", [0, 5])
     def test_support_outside_truncation_rejected(self, support_dim):
         populations = np.full((10_000, support_dim), 1.0 / max(support_dim, 1))

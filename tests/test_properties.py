@@ -57,6 +57,7 @@ from photocount import (
 )
 from photocount import cli
 from photocount.counters import LABELS
+from photocount.ensemble import BLOCK_ROWS
 
 PAPER_LABELS = LABELS[:4]  # the two-outcome counters
 
@@ -333,8 +334,12 @@ def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, di
     dim=st.integers(min_value=4, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     trials=st.one_of(
-        # around one block of 65,536 trials, and on every residue mod 4
-        st.sampled_from([10_000, 65_535, 65_536, 65_537, 131_073]),
+        # around one and four blocks of BLOCK_ROWS (16,384) trials, and on
+        # every residue mod 4
+        st.sampled_from([
+            10_000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+            65_535, 65_536, 65_537, 131_073,
+        ]),
         st.builds(lambda q, r: 4 * q + r, st.integers(2_500, 50_000), st.integers(1, 3)),
     ),
 )
@@ -440,13 +445,15 @@ def _gains(model, populations, outcome, n_batches, fn):
     zero_stride=st.one_of(st.just(0), st.integers(min_value=2, max_value=1000)),
     zero_head=st.one_of(st.just(0), st.integers(min_value=1, max_value=2000)),
 )
-# Whole blocks of 65,536 rows and batches of equal length.
+# Whole blocks (3 x 65,536 rows is 12 blocks of BLOCK_ROWS) and batches of
+# equal length.
 @example(
     d=4, extra=2, n_samples=3 * 65_536, n_batches=128, label="pc", outcome_index=1,
     gamma=0.3, seed=42, zero_stride=0, zero_head=0,
 )
-# One row past a block boundary: a one-row product of that row alone (numpy
-# forms it with dot) moves the last bit of this no-count gain.
+# One row past a block boundary (65,537 is 4 x BLOCK_ROWS + 1): a one-row
+# product of that row alone (numpy forms it with dot) moves the last bit of
+# this no-count gain.
 @example(
     d=5, extra=2, n_samples=65_537, n_batches=100, label="pc", outcome_index=0,
     gamma=0.1, seed=2, zero_stride=0, zero_head=0,
