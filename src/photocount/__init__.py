@@ -18,14 +18,12 @@ __version__ = "0.1.0"
 # submodule -> the names it exports
 _SUBMODULES = {
     "counters": ("MeasurementModel", "background", "build_counter",
-                 "completeness_residual", "compose_models", "probe_model_operators",
-                 "proportionality_deviation", "unitary_part_deviation"),
+                 "completeness_residual", "probe_model_operators", "unitary_part_deviation"),
     "ensemble": ("Ensemble", "bloch_two_state_ensemble", "haar_populations"),
     "errors": ("NonReversible", "NumericInconsistency", "PhotocountError", "ZeroProbability"),
     "fock": ("ladder", "matrix_exponential"),
-    "metrics": ("CounterReport", "OutcomeMetrics", "OutcomeStats", "batched_information",
-                "efficiency", "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep",
-                "information_gain", "outcome_statistics"),
+    "metrics": ("CounterReport", "OutcomeMetrics", "batched_information", "efficiency",
+                "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep"),
     "reversal": ("ReversingMeasurement", "TrajectoryStats", "build_reversing",
                  "post_measurement_state", "trajectory_sim", "verify_recovery"),
 }

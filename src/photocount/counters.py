@@ -14,9 +14,9 @@ O(gamma^4) and is tracked explicitly by ``completeness_residual`` instead of
 being absorbed into an exact square root.
 
 ``build_counter`` builds each counter in ``LABELS``: these four and ``joint``
-(qc, then pc), whose stacks it multiplies as ``compose_models`` does into
-one validated model.  A model holds a read-only copy of its operator
-array (``fock.read_only``), so its effects cannot go stale.
+(qc, then pc), the one sequential measurement the paper uses, whose stacks
+it multiplies into one validated model.  A model holds a read-only copy of
+its operator array (``fock.read_only``), so its effects cannot go stale.
 
 A model owns its support contract: ``MeasurementModel.support_effects`` is
 the one check that the effects on a state family's support are outcome
@@ -28,7 +28,6 @@ lies in [1, dim].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -171,24 +170,22 @@ def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
     return operators
 
 
-def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Stack of M2 @ M1 for each (second, first) operator pair."""
-    return (second[:, None] @ first[None]).reshape(-1, *first.shape[1:])
-
-
 def build_counter(label: str, gamma: float, dim: int) -> MeasurementModel:
-    """Closed-form model of a counter in LABELS; 'joint' has the operators and
-    outcomes of compose_models(build_counter("qc", ...), build_counter("pc",
-    ...)), bit for bit, validated once.  An unknown label raises ValueError
-    before gamma and dim are checked."""
+    """Closed-form model of a counter in LABELS.  'joint' is qc followed by
+    pc: the operator of outcome (m2, m1) is M2 @ M1 of pc's m2 and qc's m1,
+    so its double count '11' is gamma^2 a a^dag, below the truncation edge
+    the QND quantum counter's one-count times gamma.  An unknown label
+    raises ValueError before gamma and dim are checked."""
     if label not in LABELS:
         raise ValueError(f"unknown counter kind {label!r}; expected one of {LABELS}")
     if label != "joint":
         return MeasurementModel(label=label, outcomes=("0", "1"),
                                 operators=_closed_form(label, gamma, dim), gamma=gamma)
     first, second = (_closed_form(kind, gamma, dim) for kind in ("qc", "pc"))
+    # One stacked matmul gives M2 @ M1 for every (m2, m1) pair.
+    products = (second[:, None] @ first[None]).reshape(4, dim, dim)
     return MeasurementModel(label=label, outcomes=("00", "01", "10", "11"),
-                            operators=_products(first, second), gamma=gamma)
+                            operators=products, gamma=gamma)
 
 
 def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
@@ -196,24 +193,6 @@ def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
     the largest |1 - sum_m effects[m, n]| there, since every effect is diagonal."""
     _check_support(model, support_dim)
     return float(np.max(np.abs(1.0 - model.effects[:, :support_dim].sum(axis=0))))
-
-
-def compose_models(first: MeasurementModel, second: MeasurementModel) -> MeasurementModel:
-    """Sequential measurement: ``second`` applied after ``first``.
-
-    Outcome labels read like operator products, second outcome first, and the
-    operator for (m2, m1) is M2 @ M1.  States may climb up to two number
-    levels, so callers should keep the ensemble support at least three levels
-    below the truncation edge.
-    """
-    if first.dim != second.dim:
-        raise ValueError("cannot compose models of different dimension")
-    return MeasurementModel(
-        label=f"{second.label}*{first.label}",
-        outcomes=tuple(f"{m2}{m1}" for m2 in second.outcomes for m1 in first.outcomes),
-        operators=_products(first.operators, second.operators),
-        gamma=first.gamma,
-    )
 
 
 def probe_hamiltonian(label: str, dim: int) -> np.ndarray:
@@ -272,23 +251,3 @@ def unitary_part_deviation(op: np.ndarray) -> float:
         raise ValueError("zero operator has no polar structure")
     keep = s > _SUPPORT_TOL * s[0]
     return float(np.linalg.norm(w[:, keep] - vh[keep].conj().T, 2))
-
-
-def proportionality_deviation(
-    a: np.ndarray, b: np.ndarray, support_dim: Optional[int] = None
-) -> float:
-    """Normalized cross-product test for A = const * B.
-
-    Returns max_{ij,kl} |A_ij B_kl - A_kl B_ij| / (max|A| max|B|), optionally
-    after compressing both operators to the lowest support_dim levels; zero
-    iff the compressions are proportional.
-    """
-    if support_dim is not None:
-        a = a[:support_dim, :support_dim]
-        b = b[:support_dim, :support_dim]
-    fa, fb = a.ravel(), b.ravel()
-    scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
-    if scale == 0.0:
-        return 0.0
-    cross = np.outer(fa, fb)
-    return float(np.max(np.abs(cross - cross.T)) / scale)

@@ -55,9 +55,10 @@ class Ensemble:
             raise ValueError(f"support dimension {self.support_dim} outside [1, dim]")
         if np.any(states[:, self.support_dim :]):
             raise ValueError(f"states have amplitudes above level {self.support_dim - 1}")
-        if np.any(weights <= 0.0):
+        # Written so that a NaN weight fails both checks.
+        if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to one")
         populations = np.abs(states[:, : self.support_dim])
         populations **= 2

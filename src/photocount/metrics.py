@@ -22,8 +22,7 @@ mean reversibility equals the sum of backgrounds) are checked once, to
 counters.build_counter builds and validates once for a counter label, also
 for 'joint'; a caller that needs one figure reads it from the report.  Both
 raise ZeroProbability when some outcome has zero total probability.
-outcome_statistics is a view of the same pass.  evaluate and
-batched_information read the effects on the support through
+evaluate and batched_information read the effects on the support through
 MeasurementModel.support_effects, which raises ValueError when they are not
 outcome probabilities there.
 
@@ -51,16 +50,6 @@ _IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class OutcomeStats:
-    """Per-outcome conditional probabilities, total, and posterior weights."""
-
-    outcome: str
-    conditional: np.ndarray
-    total: float
-    posterior: np.ndarray
-
-
-@dataclass(frozen=True)
 class OutcomeMetrics:
     probability: float
     information_gain: float
@@ -80,62 +69,27 @@ class CounterReport:
     backgrounds: dict[str, float]
 
 
-def _stats(outcome: str, cond: np.ndarray, weights: np.ndarray) -> OutcomeStats:
+def _gain(outcome: str, cond: np.ndarray, weights: np.ndarray) -> float:
+    """Relative entropy (bits) of the posterior weights * cond / total with
+    respect to the prior weights, over the samples the outcome can occur on.
+
+    Raises ZeroProbability if the outcome has zero total probability; a NaN
+    total is not zero, and leaves a zero posterior.
+    """
     posterior = weights * cond
     total = float(np.sum(posterior))
+    if total <= 0.0:
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     if total > 0.0:
         posterior /= total
-    else:
+    else:  # a NaN total
         posterior = np.zeros_like(weights)
-    return OutcomeStats(outcome=outcome, conditional=cond, total=total, posterior=posterior)
-
-
-def _outcome_pass(model: MeasurementModel, ensemble: Ensemble):
-    """Images M|psi(a)> of every outcome and state, (K, N, dim), and from
-    their squared norms the conditionals p(m|a) (K, N), totals p(m) (K,)
-    and posteriors p(a|m) (K, N), and whether every total is positive; an
-    outcome of zero total probability has a zero posterior."""
-    if ensemble.dim != model.dim:
-        raise ValueError("ensemble and model dimensions differ")
-    images = ensemble.states @ model.operators.transpose(0, 2, 1)
-    squares = np.abs(images)
-    squares **= 2
-    cond = squares.sum(axis=2)
-    posterior = ensemble.weights * cond
-    totals = posterior.sum(axis=1)
-    reached = totals > 0.0
-    everywhere = bool(reached.all())
-    if everywhere:
-        posterior /= totals[:, None]
-    else:
-        posterior[reached] /= totals[reached, None]
-        posterior[~reached] = 0.0
-    return images, cond, totals, posterior, everywhere
-
-
-def outcome_statistics(model: MeasurementModel, ensemble: Ensemble) -> list[OutcomeStats]:
-    """Conditional probabilities p(m|a), totals p(m), and posteriors p(a|m)."""
-    _, cond, totals, posterior, _ = _outcome_pass(model, ensemble)
-    return [
-        OutcomeStats(outcome=outcome, conditional=c, total=t, posterior=p)
-        for outcome, c, t, p in zip(model.outcomes, cond, totals.tolist(), posterior)
-    ]
-
-
-def information_gain(stats: OutcomeStats) -> float:
-    """Relative entropy (bits) of the posterior with respect to the prior.
-
-    Raises ZeroProbability if the outcome has zero total probability.
-    """
-    if stats.total <= 0.0:
-        raise ZeroProbability(f"outcome {stats.outcome!r} has zero total probability")
-    cond, post = stats.conditional, stats.posterior
     mask = cond > 0.0
     if not mask.all():
-        cond, post = cond[mask], post[mask]
-    terms = cond / stats.total
+        cond, posterior = cond[mask], posterior[mask]
+    terms = cond / total
     np.log2(terms, out=terms)
-    terms *= post
+    terms *= posterior
     # Non-negative by Gibbs' inequality; clamp the rounding residue (NaN
     # passes through max unchanged).
     return max(float(np.sum(terms)), 0.0)
@@ -171,11 +125,27 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     ZeroProbability if some outcome has zero total probability, since its
     fidelity and reversibility are undefined.
     """
-    images, cond, totals, posterior, reached = _outcome_pass(model, ensemble)
+    if ensemble.dim != model.dim:
+        raise ValueError("ensemble and model dimensions differ")
+    # Images M|psi(a)> of every outcome and state, (K, N, dim), and from
+    # their squared norms the conditionals p(m|a) (K, N), totals p(m) (K,)
+    # and posteriors p(a|m) (K, N).
+    images = ensemble.states @ model.operators.transpose(0, 2, 1)
+    squares = np.abs(images)
+    squares **= 2
+    cond = squares.sum(axis=2)
+    posterior = ensemble.weights * cond
+    totals = posterior.sum(axis=1)
     effects = model.support_effects(ensemble.support_dim)
-    if not reached and (totals <= 0.0).any():  # a NaN total is not zero
+    if (totals <= 0.0).any():  # a NaN total is not zero
         outcome = model.outcomes[int(np.argmax(totals <= 0.0))]
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
+    reached = totals > 0.0
+    if reached.all():
+        posterior /= totals[:, None]
+    else:  # an outcome of NaN total has a zero posterior
+        posterior[reached] /= totals[reached, None]
+        posterior[~reached] = 0.0
     # The products overwrite the images, which nothing reads afterwards, so
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
@@ -298,12 +268,11 @@ def batched_information(
     batches = []
     for part in np.array_split(cond, n_batches):
         w = np.full(part.size, weight)
-        batches.append(information_gain(_stats(outcome, part, w / w.sum())))
+        batches.append(_gain(outcome, part, w / w.sum()))
     # min() builds no n-byte mask as cond > 0 would; a NaN fails either test.
     if not cond.min() > 0.0:
         # Samples the outcome cannot occur on are compacted away.
-        full = information_gain(_stats(outcome, cond, np.full(n_samples, weight)))
-        return full, np.array(batches)
+        return _gain(outcome, cond, np.full(n_samples, weight)), np.array(batches)
     posterior = cond
     posterior *= weight
     total = float(np.sum(posterior))

@@ -1,6 +1,9 @@
-"""Reference computations that the tests compare the library against."""
+"""Reference computations that the tests compare the library against, and
+the instruments (information_gain, proportionality_deviation) they measure
+it with."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,15 +12,59 @@ from photocount import (
     MeasurementModel,
     NumericInconsistency,
     OutcomeMetrics,
-    OutcomeStats,
     TrajectoryStats,
+    ZeroProbability,
     background,
     build_counter,
     build_reversing,
     efficiency,
-    information_gain,
     ladder,
 )
+
+
+@dataclass(frozen=True)
+class OutcomeStats:
+    """Per-outcome conditional probabilities, total, and posterior weights."""
+
+    outcome: str
+    conditional: np.ndarray
+    total: float
+    posterior: np.ndarray
+
+
+def information_gain(stats):
+    """Relative entropy (bits) of the posterior with respect to the prior,
+    over the samples the outcome can occur on, clamped at 0 (NaN passes
+    through).  Raises ZeroProbability if the outcome has zero total
+    probability."""
+    if stats.total <= 0.0:
+        raise ZeroProbability(f"outcome {stats.outcome!r} has zero total probability")
+    cond, post = stats.conditional, stats.posterior
+    mask = cond > 0.0
+    if not mask.all():
+        cond, post = cond[mask], post[mask]
+    terms = cond / stats.total
+    np.log2(terms, out=terms)
+    terms *= post
+    return max(float(np.sum(terms)), 0.0)
+
+
+def proportionality_deviation(a, b, support_dim=None):
+    """Normalized cross-product test for A = const * B.
+
+    Returns max_{ij,kl} |A_ij B_kl - A_kl B_ij| / (max|A| max|B|), optionally
+    after compressing both operators to the lowest support_dim levels; zero
+    iff the compressions are proportional.
+    """
+    if support_dim is not None:
+        a = a[:support_dim, :support_dim]
+        b = b[:support_dim, :support_dim]
+    fa, fb = a.ravel(), b.ravel()
+    scale = float(np.max(np.abs(fa)) * np.max(np.abs(fb)))
+    if scale == 0.0:
+        return 0.0
+    cross = np.outer(fa, fb)
+    return float(np.max(np.abs(cross - cross.T)) / scale)
 
 
 def build_counter_reference(kind, gamma, dim):
@@ -41,9 +88,10 @@ def build_counter_reference(kind, gamma, dim):
 
 
 def compose_reference(first, second):
-    """compose_models one operator product at a time, (m2, m1) -> M2 @ M1
-    in the order of the outcome labels.  compose_models must give the same
-    operator bytes."""
+    """second applied after first, one operator product at a time,
+    (m2, m1) -> M2 @ M1 in the order of the outcome labels.
+    build_counter("joint") must give the operator bytes of the ladder-product
+    qc followed by the ladder-product pc."""
     outcomes, operators = [], []
     for m2, op2 in zip(second.outcomes, second.operators):
         for m1, op1 in zip(first.outcomes, first.operators):
@@ -65,15 +113,13 @@ def _images_and_stats(model, ensemble):
     for outcome, op in zip(model.outcomes, model.operators):
         images = ensemble.states @ op.T
         cond = np.sum(np.abs(images) ** 2, axis=1)
-        posterior = ensemble.weights * cond
-        total = float(np.sum(posterior))
-        if total > 0.0:
-            posterior /= total
-        else:
-            posterior = np.zeros_like(ensemble.weights)
-        yield images, OutcomeStats(
-            outcome=outcome, conditional=cond, total=total, posterior=posterior
-        )
+        yield images, _weighted_stats(outcome, cond, ensemble.weights)
+
+
+def outcome_stats(model, ensemble):
+    """The OutcomeStats of every outcome, in the order of model.outcomes:
+    p(m|a), p(m) and p(a|m) from one dense image per outcome and state."""
+    return [s for _, s in _images_and_stats(model, ensemble)]
 
 
 def evaluate_reference(model, ensemble):

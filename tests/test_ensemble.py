@@ -240,6 +240,9 @@ class TestSupport:
         (np.eye(5)[0], np.ones(1), "states and weights are inconsistent"),
         (np.eye(5)[:2], np.array([1.5, -0.5]), "weights must be positive"),
         (np.eye(5)[:2], np.array([0.5, 0.6]), "weights must sum to one"),
+        # A NaN weight fails every comparison, so each check is written to fail on it.
+        (np.eye(5)[:1], np.array([np.nan]), "weights must be positive"),
+        (np.eye(5)[[0, 1, 0]], np.array([0.5, np.nan, 0.5]), "weights must be positive"),
     ])
     def test_inconsistent_or_unnormalized_weights_rejected(self, states, weights, message):
         with pytest.raises(ValueError, match=message):

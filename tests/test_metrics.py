@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import haar_states
+from oracles import OutcomeStats, haar_states, information_gain, outcome_stats
 
 import photocount.metrics as metrics
 from photocount import (
@@ -16,13 +16,10 @@ from photocount import (
     evaluate,
     full_report,
     haar_populations,
-    information_gain,
-    outcome_statistics,
     post_measurement_state,
 )
 from photocount.counters import MeasurementModel
 from photocount.fock import ladder
-from photocount.metrics import OutcomeStats
 
 LN2 = np.log(2.0)
 
@@ -162,23 +159,25 @@ class TestOutcomeStatistics:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_totals(self, bloch, label):
         model = build_counter(label, 0.3, 5)
-        stats = outcome_statistics(model, bloch)
-        one = stats[model.outcomes.index("1")]
-        assert abs(one.total - P1_CLOSED[label]) < 1e-12
+        one = evaluate(model, bloch).per_outcome["1"]
+        assert abs(one.probability - P1_CLOSED[label]) < 1e-12
 
     def test_posterior_definition_and_normalization(self, bloch):
+        # The reported totals against the prior-weighted conditionals of the
+        # dense reference, and its posteriors against their definition.
         model = build_counter("qc", 0.3, 5)
-        for s in outcome_statistics(model, bloch):
-            assert abs(s.total - float(np.sum(bloch.weights * s.conditional))) < 1e-12
-            expected = bloch.weights * s.conditional / s.total
+        report = evaluate(model, bloch)
+        for s in outcome_stats(model, bloch):
+            total = report.per_outcome[s.outcome].probability
+            assert abs(total - float(np.sum(bloch.weights * s.conditional))) < 1e-12
+            expected = bloch.weights * s.conditional / total
             assert np.max(np.abs(s.posterior - expected)) < 1e-15
             assert abs(s.posterior.sum() - 1.0) < 1e-12
 
     def test_emitting_posterior_keeps_vacuum_alive(self, bloch):
         # posterior/prior at theta -> 0 tends to (0 + 1)/(3/2) = 2/3
         model = build_counter("qc", 0.3, 5)
-        stats = outcome_statistics(model, bloch)
-        one = stats[1]
+        one = outcome_stats(model, bloch)[1]
         idx = int(np.argmin(bloch.thetas))
         t = float(np.abs(bloch.states[idx, 1]) ** 2)
         ratio = one.posterior[idx] / bloch.weights[idx]
@@ -189,47 +188,47 @@ class TestOutcomeStatistics:
     def test_totals_sum_to_one_within_completeness_defect(self, bloch, label, gamma):
         model = build_counter(label, gamma, 5)
         residual = completeness_residual(model, bloch.support_dim)
-        total = sum(s.total for s in outcome_statistics(model, bloch))
+        total = sum(m.probability for m in evaluate(model, bloch).per_outcome.values())
         assert abs(total - 1.0) <= 2 * residual + 1e-12
 
     def test_model_and_ensemble_dimensions_must_agree(self, bloch):
         with pytest.raises(ValueError, match="ensemble and model dimensions differ"):
-            outcome_statistics(build_counter("qc", 0.3, 6), bloch)
+            evaluate(build_counter("qc", 0.3, 6), bloch)
 
 
 class TestInformationGain:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_one_count_closed_forms(self, bloch, label):
         model = build_counter(label, 0.3, 5)
-        stats = outcome_statistics(model, bloch)
-        assert abs(information_gain(stats[1]) - I1_CLOSED[label]) < 1e-9
+        gain = evaluate(model, bloch).per_outcome["1"].information_gain
+        assert abs(gain - I1_CLOSED[label]) < 1e-9
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_gains_are_nonnegative(self, bloch, label):
         model = build_counter(label, 0.3, 5)
-        for s in outcome_statistics(model, bloch):
-            assert information_gain(s) >= 0.0
+        for m in evaluate(model, bloch).per_outcome.values():
+            assert m.information_gain >= 0.0
 
     @pytest.mark.parametrize("label", ALL_LABELS + ("joint",))
     def test_gains_are_nonnegative_at_tiny_coupling(self, bloch, label):
         # At gamma = 1e-4 the no-count relative entropy rounds to about -8e-17.
         model = build_counter(label, 1e-4, 5)
-        for s in outcome_statistics(model, bloch):
-            assert information_gain(s) >= 0.0
+        for m in evaluate(model, bloch).per_outcome.values():
+            assert m.information_gain >= 0.0
 
     def test_one_count_gain_is_coupling_independent(self, bloch):
         model_a = build_counter("qqc", 0.1, 5)
         model_b = build_counter("qqc", 0.3, 5)
-        ga = information_gain(outcome_statistics(model_a, bloch)[1])
-        gb = information_gain(outcome_statistics(model_b, bloch)[1])
+        ga = evaluate(model_a, bloch).per_outcome["1"].information_gain
+        gb = evaluate(model_b, bloch).per_outcome["1"].information_gain
         assert abs(ga - gb) < 1e-14
 
     def test_no_count_gain_vanishes_at_low_order(self, bloch):
         for label in ALL_LABELS:
             for gamma in (0.1, 0.3):
                 model = build_counter(label, gamma, 5)
-                stats = outcome_statistics(model, bloch)
-                assert information_gain(stats[0]) <= 10 * gamma**4
+                gain = evaluate(model, bloch).per_outcome["0"].information_gain
+                assert gain <= 10 * gamma**4
 
 
 class TestMeanInformation:
@@ -319,7 +318,7 @@ class TestBackgroundAndReversibility:
         for label in ALL_LABELS:
             model = build_counter(label, 0.3, 5)
             b = background(model, "1", bloch.support_dim)
-            stats = outcome_statistics(model, bloch)[1]
+            stats = outcome_stats(model, bloch)[1]
             assert b <= stats.conditional.min() + 1e-12
             rev = evaluate(model, bloch).per_outcome["1"].reversibility
             assert 0.0 <= rev <= 1.0
@@ -356,26 +355,25 @@ class TestMutualInformationIdentity:
     @pytest.mark.parametrize("gamma", [0.1, 0.3])
     def test_outcome_average_equals_double_sum(self, bloch, label, gamma):
         model = build_counter(label, gamma, 5)
-        stats = outcome_statistics(model, bloch)
-        by_outcome = sum(s.total * information_gain(s) for s in stats)
-        conditionals = np.array([s.conditional for s in stats])
+        report = evaluate(model, bloch)
+        by_outcome = sum(m.probability * m.information_gain for m in report.per_outcome.values())
+        conditionals = np.array([s.conditional for s in outcome_stats(model, bloch)])
         assert abs(by_outcome - entropy_difference(bloch.weights, conditionals)) < 1e-10
         # the library entry point performs the same check internally
-        assert abs(evaluate(model, bloch).mean_information - by_outcome) < 1e-12
+        assert abs(report.mean_information - by_outcome) < 1e-12
 
     def test_inconsistent_conditionals_are_caught(self, bloch, monkeypatch):
         # p(1|a) scaled by 1.01 while p(1) and the posterior are kept: the
         # gain reads log2(1.01) high, and H(M) - H(M|A) from the prior and
         # the scaled conditionals no longer matches the mean gain
-        exact = metrics._outcome_pass
+        exact = metrics._figures
 
-        def skewed(model, ensemble):
-            images, cond, totals, posterior, reached = exact(model, ensemble)
+        def skewed(weights, cond, *rest):
             cond = cond.copy()
             cond[1] *= 1.01
-            return images, cond, totals, posterior, reached
+            return exact(weights, cond, *rest)
 
-        monkeypatch.setattr(metrics, "_outcome_pass", skewed)
+        monkeypatch.setattr(metrics, "_figures", skewed)
         with pytest.raises(NumericInconsistency, match="mutual-information"):
             full_report("pc", 0.3, bloch)
 
@@ -563,7 +561,7 @@ class TestFullReport:
         )
         model = build_counter("pc", 0.3, 5)
         with pytest.raises(ZeroProbability, match="'1'"):
-            information_gain(outcome_statistics(model, vacuum)[1])
+            batched_information(model, vacuum.populations, "1", n_batches=1)
         with pytest.raises(ZeroProbability):
             full_report("pc", 0.3, vacuum)
         with pytest.raises(ZeroProbability):

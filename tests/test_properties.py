@@ -2,7 +2,7 @@
 of reversibility on two levels, of the one-count orderings of the four
 counters, of the sweep's reversibility-loss fit, of the completeness
 residual, of the backgrounds and reversing measurements, of the polar
-structure of the one-count operators, of composition, of the stacked
+structure of the one-count operators, of the joint counter, of the stacked
 recovery, of the trajectory simulation and of the batched Monte Carlo gains
 over random couplings, truncations, quadrature sizes, sample counts, seeds
 and trial counts; and of the CLI's outputs and exit codes over random
@@ -27,6 +27,7 @@ from oracles import (
     compose_reference,
     evaluate_reference,
     min_effect_eigenvalue,
+    outcome_stats,
     polar_factors,
     recovery_reference,
     trajectory_reference,
@@ -44,13 +45,11 @@ from photocount import (
     build_counter,
     build_reversing,
     completeness_residual,
-    compose_models,
     evaluate,
     batched_information,
     full_report,
     gamma_sweep,
     haar_populations,
-    outcome_statistics,
     trajectory_sim,
     unitary_part_deviation,
     verify_recovery,
@@ -78,7 +77,7 @@ def test_full_report_properties(gamma, label, dim, nodes):
         with pytest.raises(ValueError, match="below the smallest normal double"):
             full_report(label, gamma, ens)
         return
-    if min(s.total for s in outcome_statistics(model, ens)) <= 0.0:
+    if min(s.total for s in outcome_stats(model, ens)) <= 0.0:
         # An outcome probability underflows to zero at tiny coupling.
         with pytest.raises(ZeroProbability):
             full_report(label, gamma, ens)
@@ -361,22 +360,6 @@ def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, see
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
-    first=st.sampled_from(PAPER_LABELS),
-    second=st.sampled_from(PAPER_LABELS),
-    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
-    dim=st.integers(min_value=4, max_value=8),
-)
-def test_compose_models_equals_the_per_pair_reference(first, second, gamma, dim):
-    # One stacked product against one M2 @ M1 per outcome pair, byte for byte.
-    a, b = build_counter(first, gamma, dim), build_counter(second, gamma, dim)
-    got, want = compose_models(a, b), compose_reference(a, b)
-    assert got.outcomes == want.outcomes
-    assert got.operators.tobytes() == want.operators.tobytes()
-    assert got.effects.tobytes() == want.effects.tobytes()
-
-
-@settings(derandomize=True, deadline=None, database=None)
-@given(
     log_gamma=st.floats(min_value=math.log(1e-8), max_value=math.log(0.5)),
     dim=st.integers(min_value=4, max_value=8),
 )
@@ -387,7 +370,7 @@ def test_joint_model_equals_the_composition(log_gamma, dim):
     # once, against the composed models of the ladder-product counters.
     gamma = min(math.exp(log_gamma), 0.5)
     got = build_counter("joint", gamma, dim)
-    want = compose_models(
+    want = compose_reference(
         build_counter_reference("qc", gamma, dim),
         build_counter_reference("pc", gamma, dim),
     )

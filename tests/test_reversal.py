@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import outcome_stats
 
 from photocount import (
     Ensemble,
@@ -11,7 +12,6 @@ from photocount import (
     build_counter,
     build_reversing,
     evaluate,
-    outcome_statistics,
     trajectory_sim,
     verify_recovery,
 )
@@ -115,7 +115,7 @@ class TestVerifyRecovery:
         model = build_counter("qc", 0.3, 5)
         op = model.operator_for("1")
         rev = build_reversing(model, "1", bloch.support_dim)
-        stats = outcome_statistics(model, bloch)[1]
+        stats = outcome_stats(model, bloch)[1]
         success = verify_recovery(bloch.states, op, rev)["success_prob"]
         averaged = float(np.sum(stats.posterior * success))
         assert abs(averaged - 2 / 3) < 1e-12
@@ -126,7 +126,7 @@ class TestVerifyRecovery:
         model = build_counter("qqc", 0.3, 5)
         op = model.operator_for("1")
         rev = build_reversing(model, "1", bloch.support_dim)
-        stats = outcome_statistics(model, bloch)[1]
+        stats = outcome_stats(model, bloch)[1]
         success = verify_recovery(bloch.states, op, rev)["success_prob"]
         joint = bloch.weights * stats.conditional * success
         posterior = joint / joint.sum()
