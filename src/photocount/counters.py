@@ -53,9 +53,10 @@ class MeasurementModel:
     ``operators`` is one read-only complex (outcomes, dim, dim) array, so
     every outcome can be applied in one matmul.  ``effects[k]`` is the
     diagonal of the effect M_k^dag M_k in the number basis, so p(k|psi) =
-    sum_n |c_n|^2 effects[k, n].  Every model here has diagonal effects;
-    construction rejects one that does not.  Models compare and hash by
-    identity, since an array field has no single truth value.
+    sum_n |c_n|^2 effects[k, n].  Every model here has finite operators
+    and diagonal effects; construction rejects one that does not.  Models
+    compare and hash by identity, since an array field has no single truth
+    value.
     """
 
     label: str
@@ -68,6 +69,8 @@ class MeasurementModel:
         stack = read_only(self.operators, complex)
         if stack.ndim != 3 or stack.shape != (len(self.outcomes), stack.shape[2], stack.shape[2]):
             raise ValueError("one square operator per outcome is required")
+        if not np.isfinite(stack).all():
+            raise ValueError("operators must be finite")
         # One flattened M^dag M per row; every (dim + 1)-th entry is diagonal.
         grams = (stack.conj().transpose(0, 2, 1) @ stack).reshape(len(stack), -1)
         diagonal = grams[:, :: stack.shape[1] + 1]

@@ -36,8 +36,10 @@ class Ensemble:
     ``states`` has one normalized state per row, supported on the first
     ``support_dim`` basis vectors (every later amplitude is exactly zero);
     ``weights`` are positive and sum to one.  ``populations`` holds |c_n|^2
-    of each row over those ``support_dim`` levels.  Ensembles compare and
-    hash by identity, since an array field has no single truth value.
+    of each row over those ``support_dim`` levels; each row of it sums to
+    one within the weights' 1e-12, so every amplitude is finite.  Ensembles
+    compare and hash by identity, since an array field has no single truth
+    value.
     """
 
     support_dim: int
@@ -55,13 +57,15 @@ class Ensemble:
             raise ValueError(f"support dimension {self.support_dim} outside [1, dim]")
         if np.any(states[:, self.support_dim :]):
             raise ValueError(f"states have amplitudes above level {self.support_dim - 1}")
-        # Written so that a NaN weight fails both checks.
+        # Written so that a NaN or infinite weight or amplitude fails them.
         if not np.all(weights > 0.0):
             raise ValueError("weights must be positive")
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to one")
         populations = np.abs(states[:, : self.support_dim])
         populations **= 2
+        if not np.all(np.abs(populations.sum(axis=1) - 1.0) <= 1e-12):
+            raise ValueError("states must have unit norm")
         populations.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)

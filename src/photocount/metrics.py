@@ -28,10 +28,11 @@ outcome probabilities there.
 
 batched_information reads the model's diagonal effects and the populations
 |c_n|^2 alone (haar_populations draws them) and weighs the rows equally.
-Beyond the populations it holds one float64 per sample, plus blocks of
-ensemble.BLOCK_ROWS (16,384) rows.  evaluate keeps the dense images
-M|psi>: the populations form rounds differently and moves the 12th printed
-digit of some metrics and sweep outputs.
+Beyond the populations it holds one float64 per sample on every input,
+plus blocks of ensemble.BLOCK_ROWS (16,384) rows, in one gain routine that
+the whole sample and each batch go through.  evaluate keeps the dense
+images M|psi>: the populations form rounds differently and moves the 12th
+printed digit of some metrics and sweep outputs.
 """
 
 from __future__ import annotations
@@ -69,30 +70,38 @@ class CounterReport:
     backgrounds: dict[str, float]
 
 
-def _gain(outcome: str, cond: np.ndarray, weights: np.ndarray) -> float:
-    """Relative entropy (bits) of the posterior weights * cond / total with
-    respect to the prior weights, over the samples the outcome can occur on.
+def _gain(outcome: str, populations: np.ndarray, effect: np.ndarray, weight: float) -> float:
+    """Relative entropy (bits) of the posterior with respect to the prior
+    that gives every row the same weight, over the rows the outcome can
+    occur on; a row's conditional is its populations times the effect.
 
-    Raises ZeroProbability if the outcome has zero total probability; a NaN
-    total is not zero, and leaves a zero posterior.
+    Holds one float64 per row: the conditionals become the posterior in
+    place, each block of BLOCK_ROWS rows recomputes its terms from its own
+    rows, and the terms of rows with a positive conditional are written,
+    compacted, to the front of the same array.  Raises ZeroProbability if
+    the outcome has zero total probability.
     """
-    posterior = weights * cond
+    posterior = populations @ effect
+    posterior *= weight
     total = float(np.sum(posterior))
     if total <= 0.0:
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    if total > 0.0:
-        posterior /= total
-    else:  # a NaN total
-        posterior = np.zeros_like(weights)
-    mask = cond > 0.0
-    if not mask.all():
-        cond, posterior = cond[mask], posterior[mask]
-    terms = cond / total
-    np.log2(terms, out=terms)
-    terms *= posterior
-    # Non-negative by Gibbs' inequality; clamp the rounding residue (NaN
-    # passes through max unchanged).
-    return max(float(np.sum(terms)), 0.0)
+    posterior /= total
+    # The last block takes a lone last row: numpy forms a one-row product
+    # with dot, which rounds differently from the matrix-vector product.
+    n_rows, start, end = len(populations), 0, 0
+    for stop in [*range(BLOCK_ROWS, n_rows - 1, BLOCK_ROWS), n_rows]:
+        terms = populations[start:stop] @ effect
+        post = posterior[start:stop]
+        positive = terms > 0.0
+        if not positive.all():
+            terms, post = terms[positive], post[positive]
+        terms /= total
+        np.log2(terms, out=terms)
+        np.multiply(terms, post, out=posterior[end : end + terms.size])
+        start, end = stop, end + terms.size
+    # Non-negative by Gibbs' inequality; clamp the rounding residue.
+    return max(float(np.sum(posterior[:end])), 0.0)
 
 
 def _figures(weights, cond, post, totals, overlaps, backgrounds) -> np.ndarray:
@@ -137,20 +146,15 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     posterior = ensemble.weights * cond
     totals = posterior.sum(axis=1)
     effects = model.support_effects(ensemble.support_dim)
-    if (totals <= 0.0).any():  # a NaN total is not zero
+    if (totals <= 0.0).any():
         outcome = model.outcomes[int(np.argmax(totals <= 0.0))]
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    reached = totals > 0.0
-    if reached.all():
-        posterior /= totals[:, None]
-    else:  # an outcome of NaN total has a zero posterior
-        posterior[reached] /= totals[reached, None]
-        posterior[~reached] = 0.0
+    posterior /= totals[:, None]
     # The products overwrite the images, which nothing reads afterwards, so
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
     overlaps = np.abs(products.sum(axis=2))
-    floors = np.fmax(effects.min(axis=1), 0.0)  # fmax, like max(0.0, b), maps NaN to 0
+    floors = np.fmax(effects.min(axis=1), 0.0)
     backgrounds = dict(zip(model.outcomes, floors.tolist()))
     weights = ensemble.weights
 
@@ -182,8 +186,7 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     for outcome, total, b, (gain, share, fid_sum, rev_sum) in columns:
         mutual_information += share
         # The gain is non-negative by Gibbs' inequality, fidelity and
-        # reversibility are at most 1; clamp the rounding residue (NaN
-        # passes through max and min unchanged).
+        # reversibility are at most 1; clamp the rounding residue.
         info = max(gain, 0.0)
         fid = min(fid_sum, 1.0)
         rev = 0.0 if b == 0.0 else min(rev_sum, 1.0)
@@ -251,11 +254,10 @@ def batched_information(
     are not outcome probabilities (MeasurementModel.support_effects), and
     ZeroProbability if the outcome (or a batch) has zero total probability.
 
-    Memory: one float64 per sample beyond the populations, plus blocks of
-    BLOCK_ROWS (16,384) rows.  The conditionals become the posterior in
-    place, and each block's log term is recomputed from its rows of the
-    populations, so no weights or terms array of the full length is held;
-    the values are those of the full-length arrays bit for bit.
+    Memory: one float64 per sample beyond the populations on every input,
+    plus blocks of BLOCK_ROWS (16,384) rows; each batch forms its own
+    conditionals from its rows, and the values are those of full-length
+    weights, posterior and terms arrays bit for bit.
     """
     n_samples, support_dim = populations.shape
     if not 1 <= n_batches <= n_samples:
@@ -263,33 +265,12 @@ def batched_information(
     model.support_effects(support_dim)
     effect = model.effect_for(outcome)[:support_dim]
     weight = 1.0 / n_samples
-    cond = populations @ effect
-    # The batches read the conditionals before the full pass overwrites them.
-    batches = []
-    for part in np.array_split(cond, n_batches):
-        w = np.full(part.size, weight)
-        batches.append(_gain(outcome, part, w / w.sum()))
-    # min() builds no n-byte mask as cond > 0 would; a NaN fails either test.
-    if not cond.min() > 0.0:
-        # Samples the outcome cannot occur on are compacted away.
-        return _gain(outcome, cond, np.full(n_samples, weight)), np.array(batches)
-    posterior = cond
-    posterior *= weight
-    total = float(np.sum(posterior))
-    if total <= 0.0:
-        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    posterior /= total
-    # The last block takes a lone last row: numpy forms a one-row product
-    # with dot, which rounds differently from the matrix-vector product.
-    start = 0
-    for stop in [*range(BLOCK_ROWS, n_samples - 1, BLOCK_ROWS), n_samples]:
-        terms = populations[start:stop] @ effect
-        terms /= total
-        np.log2(terms, out=terms)
-        posterior[start:stop] *= terms
-        start = stop
-    # Non-negative by Gibbs' inequality; clamp the rounding residue.
-    return max(float(np.sum(posterior)), 0.0), np.array(batches)
+    # Each batch renormalizes its equal weights, as w / w.sum() would.
+    batches = [
+        _gain(outcome, rows, effect, weight / np.full(len(rows), weight).sum())
+        for rows in np.array_split(populations, n_batches)
+    ]
+    return _gain(outcome, populations, effect, weight), np.array(batches)
 
 
 def fit_gamma_squared(gammas: np.ndarray, values: np.ndarray) -> tuple[float, float]:

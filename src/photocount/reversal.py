@@ -182,9 +182,8 @@ def trajectory_sim(
     and 2 * trials of the one stream, and each node is drawn as
     Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
     blocks of ensemble.BLOCK_ROWS (16,384), so the per-trial arrays stay
-    block-sized; the fidelity of each successful reversal is kept (8 bytes,
-    twice at the final concatenation) so that the mean is np.mean's of the
-    whole sample, and that memory grows with the trial count.
+    block-sized; beyond them only the successes per node are kept, and the
+    mean recovery fidelity is their count-weighted mean over the nodes.
     The success rate conditioned on one-count converges to the counter's
     reversibility.  Raises ValueError if the effects on the support are not
     outcome probabilities (MeasurementModel.support_effects), and
@@ -209,17 +208,16 @@ def trajectory_sim(
         _uniform_stream(seed, offset) for offset in (0, trials, 2 * trials)
     )
     n_one = 0
-    blocks = []
+    counts = np.zeros(fidelities.size, dtype=np.intp)  # successes per node
     for start in range(0, trials, BLOCK_ROWS):
         size = min(BLOCK_ROWS, trials - start)
         nodes = table.nodes(node_rng.random(size))
         one_count_mask = outcome_rng.random(size) < cond_one[nodes]
         success_mask = one_count_mask & (reverse_rng.random(size) < success_given_one[nodes])
         n_one += int(np.count_nonzero(one_count_mask))
-        blocks.append(fidelities[nodes[success_mask]])
-    success_fidelities = np.concatenate(blocks)
-    n_success = success_fidelities.size
-    mean_fid = float(np.mean(success_fidelities)) if n_success else float("nan")
+        counts += np.bincount(nodes[success_mask], minlength=fidelities.size)
+    n_success = int(counts.sum())
+    mean_fid = float(counts @ fidelities / n_success) if n_success else float("nan")
     rate = n_success / n_one if n_one else float("nan")
     return TrajectoryStats(
         trials=trials,

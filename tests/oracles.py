@@ -306,7 +306,8 @@ def trajectory_reference(kind, gamma, ensemble, trials, seed):
     success_mask = one_count_mask & (u_reverse < success_given_one[nodes])
     n_one = int(np.count_nonzero(one_count_mask))
     n_success = int(np.count_nonzero(success_mask))
-    mean_fid = float(np.mean(fidelities[nodes[success_mask]])) if n_success else float("nan")
+    counts = np.bincount(nodes[success_mask], minlength=ensemble.n_samples)
+    mean_fid = float(counts @ fidelities / n_success) if n_success else float("nan")
     rate = n_success / n_one if n_one else float("nan")
     return TrajectoryStats(
         trials=trials,

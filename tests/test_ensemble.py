@@ -197,6 +197,22 @@ class TestHaarEnsemble:
             tracemalloc.stop()
         assert peak < 1.1 * 8 * populations.shape[0]
 
+    def test_batched_information_holds_one_float_per_sample_on_zero_conditionals(self):
+        # Rows the outcome cannot occur on are compacted within each block,
+        # into the front of the posterior, so zero conditionals take no more
+        # memory than positive ones.  Full-length weights, posterior and
+        # terms arrays for them measured 5.13 x 8n.
+        populations = haar_populations(4, 10**6, 42, 6).copy()
+        populations[::1000] = 0.0
+        model = build_counter("pc", 0.3, 6)
+        tracemalloc.start()
+        try:
+            batched_information(model, populations, "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * populations.shape[0]
+
 
 class TestPopulations:
     def test_populations_are_squared_support_amplitudes(self, bloch64):
@@ -247,6 +263,17 @@ class TestSupport:
     def test_inconsistent_or_unnormalized_weights_rejected(self, states, weights, message):
         with pytest.raises(ValueError, match=message):
             Ensemble(support_dim=2, states=states, weights=weights)
+
+    @pytest.mark.parametrize("support_dim,row", [
+        (1, [2.0, 0.0, 0.0, 0.0, 0.0]),  # |c_0|^2 = 4
+        (2, [0.6, np.nan, 0.0, 0.0, 0.0]),
+        (2, [0.6, complex(0.0, np.inf), 0.0, 0.0, 0.0]),
+    ])
+    def test_unnormalized_or_non_finite_states_rejected(self, support_dim, row):
+        # Each row's populations must sum to one within the weights' 1e-12;
+        # a NaN or infinite amplitude fails that check.
+        with pytest.raises(ValueError, match="states must have unit norm"):
+            Ensemble(support_dim=support_dim, states=[row], weights=[1.0])
 
 
 class TestImmutability:

@@ -109,6 +109,14 @@ class TestEffects:
                 gamma=0.3,
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(1, 1, 0), (0, 0, 0), (0, 1, 1)])
+    def test_non_finite_operator_rejected(self, entry, value):
+        operators = build_counter("qc", 0.3, 5).operators.copy()
+        operators[entry] = value
+        with pytest.raises(ValueError, match="operators must be finite"):
+            MeasurementModel(label="x", outcomes=("0", "1"), operators=operators, gamma=0.3)
+
     def test_one_square_operator_per_outcome(self):
         for operators in ((np.eye(5),), np.ones((2, 5, 4)), np.eye(5)):
             with pytest.raises(ValueError, match="one square operator per outcome"):
