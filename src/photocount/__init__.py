@@ -21,7 +21,7 @@ _SUBMODULES = {
                  "completeness_residual", "probe_model_operators", "unitary_part_deviation"),
     "ensemble": ("Ensemble", "bloch_two_state_ensemble", "haar_populations"),
     "errors": ("NonReversible", "NumericInconsistency", "PhotocountError", "ZeroProbability"),
-    "fock": ("ladder", "matrix_exponential"),
+    "fock": (),
     "metrics": ("CounterReport", "OutcomeMetrics", "batched_information", "efficiency",
                 "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep"),
     "reversal": ("ReversingMeasurement", "TrajectoryStats", "build_reversing",

@@ -15,8 +15,10 @@ being absorbed into an exact square root.
 
 ``build_counter`` builds each counter in ``LABELS``: these four and ``joint``
 (qc, then pc), the one sequential measurement the paper uses, whose stacks
-it multiplies into one validated model.  A model holds a read-only copy of
-its operator array (``fock.read_only``), so its effects cannot go stale.
+it multiplies into one validated model.  ``probe_model_operators`` builds
+the exact operators of the four probe interactions from the same one-count
+bands, one rotation per field level.  A model holds a read-only copy of its
+operator array (``fock.read_only``), so its effects cannot go stale.
 
 A model owns its support contract: ``MeasurementModel.support_effects`` is
 the one check that the effects on a state family's support are outcome
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import ladder, matrix_exponential, read_only
+from .fock import read_only
 
 
 GAMMA_MAX = 0.5
@@ -152,17 +154,13 @@ _CLOSED_FORMS = {
 }
 
 
-def _validate(gamma: float, dim: int, allow_zero_gamma: bool = False) -> None:
-    low_ok = gamma >= 0.0 if allow_zero_gamma else gamma > 0.0
-    if not (low_ok and gamma <= GAMMA_MAX):
+def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
+    """(no-count, one-count) operator stack of a counter; the one check of
+    gamma and dim for every model built here."""
+    if not 0.0 < gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}], got {gamma}")
     if dim < 4:
         raise ValueError("truncation dimension must be at least 4")
-
-
-def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
-    """(no-count, one-count) operator stack of a counter."""
-    _validate(gamma, dim)
     (row, column), one_count, quadratic = _CLOSED_FORMS[label]
     n = np.arange(dim, dtype=float)
     operators = np.zeros((2, dim, dim), dtype=complex)
@@ -198,45 +196,30 @@ def completeness_residual(model: MeasurementModel, support_dim: int) -> float:
     return float(np.max(np.abs(1.0 - model.effects[:, :support_dim].sum(axis=0))))
 
 
-def probe_hamiltonian(label: str, dim: int) -> np.ndarray:
-    """Field-probe coupling with the energy scale factored out.
+def probe_model_operators(label: str, gamma: float, dim: int) -> MeasurementModel:
+    """Exact measurement operators of a paper counter's probe interaction.
 
-    The joint basis is field-major: index 2n + p with p the probe level.
-    For the absorbing/emitting counters the probe is a two-level atom under
-    an exchange coupling; for the QND counters it is a pair of degenerate
-    levels driven at a rate set by the photon-number form.  'joint' and an
-    unknown label have no probe and raise ValueError.
+    The probe starts in |g> (pc), |e> (qc) or level 0 of a degenerate pair
+    (qpc, qqc); it evolves under exp(-i gamma h), with h = a s+ + a^dag s-
+    for pc and qc and h = X s_x for the QND counters (X = n, n + 1), and is
+    read out projectively.  h joins each field level n, with the probe in
+    its initial level, to one partner only: the level the one-count
+    operator maps n to, with the probe flipped.  So U rotates each pair by
+    theta(n) = gamma f(n), the closed form's one-count entry in column n,
+    and the operators are diag(cos theta) and -i sin of the one-count band.
+    A level with no partner keeps theta = 0: the vacuum of pc, and the top
+    level of qc, which the truncated a^dag maps to nothing.  To first order
+    in gamma these are the closed forms, up to a phase of -i on the
+    one-count.  'joint' and unknown labels raise ValueError; gamma and dim
+    are checked as in build_counter.
     """
     if label not in _CLOSED_FORMS:
         raise ValueError(f"no probe model for counter {label!r}")
-    raise_op = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
-    lower_op = raise_op.conj().T
-    flip = raise_op + lower_op
-    if label in ("pc", "qc"):
-        a = ladder("annihilation", dim)
-        return np.kron(a, raise_op) + np.kron(a.conj().T, lower_op)
-    if label == "qpc":
-        return np.kron(ladder("number", dim), flip)
-    return np.kron(ladder("antinormal_number", dim), flip)
-
-
-def probe_model_operators(label: str, gamma: float, dim: int) -> MeasurementModel:
-    """Exact measurement operators from the unitary probe interaction.
-
-    The probe starts in |g> (pc) or |e> (qc) or the first QND level, evolves
-    under exp(-i gamma h), and is read out projectively; the field-space
-    blocks <m|U|i> are the measurement operators.  They agree with the
-    closed forms of ``build_counter`` to first order in gamma, up to a global
-    phase of -i on the one-count branch.
-    """
-    _validate(gamma, dim, allow_zero_gamma=True)
-    joint_unitary = matrix_exponential(probe_hamiltonian(label, dim), -1j * gamma)
-    init = 1 if label == "qc" else 0
-    count_on = 1 - init
+    band = _closed_form(label, gamma, dim)[1].real
     return MeasurementModel(
         label=f"probe_{label}",
         outcomes=("0", "1"),
-        operators=(joint_unitary[init::2, init::2], joint_unitary[count_on::2, init::2]),
+        operators=(np.diag(np.cos(band.sum(axis=0))), -1j * np.sin(band)),
         gamma=gamma,
     )
 

@@ -52,8 +52,10 @@ def build_reversing(
     keeps the pair {success, fail} a valid measurement, gives the maximal
     success probability.  The background must exceed _INVERSE_FLOOR times
     the largest effect on the support, so the test does not depend on the
-    coupling's scale.
+    coupling's scale.  Raises ValueError first if the effects on the
+    support are not outcome probabilities (MeasurementModel.support_effects).
     """
+    model.support_effects(support_dim)
     floor = background(model, outcome, support_dim)
     if floor <= _INVERSE_FLOOR * float(np.max(model.effect_for(outcome)[:support_dim])):
         raise NonReversible(
@@ -193,7 +195,6 @@ def trajectory_sim(
         raise ValueError("at least 10^4 trials are required")
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
-    model.support_effects(ensemble.support_dim)
     rev = build_reversing(model, "1", ensemble.support_dim)
 
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]

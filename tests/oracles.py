@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from photocount import (
     CounterReport,
@@ -18,7 +19,6 @@ from photocount import (
     build_counter,
     build_reversing,
     efficiency,
-    ladder,
 )
 
 
@@ -65,6 +65,59 @@ def proportionality_deviation(a, b, support_dim=None):
         return 0.0
     cross = np.outer(fa, fb)
     return float(np.max(np.abs(cross - cross.T)) / scale)
+
+
+LADDER_KINDS = ("annihilation", "number", "antinormal_number")
+
+
+def ladder(kind: str, dim: int) -> np.ndarray:
+    """Ladder-type operator on a dim-dimensional truncation.
+
+    ``annihilation`` has <n-1|a|n> = sqrt(n), and its transpose is the
+    creation operator; ``number`` is diag(0, ..., dim-1).
+    ``antinormal_number`` is built as number + identity, i.e. diag(1, ...,
+    dim): on the top level the truncated product a a^dag would give 0
+    instead of dim, so the definition-level form is used to keep it exact on
+    states supported below the truncation edge.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if kind == "annihilation":
+        return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    if kind == "number":
+        return np.diag(np.arange(dim, dtype=complex))
+    if kind == "antinormal_number":
+        return np.diag(np.arange(1, dim + 1, dtype=complex))
+    raise ValueError(f"unknown ladder kind {kind!r}; expected one of {LADDER_KINDS}")
+
+
+def probe_hamiltonian(label, dim):
+    """Field-probe coupling of a paper counter with the energy scale
+    factored out, on the 2 dim x 2 dim joint space.
+
+    The joint basis is field-major: index 2n + p with p the probe level.
+    For the absorbing/emitting counters the probe is a two-level atom under
+    an exchange coupling; for the QND counters it is a pair of degenerate
+    levels driven at a rate set by the photon-number form.
+    """
+    raise_op = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
+    lower_op = raise_op.conj().T
+    if label in ("pc", "qc"):
+        a = ladder("annihilation", dim)
+        return np.kron(a, raise_op) + np.kron(a.conj().T, lower_op)
+    form = "number" if label == "qpc" else "antinormal_number"
+    return np.kron(ladder(form, dim), raise_op + lower_op)
+
+
+def probe_reference(label, gamma, dim):
+    """(no-count, one-count) blocks <m|U|init> of U = exp(-i gamma h), h the
+    probe_hamiltonian, exponentiated by scipy's Pade approximant.  The probe
+    starts in |e> for qc and in level 0 for the other counters, and the
+    one-count is the other probe level.  probe_model_operators must give
+    the same operators to rounding."""
+    unitary = scipy.linalg.expm(-1j * gamma * probe_hamiltonian(label, dim))
+    init = 1 if label == "qc" else 0
+    return np.array([unitary[init::2, init::2], unitary[1 - init::2, init::2]])
 
 
 def build_counter_reference(kind, gamma, dim):

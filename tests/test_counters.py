@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from oracles import build_counter_reference, compose_reference, proportionality_deviation
+from oracles import build_counter_reference, compose_reference, ladder, proportionality_deviation
 
 from photocount import (
     MeasurementModel,
     build_counter,
     completeness_residual,
-    ladder,
     probe_model_operators,
     unitary_part_deviation,
 )
-from photocount.counters import LABELS, probe_hamiltonian
+from photocount.counters import LABELS
 
 ALL_KINDS = ("pc", "qc", "qpc", "qqc")
 
@@ -64,14 +63,16 @@ class TestBuildCounter:
             model = build_counter(kind, gamma, dim)
             assert np.max(np.abs(model.operator_for("0") - mat)) < 1e-15
 
+    @pytest.mark.parametrize("build", [build_counter, probe_model_operators])
     @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.6])
-    def test_gamma_range_enforced(self, gamma):
-        with pytest.raises(ValueError):
-            build_counter("pc", gamma, 5)
+    def test_gamma_range_enforced(self, gamma, build):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            build("pc", gamma, 5)
 
-    def test_dim_floor_enforced(self):
-        with pytest.raises(ValueError):
-            build_counter("pc", 0.3, 3)
+    @pytest.mark.parametrize("build", [build_counter, probe_model_operators])
+    def test_dim_floor_enforced(self, build):
+        with pytest.raises(ValueError, match="at least 4"):
+            build("pc", 0.3, 3)
 
     @pytest.mark.parametrize("label", ["QC", "joint ", "probe_qc", ""])
     def test_unknown_label_is_refused_before_the_coupling(self, label):
@@ -199,11 +200,6 @@ def phase_aligned_deviation(probe_op, closed_op, support_dim):
 
 class TestProbeModels:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_probe_hamiltonian_is_hermitian(self, kind):
-        h = probe_hamiltonian(kind, 5)
-        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exact_operators_match_block_rotation_oracle(self, kind):
         model = probe_model_operators(kind, 0.1, 5)
         oracle = block_rotation_one_count(kind, 0.1, 5)
@@ -221,13 +217,13 @@ class TestProbeModels:
     @pytest.mark.parametrize("label", ["joint", "QC", "bogus"])
     def test_a_label_without_a_probe_is_refused(self, label):
         with pytest.raises(ValueError, match=f"no probe model for counter {label!r}"):
-            probe_hamiltonian(label, 5)
-        with pytest.raises(ValueError, match=f"no probe model for counter {label!r}"):
             probe_model_operators(label, 0.1, 5)
 
-    def test_zero_coupling_is_trivial(self):
-        model = probe_model_operators("pc", 0.0, 5)
-        assert np.max(np.abs(model.operator_for("1"))) < 1e-15
+    def test_weak_coupling_limit_is_trivial(self):
+        # gamma = 0 is refused, so the limit is taken at 1e-8: the largest
+        # angle is 2e-8 on level 4, and 1 - cos of it is below one rounding.
+        model = probe_model_operators("pc", 1e-8, 5)
+        assert np.max(np.abs(model.operator_for("1"))) <= 2e-8
         assert np.max(np.abs(model.operator_for("0") - np.eye(5))) < 1e-15
 
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2, 0.3])

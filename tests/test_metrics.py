@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import OutcomeStats, haar_states, information_gain, outcome_stats
+from oracles import OutcomeStats, haar_states, information_gain, ladder, outcome_stats
 
 import photocount.metrics as metrics
 from photocount import (
@@ -19,7 +19,6 @@ from photocount import (
     post_measurement_state,
 )
 from photocount.counters import MeasurementModel
-from photocount.fock import ladder
 
 LN2 = np.log(2.0)
 

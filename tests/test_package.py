@@ -21,7 +21,6 @@ EXPORTED = {
     "Ensemble", "bloch_two_state_ensemble", "haar_populations",
     "NonReversible", "NumericInconsistency", "PhotocountError",
     "ZeroProbability",
-    "ladder", "matrix_exponential",
     "CounterReport", "OutcomeMetrics", "background", "batched_information",
     "efficiency", "evaluate", "fit_gamma_squared", "full_report", "gamma_sweep",
     "post_measurement_state",

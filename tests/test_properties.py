@@ -1,12 +1,13 @@
 """Property tests of full_report and evaluate, of information as a function
 of reversibility on two levels, of the one-count orderings of the four
 counters, of the sweep's reversibility-loss fit, of the completeness
-residual, of the backgrounds and reversing measurements, of the polar
-structure of the one-count operators, of the joint counter, of the stacked
-recovery, of the trajectory simulation and of the batched Monte Carlo gains
-over random couplings, truncations, quadrature sizes, sample counts, seeds
-and trial counts; and of the CLI's outputs and exit codes over random
-flags.  Derandomized, so every run draws the same examples."""
+residual, of the exact probe operators, of the backgrounds and reversing
+measurements, of the polar structure of the one-count operators, of the
+joint counter, of the stacked recovery, of the trajectory simulation and of
+the batched Monte Carlo gains over random couplings, truncations,
+quadrature sizes, sample counts, seeds and trial counts; and of the CLI's
+outputs and exit codes over random flags.  Derandomized, so every run draws
+the same examples."""
 
 import contextlib
 import csv
@@ -29,6 +30,7 @@ from oracles import (
     min_effect_eigenvalue,
     outcome_stats,
     polar_factors,
+    probe_reference,
     recovery_reference,
     trajectory_reference,
     two_level_gain,
@@ -49,6 +51,7 @@ from photocount import (
     full_report,
     gamma_sweep,
     haar_populations,
+    probe_model_operators,
     trajectory_sim,
     unitary_part_deviation,
     verify_recovery,
@@ -246,6 +249,24 @@ def test_completeness_residual_is_the_dropped_fourth_order_term(kind, gamma, dim
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
+    label=st.sampled_from(PAPER_LABELS),
+    gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    dim=st.integers(min_value=4, max_value=8),
+)
+@example(label="qc", gamma=0.5, dim=8)
+@example(label="qqc", gamma=0.5, dim=8)
+def test_probe_operators_are_the_expm_blocks(label, gamma, dim):
+    # Every entry of both operators, the truncation edge included, matches
+    # the Kronecker Hamiltonian's scipy expm blocks, and the pair is
+    # complete to rounding.
+    model = probe_model_operators(label, gamma, dim)
+    assert np.max(np.abs(model.operators - probe_reference(label, gamma, dim))) <= 1e-14
+    total = (model.operators.conj().transpose(0, 2, 1) @ model.operators).sum(axis=0)
+    assert np.max(np.abs(total - np.eye(dim))) <= 1e-14
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
     kind=st.sampled_from(PAPER_LABELS),
     gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
     dim=st.integers(min_value=4, max_value=8),
@@ -301,6 +322,15 @@ def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, di
     # |eta|^2 at the cap against the dense eigensolver on M^dag M
     label, outcome = target
     model = build_counter(label, gamma, dim)
+    try:
+        model.support_effects(support_dim)
+    except ValueError as refusal:
+        # build_reversing reads the effects through the support check, so
+        # it refuses the same models (here a subnormal outcome probability
+        # at tiny coupling) with the same message.
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
+            build_reversing(model, outcome, support_dim)
+        return
     oracle = min_effect_eigenvalue(model.operator_for(outcome), support_dim)
     if oracle <= 0.0:
         # The background underflows to zero at tiny coupling.

@@ -80,6 +80,14 @@ class TestBuildReversing:
         assert np.max(np.abs(res["success_prob"] - [1.0, 0.25])) < 1e-12
         assert np.min(res["recovery_fidelity"]) > 1 - 1e-10
 
+    def test_effect_above_one_is_refused_before_the_background(self):
+        # gamma^2 (n+1)^2 of qqc is 2.25 on |2> at gamma = 0.5; without the
+        # support check the background 0.25 on |0> came back as eta_sq
+        model = build_counter("qqc", 0.5, 5)
+        with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 2"):
+            build_reversing(model, "1", 3)
+        assert build_reversing(model, "1", 2).eta_sq == 0.25
+
     @pytest.mark.parametrize("kind", ["qc", "qqc"])
     def test_success_fail_pair_is_complete(self, bloch, kind):
         rev = reversing(kind)
