@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import build_counter_reference, compose_reference, ladder, proportionality_deviation
+from oracles import (
+    build_counter_reference,
+    compose_reference,
+    ladder,
+    probe_reference,
+    proportionality_deviation,
+)
 
 from photocount import (
     MeasurementModel,
@@ -63,16 +69,14 @@ class TestBuildCounter:
             model = build_counter(kind, gamma, dim)
             assert np.max(np.abs(model.operator_for("0") - mat)) < 1e-15
 
-    @pytest.mark.parametrize("build", [build_counter, probe_model_operators])
     @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.6])
-    def test_gamma_range_enforced(self, gamma, build):
+    def test_gamma_range_enforced(self, gamma):
         with pytest.raises(ValueError, match="gamma must lie in"):
-            build("pc", gamma, 5)
+            build_counter("pc", gamma, 5)
 
-    @pytest.mark.parametrize("build", [build_counter, probe_model_operators])
-    def test_dim_floor_enforced(self, build):
+    def test_dim_floor_enforced(self):
         with pytest.raises(ValueError, match="at least 4"):
-            build("pc", 0.3, 3)
+            build_counter("pc", 0.3, 3)
 
     @pytest.mark.parametrize("label", ["QC", "joint ", "probe_qc", ""])
     def test_unknown_label_is_refused_before_the_coupling(self, label):
@@ -218,6 +222,28 @@ class TestProbeModels:
     def test_a_label_without_a_probe_is_refused(self, label):
         with pytest.raises(ValueError, match=f"no probe model for counter {label!r}"):
             probe_model_operators(label, 0.1, 5)
+
+    # probe_model_operators checks gamma and dim through the closed form,
+    # with build_counter's messages
+    @pytest.mark.parametrize("gamma", [0.0, -0.1, 0.6])
+    def test_gamma_range_enforced(self, gamma):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            probe_model_operators("pc", gamma, 5)
+
+    def test_dim_floor_enforced(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            probe_model_operators("pc", 0.3, 3)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    def test_rotation_matches_scipy_expm(self, kind, dim):
+        # A fixed grid beside the Hypothesis property: both operators, the
+        # truncation edge included, against the Kronecker Hamiltonian's
+        # expm blocks, from the weak-coupling limit to the largest gamma.
+        for gamma in (1e-8, 0.05, 0.3, 0.5):
+            model = probe_model_operators(kind, gamma, dim)
+            oracle = probe_reference(kind, gamma, dim)
+            assert np.max(np.abs(model.operators - oracle)) < 1e-14
 
     def test_weak_coupling_limit_is_trivial(self):
         # gamma = 0 is refused, so the limit is taken at 1e-8: the largest
