@@ -8,12 +8,14 @@ Importing this module loads numpy's OpenBLAS with one thread unless the
 caller has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS``.
 
-Each command returns one results record: the JSON output prints it, and the
-CSV output is a table view of it, so no value is named twice.  A printed
-mean fidelity above 1 adds one note on stderr; stdout keeps its bytes.
+The library builds the model and the family of the shared flags once per
+call, and its checks refuse their out-of-range values.  Each command
+returns one results record: the JSON output prints it, and the CSV output
+is a table view of it, so no value is named twice.  A printed mean
+fidelity above 1 adds one note on stderr; stdout keeps its bytes.
 
 Exit codes: 0 success, 2 usage error, 3 non-reversible counter requested
-for reversal, 4 numeric failure.
+for reversal, 4 numeric failure or an allocation the machine refused.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
-from .counters import GAMMA_MAX, LABELS, build_counter  # noqa: E402
-from .ensemble import bloch_two_state_ensemble, haar_populations  # noqa: E402
+from .counters import LABELS, MeasurementModel, build_counter  # noqa: E402
+from .ensemble import Ensemble, bloch_two_state_ensemble, check_bloch_family, haar_populations  # noqa: E402
 from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
-from .metrics import batched_information, evaluate, full_report, gamma_sweep  # noqa: E402
+from .metrics import batched_information, evaluate, gamma_sweep  # noqa: E402
 from .reversal import trajectory_sim  # noqa: E402
 
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
@@ -101,14 +103,12 @@ def _note_mean_fidelity_above_one(means) -> None:
               " sum_m p(m) = 1 + O(gamma^4), so the means hold to O(gamma^2)", file=sys.stderr)
 
 
-def cmd_posterior(args: argparse.Namespace) -> dict:
+def cmd_posterior(args: argparse.Namespace, model: MeasurementModel, ens: Ensemble) -> dict:
     """Prior and posterior angular densities for one outcome on a theta grid."""
-    model = build_counter(args.counter, args.gamma, args.dim)
     if args.outcome not in model.outcomes:
         raise ValueError(f"outcome must be one of {model.outcomes}")
     # Both levels' populations against the outcome's diagonal effect give
     # p(m|theta) on the quadrature and on the printed grid.
-    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
     effect = model.support_effects(ens.support_dim)[model.outcomes.index(args.outcome)]
     total = float(ens.weights @ (ens.populations @ effect))
     if total <= 0.0:
@@ -131,10 +131,9 @@ def _posterior_table(results: dict):
     return header, list(zip(*(results[name] for name in header)))
 
 
-def cmd_metrics(args: argparse.Namespace) -> dict:
+def cmd_metrics(args: argparse.Namespace, model: MeasurementModel, ens: Ensemble) -> dict:
     """Per-outcome and mean figures of merit for one counter."""
-    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
-    report = full_report(args.counter, args.gamma, ens)
+    report = evaluate(model, ens)
     _note_mean_fidelity_above_one([report.mean_fidelity])
     return {
         "outcomes": {
@@ -158,14 +157,13 @@ def _metrics_table(results: dict):
     return header, rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> dict:
+def cmd_sweep(args: argparse.Namespace, model: MeasurementModel, ens: Ensemble) -> dict:
     """Mean quantities across couplings plus fitted gamma^2 coefficients."""
     # The cap bounds the drift of the fitted coefficients (--gamma-max help).
     if not 0.0 < args.gamma_min < args.gamma_max <= 0.3:
         raise ValueError("require 0 < gamma-min < gamma-max <= 0.3")
     if args.steps < 5:
         raise ValueError("at least 5 sweep steps are required")
-    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
     sweep = gamma_sweep(args.counter, np.linspace(args.gamma_min, args.gamma_max, args.steps), ens)
     _note_mean_fidelity_above_one(sweep.mean_fidelity)
     return {
@@ -192,17 +190,17 @@ def _sweep_table(results: dict):
     return list(columns), rows
 
 
-def cmd_haar(args: argparse.Namespace) -> dict:
+def cmd_haar(args: argparse.Namespace, *_) -> dict:
     """Monte Carlo one-count information gains on a d-level superposition."""
     if args.d not in (2, 3, 4):
         raise ValueError("d must be 2, 3, or 4")
     if args.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
-    populations = haar_populations(args.d, args.samples, args.seed, args.dim)
+    populations = haar_populations(args.d, args.samples, args.seed)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
-        model = build_counter(label, args.gamma, args.dim)
-        values[label], batches[label] = batched_information(model, populations, outcome="1")
+        counter = build_counter(label, args.gamma, args.dim)
+        values[label], batches[label] = batched_information(counter, populations, outcome="1")
 
     def standard_error(batch: np.ndarray) -> float:
         return float(np.std(batch, ddof=1) / np.sqrt(batch.size))
@@ -231,15 +229,13 @@ def _haar_table(results: dict):
     return ["quantity", "value", "standard_error"], rows
 
 
-def cmd_reverse(args: argparse.Namespace) -> dict:
+def cmd_reverse(args: argparse.Namespace, model: MeasurementModel, ens: Ensemble) -> dict:
     """Analytic and Monte Carlo reversal statistics for a reversible counter."""
-    model = build_counter(args.counter, args.gamma, args.dim)
     if "1" not in model.outcomes:
         raise NonReversible(
             f"counter {args.counter!r} has no one-count outcome '1' to reverse;"
             f" its outcomes are {', '.join(model.outcomes)}"
         )
-    ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
     # The simulation builds the reversing measurement, so a one-count with
     # zero background raises NonReversible before anything is evaluated.
     sim = trajectory_sim(model, ens, trials=args.samples, seed=args.seed)
@@ -265,7 +261,7 @@ def _reverse_table(results: dict):
     return list(results), [list(results.values())]
 
 
-# name -> (command of the parsed flags, CSV view of its results)
+# name -> (command of the flags, model and family, CSV view of its results)
 COMMANDS = {
     "posterior": (cmd_posterior, _posterior_table),
     "metrics": (cmd_metrics, _metrics_table),
@@ -320,23 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args: argparse.Namespace) -> None:
-    """Range checks of the shared flags; argparse checks their types and
-    choices."""
-    if not 0.0 < args.gamma <= GAMMA_MAX:
-        raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}]")
-    if args.theta_nodes < 8:
-        raise ValueError("theta-nodes must be at least 8")
-    if args.dim < 4:
-        raise ValueError("dim must be at least 4")
+def _dispatch(args: argparse.Namespace):
+    # No library call reads --samples for posterior, metrics or sweep.
     if args.samples < 1:
         raise ValueError("samples must be positive")
-
-
-def _dispatch(args: argparse.Namespace):
-    _validate(args)
+    model = build_counter(args.counter, args.gamma, args.dim)
+    # haar reads no family, so it only checks the flags: a build adds 2.1 MB to its peak RSS.
+    family = check_bloch_family if args.command == "haar" else bloch_two_state_ensemble
+    ens = family(args.theta_nodes, args.dim)
     command, table = COMMANDS[args.command]
-    results = command(args)
+    results = command(args, model, ens)
 
     if args.format == "json":
         payload = {
@@ -370,8 +359,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PhotocountError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PhotocountError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     return 0
 

@@ -21,10 +21,10 @@ bands, one rotation per field level.  A model holds a read-only copy of its
 operator array (``fock.read_only``), so its effects cannot go stale.
 
 A model owns its support contract: ``MeasurementModel.support_effects`` is
-the one check that the effects on a state family's support are outcome
-probabilities, and every figure computed from them reads them through it.
-``background`` and ``completeness_residual`` check only that the support
-lies in [1, dim].
+the one check that a family's support stays clear of the truncation edge
+and that the effects there are outcome probabilities; every figure reads
+them through it.  ``background`` and ``completeness_residual`` read any
+level, so they check only that the support lies in [1, dim].
 """
 
 from __future__ import annotations
@@ -106,13 +106,18 @@ class MeasurementModel:
     def support_effects(self, support_dim: int) -> np.ndarray:
         """effects[:, :support_dim], checked to be outcome probabilities there.
 
-        Raises ValueError for a support outside [1, dim], for an entry above 1
-        (the coupling is too large for the truncated operators), and for a
+        Raises ValueError for a support outside [1, dim - 2], beyond which a
+        raising outcome leaks probability past the truncation, for an entry
+        above 1 (gamma is too large for the truncated operators), and for a
         positive entry below the smallest normal double, a subnormal
         probability that keeps only a few bits.  An entry that underflows to
         0 passes; its outcome may raise ZeroProbability where it is used.
         """
         _check_support(self, support_dim)
+        margin = 2
+        if support_dim > self.dim - margin:
+            raise ValueError(f"support dimension {support_dim} is too close to the truncation "
+                             f"dim {self.dim}; it must be at most dim - {margin}")
         effects = self.effects[:, :support_dim]
         if effects.max() > 1.0:
             k, n = np.unravel_index(np.argmax(effects), effects.shape)
@@ -156,11 +161,11 @@ _CLOSED_FORMS = {
 
 def _closed_form(label: str, gamma: float, dim: int) -> np.ndarray:
     """(no-count, one-count) operator stack of a counter; the one check of
-    gamma and dim for every model built here."""
+    gamma, and of the one level a model needs, for every model built here."""
     if not 0.0 < gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in (0, {GAMMA_MAX}], got {gamma}")
-    if dim < 4:
-        raise ValueError("truncation dimension must be at least 4")
+    if dim < 1:
+        raise ValueError("truncation dimension must be at least 1")
     (row, column), one_count, quadratic = _CLOSED_FORMS[label]
     n = np.arange(dim, dtype=float)
     operators = np.zeros((2, dim, dim), dtype=complex)

@@ -90,6 +90,14 @@ def _bloch_states(thetas: np.ndarray, dim: int) -> np.ndarray:
     return states
 
 
+def check_bloch_family(nodes: int, dim: int) -> None:
+    """Refuse what bloch_two_state_ensemble refuses, without building it."""
+    if nodes < 8:
+        raise ValueError("at least 8 quadrature nodes are required")
+    if dim < 2:
+        raise ValueError("truncation dimension must be at least 2")
+
+
 def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     """Quadrature for the uniform measure over cos(t/2)|0> + e^{i phi} sin(t/2)|1>.
 
@@ -99,10 +107,7 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     density absorbed into the weights; this keeps integrands of the form
     n log n regular at the poles, which node layouts in cos(theta) do not.
     """
-    if nodes < 8:
-        raise ValueError("at least 8 quadrature nodes are required")
-    if dim < 4:
-        raise ValueError("truncation dimension must be at least 4")
+    check_bloch_family(nodes, dim)
     x, w = np.polynomial.legendre.leggauss(nodes)
     thetas = (x + 1.0) * (np.pi / 2.0)
     weights = (np.pi / 2.0) * w * np.sin(thetas) / 2.0
@@ -110,7 +115,7 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     return Ensemble(support_dim=2, states=_bloch_states(thetas, dim), weights=weights, thetas=thetas)
 
 
-def haar_populations(d: int, n_samples: int, seed: int, dim: int) -> np.ndarray:
+def haar_populations(d: int, n_samples: int, seed: int) -> np.ndarray:
     """Populations |c_n|^2 of uniform (Haar) random pure states on the span
     of |0>, ..., |d-1>, one read-only row of d levels per sample.
 
@@ -118,11 +123,11 @@ def haar_populations(d: int, n_samples: int, seed: int, dim: int) -> np.ndarray:
     Deterministic for a given seed: all real parts are drawn before all
     imaginary parts, row by row.  Only the populations are kept: each block
     of rows is formed, normalized and squared in turn, so the amplitudes
-    never exist for the whole family at once.  ``dim`` is the truncation the
-    populations are evaluated on; the support must stay two levels below it.
+    never exist for the whole family at once.  A model that reads them
+    checks that d stays clear of its truncation edge (support_effects).
     """
-    if not 2 <= d <= dim - 2:
-        raise ValueError("support dimension must satisfy 2 <= d <= dim - 2")
+    if d < 2:
+        raise ValueError("support dimension must be at least 2")
     if n_samples < 10_000:
         raise ValueError("at least 10^4 samples are required")
     rng = np.random.default_rng(seed)

@@ -256,7 +256,7 @@ def test_10_polar_structure():
 
 
 def test_11_three_level_information_ordering():
-    populations = pc.haar_populations(3, 1_000_000, 42, 5)
+    populations = pc.haar_populations(3, 1_000_000, 42)
     values, batches = {}, {}
     for label in ("pc", "qpc"):
         model = pc.build_counter(label, 0.3, 5)

@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photocount import bloch_two_state_ensemble, build_counter, cli
+from photocount import (
+    batched_information,
+    bloch_two_state_ensemble,
+    build_counter,
+    build_reversing,
+    cli,
+    evaluate,
+    trajectory_sim,
+)
 from photocount.cli import format_number, main
 
 
@@ -75,9 +83,10 @@ class TestPosterior:
         # against the squared norms of the images M|psi(theta)>
         argv = ["posterior", "--counter", counter, "--outcome", outcome, "--dim", "6"]
         args = cli.build_parser().parse_args(argv)
-        results = cli.cmd_posterior(args)
-        op = build_counter(counter, args.gamma, args.dim).operator_for(outcome)
+        model = build_counter(counter, args.gamma, args.dim)
         ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
+        results = cli.cmd_posterior(args, model, ens)
+        op = model.operator_for(outcome)
         total = ens.weights @ np.sum(np.abs(ens.states @ op.T) ** 2, axis=1)
         half = np.deg2rad(results["theta_degrees"]) / 2
         grid = np.zeros((half.size, args.dim))
@@ -251,7 +260,10 @@ class TestHaar:
         code, out, err = run_cli(["haar", "--d", "4", "--dim", "5"], capsys)
         assert code == 2
         assert out == ""
-        assert "d <= dim - 2" in err
+        assert err == (
+            "error: support dimension 4 is too close to the truncation dim 5;"
+            " it must be at most dim - 2\n"
+        )
 
     def test_effect_above_one_is_usage_error(self, capsys):
         # the qpc one-count effect gamma^2 n^2 is 2.25 on |3> at gamma = 0.5
@@ -381,8 +393,9 @@ class TestOutputDiscipline:
         assert code == 2
 
     @pytest.mark.parametrize("flags,message", [
-        (["--theta-nodes", "7"], "theta-nodes must be at least 8"),
-        (["--dim", "3"], "dim must be at least 4"),
+        (["--theta-nodes", "7"], "at least 8 quadrature nodes are required"),
+        (["--dim", "3"], "support dimension 2 is too close to the truncation dim 3;"
+                         " it must be at most dim - 2"),
         (["--samples", "0"], "samples must be positive"),
     ])
     def test_shared_flag_range_is_usage_error(self, flags, message, capsys):
@@ -392,7 +405,7 @@ class TestOutputDiscipline:
         assert err == f"error: {message}\n"
 
     def test_floating_point_error_is_numeric_failure(self, capsys, monkeypatch):
-        def divide_by_zero(args):
+        def divide_by_zero(args, model, ens):
             return {"value": np.float64(1.0) / np.float64(0.0)}
 
         _, table = cli.COMMANDS["metrics"]
@@ -406,12 +419,80 @@ class TestOutputDiscipline:
         # A NaN that no numpy operation raised on is refused at the output
         # instead of printed as an empty field.
         _, table = cli.COMMANDS["reverse"]
-        monkeypatch.setitem(cli.COMMANDS, "reverse", (lambda args: {"value": np.float64("nan")}, table))
+        monkeypatch.setitem(cli.COMMANDS, "reverse", (lambda *_: {"value": np.float64("nan")}, table))
         for fmt in ("csv", "json"):
             code, out, err = run_cli(["reverse", "--format", fmt], capsys)
             assert code == 4
             assert out == ""
             assert err == "error: cannot print the non-finite number nan\n"
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 298. GiB", "error: Unable to allocate 298. GiB\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_refused_allocation_is_numeric_failure(self, message, line, capsys, monkeypatch):
+        # The stub raises as numpy does when the machine refuses an array,
+        # without allocating one.
+        def refused(*_):
+            raise MemoryError(message)
+
+        _, table = cli.COMMANDS["metrics"]
+        monkeypatch.setitem(cli.COMMANDS, "metrics", (refused, table))
+        assert run_cli(["metrics"], capsys) == (4, "", line)
+
+
+class TestTruncationEdge:
+    """The truncation edge is checked once, by the model's support_effects,
+    and every caller reports it in that one message."""
+
+    @staticmethod
+    def edge_message(support_dim, dim):
+        with pytest.raises(ValueError) as refused:
+            build_counter("pc", 0.3, dim).support_effects(support_dim)
+        return str(refused.value)
+
+    def test_library_callers_give_the_one_message(self):
+        message = self.edge_message(2, 3)
+        assert message == ("support dimension 2 is too close to the truncation dim 3;"
+                           " it must be at most dim - 2")
+        qc, ens = build_counter("qc", 0.3, 3), bloch_two_state_ensemble(64, 3)
+        calls = [
+            lambda: evaluate(qc, ens),
+            lambda: batched_information(qc, ens.populations, "1", n_batches=1),
+            lambda: build_reversing(qc, "1", 2),
+            lambda: trajectory_sim(qc, ens, trials=10_000, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize("argv,support_dim,dim", [
+        (["posterior", "--dim", "3"], 2, 3),
+        (["metrics", "--dim", "3"], 2, 3),
+        (["sweep", "--dim", "3"], 2, 3),
+        (["reverse", "--counter", "qc", "--dim", "3"], 2, 3),
+        (["reverse", "--dim", "3"], 2, 3),
+        (["haar", "--d", "4", "--dim", "5"], 4, 5),
+    ])
+    def test_commands_give_the_one_message(self, argv, support_dim, dim, capsys):
+        message = self.edge_message(support_dim, dim)
+        assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flags", [
+        *(["--dim", str(dim)] for dim in (-1, 0, 1, 2, 3)),
+        *(["--gamma", gamma] for gamma in ("0", "0.6", "nan")),
+        ["--theta-nodes", "7"],
+        ["--samples", "0"],
+    ])
+    def test_single_fault_is_one_line_usage_error(self, command, flags, capsys):
+        # Every command builds the model and the family of the shared flags
+        # (haar only checks the family), so each refuses them, also those it
+        # does not read.
+        code, out, err = run_cli([command, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestFreshProcess:
@@ -432,6 +513,15 @@ class TestFreshProcess:
         run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout == (GOLDEN / f"{name}.csv").read_bytes()
+
+    def test_haar_builds_no_family(self):
+        # haar reads no two-level family, and building one (leggauss) adds
+        # 2.1 MB to a default run's peak RSS; None blocks numpy.polynomial.
+        probe = ("import sys; sys.modules['numpy.polynomial'] = None; from photocount.cli import main; "
+                 "raise SystemExit(main(sys.argv[1:]))")
+        run = subprocess.run([sys.executable, "-c", probe, "haar", "--d", "3"], capture_output=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (GOLDEN / "haar_d3.csv").read_bytes()
 
     def test_subprocess_rerun_is_byte_identical(self):
         cmd = [sys.executable, "-m", "photocount", "reverse", "--counter", "qqc",

@@ -75,8 +75,10 @@ class TestBuildCounter:
             build_counter("pc", gamma, 5)
 
     def test_dim_floor_enforced(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            build_counter("pc", 0.3, 3)
+        # A model needs one level; the truncation edge is support_effects'.
+        with pytest.raises(ValueError, match="^truncation dimension must be at least 1$"):
+            build_counter("pc", 0.3, 0)
+        assert build_counter("pc", 0.3, 1).dim == 1
 
     @pytest.mark.parametrize("label", ["QC", "joint ", "probe_qc", ""])
     def test_unknown_label_is_refused_before_the_coupling(self, label):
@@ -231,8 +233,8 @@ class TestProbeModels:
             probe_model_operators("pc", gamma, 5)
 
     def test_dim_floor_enforced(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            probe_model_operators("pc", 0.3, 3)
+        with pytest.raises(ValueError, match="^truncation dimension must be at least 1$"):
+            probe_model_operators("pc", 0.3, 0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("dim", [4, 5, 8])

@@ -96,23 +96,26 @@ class TestBlochEnsemble:
         assert abs(fidelities[0] - fidelities[1]) < 1e-12
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        # The family needs its two levels; the truncation edge is the
+        # model's check (support_effects).
+        with pytest.raises(ValueError, match="^at least 8 quadrature nodes are required$"):
             bloch_two_state_ensemble(7, 5)
-        with pytest.raises(ValueError):
-            bloch_two_state_ensemble(16, 3)
+        with pytest.raises(ValueError, match="^truncation dimension must be at least 2$"):
+            bloch_two_state_ensemble(16, 1)
+        assert bloch_two_state_ensemble(16, 2).dim == 2
 
 
 class TestHaarEnsemble:
     def test_amplitude_moments_match_uniform_measure(self):
         # E|c_k|^2 = 1/d; compare within 4 Monte Carlo standard errors
         for d in (2, 3):
-            probs = haar_populations(d, 20_000, 123, 6)
+            probs = haar_populations(d, 20_000, 123)
             for k in range(d):
                 se = float(np.std(probs[:, k], ddof=1) / np.sqrt(probs.shape[0]))
                 assert abs(float(probs[:, k].mean()) - 1.0 / d) < 4 * se
 
     def test_d2_matches_bloch_quadrature_moment(self):
-        t_mc = haar_populations(2, 50_000, 7, 5)[:, 1]
+        t_mc = haar_populations(2, 50_000, 7)[:, 1]
         bloch = bloch_two_state_ensemble(64, 5)
         se = float(np.std(t_mc, ddof=1) / np.sqrt(t_mc.size))
         t_quad = float(np.sum(bloch.weights * np.abs(bloch.states[:, 1]) ** 2))
@@ -129,10 +132,10 @@ class TestHaarEnsemble:
         assert abs(full - 1.0) < 1e-12
 
     def test_deterministic_for_a_seed(self):
-        a = haar_populations(3, 10_000, 9, 5)
-        b = haar_populations(3, 10_000, 9, 5)
+        a = haar_populations(3, 10_000, 9)
+        b = haar_populations(3, 10_000, 9)
         assert np.array_equal(a, b)
-        c = haar_populations(3, 10_000, 10, 5)
+        c = haar_populations(3, 10_000, 10)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("d,dim", [(2, 4), (3, 5), (4, 6)])
@@ -141,17 +144,15 @@ class TestHaarEnsemble:
         # x + 1j y with x and y drawn in that order; 65,537 and 200,003 rows
         # end in partial blocks of 1 and 3,395 rows
         for n in (10_000, 65_537, 200_003):
-            populations = haar_populations(d, n, 17, dim)
+            populations = haar_populations(d, n, 17)
             assert populations.shape == (n, d)
             assert np.array_equal(populations, np.abs(haar_states(d, n, 17, dim)[:, :d]) ** 2)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            haar_populations(1, 10_000, 0, 5)
-        with pytest.raises(ValueError):
-            haar_populations(4, 10_000, 0, 5)  # needs dim >= d + 2
-        with pytest.raises(ValueError):
-            haar_populations(2, 5_000, 0, 5)
+        with pytest.raises(ValueError, match="^support dimension must be at least 2$"):
+            haar_populations(1, 10_000, 0)
+        with pytest.raises(ValueError, match=r"^at least 10\^4 samples are required$"):
+            haar_populations(2, 5_000, 0)
 
     def test_populations_hold_block_sized_temporaries(self):
         # Beyond the populations it returns, haar_populations holds one block
@@ -160,7 +161,7 @@ class TestHaarEnsemble:
         # rows measured 1.32x.  A memory bound, not a timing bound.
         tracemalloc.start()
         try:
-            populations = haar_populations(4, 10**6, 42, 6)
+            populations = haar_populations(4, 10**6, 42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -174,7 +175,7 @@ class TestHaarEnsemble:
         # alone would exceed the bound.  A memory bound, not a timing bound.
         tracemalloc.start()
         try:
-            populations = haar_populations(4, 10**6, 42, 6)
+            populations = haar_populations(4, 10**6, 42)
             batched_information(build_counter("pc", 0.3, 6), populations, "1")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -187,7 +188,7 @@ class TestHaarEnsemble:
         # of BLOCK_ROWS rows: 8.35 MB measured at 10^6 rows.  Full-length
         # weights, posterior and terms arrays would take 33 MB, and blocks
         # of 65,536 rows with a full-length bool mask took 9.1 MB.
-        populations = haar_populations(4, 10**6, 42, 6)
+        populations = haar_populations(4, 10**6, 42)
         model = build_counter("pc", 0.3, 6)
         tracemalloc.start()
         try:
@@ -202,7 +203,7 @@ class TestHaarEnsemble:
         # into the front of the posterior, so zero conditionals take no more
         # memory than positive ones.  Full-length weights, posterior and
         # terms arrays for them measured 5.13 x 8n.
-        populations = haar_populations(4, 10**6, 42, 6).copy()
+        populations = haar_populations(4, 10**6, 42).copy()
         populations[::1000] = 0.0
         model = build_counter("pc", 0.3, 6)
         tracemalloc.start()
@@ -216,7 +217,7 @@ class TestHaarEnsemble:
 
 class TestPopulations:
     def test_populations_are_squared_support_amplitudes(self, bloch64):
-        haar = (haar_populations(3, 10_000, 4, 5), haar_states(3, 10_000, 4, 5), 3)
+        haar = (haar_populations(3, 10_000, 4), haar_states(3, 10_000, 4, 5), 3)
         for populations, states, d in ((bloch64.populations, bloch64.states, 2), haar):
             assert populations.shape == (states.shape[0], d)
             assert np.max(np.abs(populations - np.abs(states[:, :d]) ** 2)) < 1e-15
@@ -308,4 +309,4 @@ class TestImmutability:
     def test_constructed_ensembles_are_read_only(self, bloch64):
         for array in (bloch64.states, bloch64.weights, bloch64.populations, bloch64.thetas):
             assert not array.flags.writeable
-        assert not haar_populations(3, 10_000, 4, 5).flags.writeable
+        assert not haar_populations(3, 10_000, 4).flags.writeable

@@ -414,7 +414,7 @@ class TestBatchedInformation:
         model = build_counter(label, 0.3, d + 2)
         op = model.operator_for("1")
         cond = np.sum(np.abs(states @ op.T) ** 2, axis=1)
-        populations = haar_populations(d, 20_000, 11, d + 2)
+        populations = haar_populations(d, 20_000, 11)
         full, batches = batched_information(model, populations, "1", n_batches=100)
         dense = self.dense_gain(weights, cond)
         assert abs(full - dense) <= 1e-15 * dense
@@ -427,7 +427,7 @@ class TestBatchedInformation:
     def test_batches_equal_index_array_batches(self, n_batches):
         # each batch is a contiguous slice; it holds the values the index
         # arrays of np.array_split(np.arange(n)) pick, so the gains are equal
-        populations = haar_populations(3, 10_007, 5, 5)
+        populations = haar_populations(3, 10_007, 5)
         weights = np.full(10_007, 1.0 / 10_007)
         model = build_counter("qpc", 0.3, 5)
         cond = populations @ model.effect_for("1")[:3]
@@ -439,7 +439,7 @@ class TestBatchedInformation:
         assert batches.tobytes() == np.array(indexed).tobytes()
 
     def test_unknown_outcome_raises_key_error(self):
-        populations = haar_populations(2, 10_000, 1, 4)
+        populations = haar_populations(2, 10_000, 1)
         with pytest.raises(KeyError):
             batched_information(build_counter("pc", 0.3, 4), populations, "2")
 
@@ -456,7 +456,7 @@ class TestBatchedInformation:
     def test_batch_count_outside_one_to_sample_count_rejected(self, n_batches):
         # 10,001 batches of 10,000 samples would leave one empty, whose zero
         # total was reported as the outcome's although p(1) > 0
-        populations = haar_populations(3, 10_000, 1, 5)
+        populations = haar_populations(3, 10_000, 1)
         with pytest.raises(ValueError, match=f"n_batches = {n_batches} outside"):
             batched_information(build_counter("pc", 0.3, 5), populations, "1", n_batches)
 
@@ -468,12 +468,28 @@ class TestBatchedInformation:
 
     def test_effect_above_one_rejected(self):
         # gamma^2 n^2 of qpc is 2.25 on |3> at gamma = 0.5, and exactly 1 on |2>
-        populations = haar_populations(4, 10_000, 1, 6)
+        populations = haar_populations(4, 10_000, 1)
         model = build_counter("qpc", 0.5, 6)
         with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 3"):
             batched_information(model, populations, "1")
         full, _ = batched_information(model, populations[:, :3], "1")
         assert full > 0.0
+
+
+class TestTruncationEdge:
+    # |0>, |1> and |3> with equal weights at dim 4: the qc one-count raises
+    # |3> to the missing |4>, so sum_m p(m) was 0.894 and went unnoticed.
+    EDGE = "support dimension 4 is too close to the truncation dim 4"
+
+    def test_evaluate_refuses_a_support_at_the_edge(self):
+        ens = Ensemble(support_dim=4, states=np.eye(4)[[0, 1, 3]], weights=np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=self.EDGE):
+            evaluate(build_counter("qc", 0.3, 4), ens)
+
+    def test_batched_information_refuses_a_support_at_the_edge(self):
+        populations = np.tile(np.eye(4)[[0, 1, 3]], (100, 1))
+        with pytest.raises(ValueError, match=self.EDGE):
+            batched_information(build_counter("qc", 0.3, 4), populations, "1")
 
 
 class TestOneValidatedModel:

@@ -474,7 +474,7 @@ def test_batched_information_equals_the_full_length_reference(
     dim = d + extra
     model = build_counter(label, gamma, dim)
     outcome = model.outcomes[outcome_index % len(model.outcomes)]
-    populations = haar_populations(d, n_samples, seed, dim)
+    populations = haar_populations(d, n_samples, seed)
     if zero_stride or zero_head:
         populations = populations.copy()
         if zero_stride:
