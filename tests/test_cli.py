@@ -272,7 +272,27 @@ class TestHaar:
         assert out == ""
         assert "effect of outcome '1' is 2.25 > 1 on level 3" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--d", "4", "--dim", "5"],
+        ["--d", "4", "--dim", "6", "--gamma", "0.5"],
+        ["--d", "2", "--gamma", "1.1e-161"],
+        ["--d", "3", "--dim", "4"],
+        ["--dim", "3"],
+        ["--d", "3", "--dim", "2"],
+    ])
+    def test_refuses_the_support_before_the_draw(self, flags, capsys, monkeypatch):
+        # The draw holds the whole sample, so a refusal that needs no draw
+        # comes first.
+        def draw(*_):
+            raise AssertionError("populations drawn before the support was checked")
+
+        monkeypatch.setattr(cli, "haar_populations", draw)
+        code, out, err = run_cli(["haar", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_zero_probability_outcome_is_numeric_failure(self, capsys):
+        # Its zero total needs the draw.
         code, out, err = run_cli(["haar", "--d", "2", "--gamma", "1e-170"], capsys)
         assert code == 4
         assert out == ""
@@ -397,6 +417,7 @@ class TestOutputDiscipline:
         (["--dim", "3"], "support dimension 2 is too close to the truncation dim 3;"
                          " it must be at most dim - 2"),
         (["--samples", "0"], "samples must be positive"),
+        (["--seed", "-1"], "seed must be non-negative"),
     ])
     def test_shared_flag_range_is_usage_error(self, flags, message, capsys):
         code, out, err = run_cli(["metrics", *flags], capsys)
@@ -485,6 +506,7 @@ class TestTruncationEdge:
         *(["--gamma", gamma] for gamma in ("0", "0.6", "nan")),
         ["--theta-nodes", "7"],
         ["--samples", "0"],
+        ["--seed", "-1"],
     ])
     def test_single_fault_is_one_line_usage_error(self, command, flags, capsys):
         # Every command builds the model and the family of the shared flags
@@ -516,7 +538,8 @@ class TestFreshProcess:
 
     def test_haar_builds_no_family(self):
         # haar reads no two-level family, and building one (leggauss) adds
-        # 2.1 MB to a default run's peak RSS; None blocks numpy.polynomial.
+        # 1.7 MiB to the peak RSS of `haar --d 3` (median ru_maxrss of 10
+        # fresh processes each way); None blocks numpy.polynomial.
         probe = ("import sys; sys.modules['numpy.polynomial'] = None; from photocount.cli import main; "
                  "raise SystemExit(main(sys.argv[1:]))")
         run = subprocess.run([sys.executable, "-c", probe, "haar", "--d", "3"], capture_output=True)

@@ -206,6 +206,9 @@ def _outcome(fn, *args):
     nodes=st.integers(min_value=8, max_value=256),
     vacuum_weight=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5)),
 )
+@example(gamma=0.3, label="pc", dim=5, nodes=64, vacuum_weight=0.25)
+@example(gamma=0.3, label="qpc", dim=5, nodes=64, vacuum_weight=0.25)
+@example(gamma=0.3, label="joint", dim=5, nodes=64, vacuum_weight=0.25)
 def test_evaluate_equals_the_per_outcome_reference(gamma, label, dim, nodes, vacuum_weight):
     ens = bloch_two_state_ensemble(nodes, dim)
     if vacuum_weight:
