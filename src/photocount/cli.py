@@ -42,9 +42,9 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .counters import LABELS, MeasurementModel, build_counter  # noqa: E402
-from .ensemble import Ensemble, bloch_two_state_ensemble, check_bloch_family, haar_populations  # noqa: E402
+from .ensemble import Ensemble, bloch_two_state_ensemble, check_bloch_family, haar_blocks  # noqa: E402
 from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
-from .metrics import batched_information, evaluate, gamma_sweep  # noqa: E402
+from .metrics import conditional_information, evaluate, gamma_sweep  # noqa: E402
 from .reversal import trajectory_sim  # noqa: E402
 
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
@@ -196,14 +196,22 @@ def cmd_haar(args: argparse.Namespace, *_) -> dict:
         raise ValueError("d must be 2, 3, or 4")
     if args.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
-    models = {label: build_counter(label, args.gamma, args.dim) for label in ("pc", "qpc")}
-    # The support is refused before the draw, which holds the whole sample.
-    for model in models.values():
-        model.support_effects(args.d)
-    populations = haar_populations(args.d, args.samples, args.seed)
+    # The support is refused before the draw, which takes most of the time.
+    effects = {}
+    for label in ("pc", "qpc"):
+        model = build_counter(label, args.gamma, args.dim)
+        effects[label] = model.support_effects(args.d)[model.outcomes.index("1")]
+    # Each block of the draw becomes its one-count conditionals, one float64
+    # per sample and counter, and is dropped: the populations are never held.
+    conditionals = {label: np.empty(args.samples) for label in effects}
+    start = 0
+    for rows in haar_blocks(args.d, args.samples, args.seed):
+        for label, effect in effects.items():
+            np.matmul(rows, effect, out=conditionals[label][start : start + len(rows)])
+        start += len(rows)
     values, batches = {}, {}
-    for label, model in models.items():
-        values[label], batches[label] = batched_information(model, populations, outcome="1")
+    for label, cond in conditionals.items():
+        values[label], batches[label] = conditional_information("1", cond)
 
     def standard_error(batch: np.ndarray) -> float:
         return float(np.std(batch, ddof=1) / np.sqrt(batch.size))
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace):
     # No library call reads --samples or --seed for posterior, metrics or
-    # sweep, and numpy's own refusal of a negative seed names no flag.
+    # sweep, so every command refuses them here.
     if args.samples < 1:
         raise ValueError("samples must be positive")
     if args.seed < 0:

@@ -7,26 +7,38 @@ reversals can run vectorized over the whole family, and their number-level
 populations |c_n|^2 are kept beside them for statistics of effects that are
 diagonal in the number basis.  Monte Carlo draws from the unitarily
 invariant (Haar) measure on a d-dimensional subspace feed only such
-statistics (every effect is diagonal), so haar_populations returns the
-populations alone and no state array is built.
+statistics (every effect is diagonal), so no state array is built:
+haar_blocks streams the populations block by block, and haar_populations
+gathers the same rows into one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import pairwise
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .fock import read_only
 
 
-# Rows per block of every Monte Carlo loop (haar_populations,
-# metrics.batched_information, reversal.trajectory_sim), so temporaries do
-# not grow with the sample count: a block of d = 4 complex amplitudes is
-# 1 MiB, near a core's L2 cache (2 MiB on a current Xeon), and larger
-# blocks only raise peak memory.
+# Rows per block of every Monte Carlo loop (the Haar draw, the gains of
+# metrics.batched_information and metrics.conditional_information,
+# reversal.trajectory_sim), so temporaries do not grow with the sample
+# count: a block of d = 4 complex amplitudes is 1 MiB, near a core's L2
+# cache (2 MiB on a current Xeon), and larger blocks only raise peak memory.
 BLOCK_ROWS = 16_384
+
+
+def block_bounds(n_rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of BLOCK_ROWS rows that covers n_rows rows.
+
+    A lone last row joins the block before it: numpy forms a one-row
+    product with dot, which rounds differently from the matrix-vector
+    product, so no block's conditionals depend on where the blocks fall.
+    """
+    return list(pairwise([0, *range(BLOCK_ROWS, n_rows - 1, BLOCK_ROWS), n_rows]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,30 +127,54 @@ def bloch_two_state_ensemble(nodes: int, dim: int) -> Ensemble:
     return Ensemble(support_dim=2, states=_bloch_states(thetas, dim), weights=weights, thetas=thetas)
 
 
-def haar_populations(d: int, n_samples: int, seed: int) -> np.ndarray:
+def haar_blocks(d: int, n_samples: int, seed: int) -> Iterator[np.ndarray]:
     """Populations |c_n|^2 of uniform (Haar) random pure states on the span
-    of |0>, ..., |d-1>, one read-only row of d levels per sample.
+    of |0>, ..., |d-1>, one row of d levels per sample, as consecutive
+    blocks of the block_bounds(n_samples) rows.
 
     Standard construction: i.i.d. complex Gaussian amplitudes, normalized.
     Deterministic for a given seed: all real parts are drawn before all
-    imaginary parts, row by row.  Only the populations are kept: each block
-    of rows is formed, normalized and squared in turn, so the amplitudes
-    never exist for the whole family at once.  A model that reads them
-    checks that d stays clear of its truncation edge (support_effects).
+    imaginary parts, row by row.  The real parts come from one
+    default_rng(seed) and the imaginary parts from a second one on the same
+    seed, first run past the n_samples * d real draws, so the stream holds
+    one block at a time and the amplitudes never exist for the whole
+    family at once.  A model that reads them checks that d stays clear of
+    its truncation edge (support_effects).  Raises ValueError for d < 2,
+    fewer than 10^4 samples or a negative seed, at the call and before
+    anything is drawn.
     """
     if d < 2:
         raise ValueError("support dimension must be at least 2")
     if n_samples < 10_000:
         raise ValueError("at least 10^4 samples are required")
-    rng = np.random.default_rng(seed)
-    populations = rng.standard_normal((n_samples, d))
-    for start in range(0, n_samples, BLOCK_ROWS):
-        rows = populations[start : start + BLOCK_ROWS]
-        block = np.empty(rows.shape, dtype=complex)
-        block.real = rows
-        block.imag = rng.standard_normal(rows.shape)
-        block /= np.linalg.norm(block, axis=1)[:, None]
-        np.abs(block, out=rows)
-        rows **= 2
+    if seed < 0:
+        raise ValueError(f"seed = {seed} is negative")
+    real_rng, imag_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    skipped = np.empty(BLOCK_ROWS * d)
+    for start in range(0, n_samples * d, skipped.size):
+        imag_rng.standard_normal(out=skipped[: n_samples * d - start])
+
+    def blocks():
+        for start, stop in block_bounds(n_samples):
+            block = np.empty((stop - start, d), dtype=complex)
+            block.real = real_rng.standard_normal(block.shape)
+            block.imag = imag_rng.standard_normal(block.shape)
+            block /= np.linalg.norm(block, axis=1)[:, None]
+            rows = np.abs(block)
+            rows **= 2
+            yield rows
+
+    return blocks()
+
+
+def haar_populations(d: int, n_samples: int, seed: int) -> np.ndarray:
+    """The rows of haar_blocks(d, n_samples, seed) as one read-only
+    (n_samples, d) array; beyond it, the draw holds one block at a time.
+    Raises what haar_blocks raises.
+    """
+    blocks = haar_blocks(d, n_samples, seed)
+    populations = np.empty((n_samples, d))
+    for (start, stop), rows in zip(block_bounds(n_samples), blocks, strict=True):
+        populations[start:stop] = rows
     populations.setflags(write=False)
     return populations

@@ -30,20 +30,25 @@ batched_information reads the model's diagonal effects and the populations
 |c_n|^2 alone (haar_populations draws them) and weighs the rows equally.
 Beyond the populations it holds one float64 per sample on every input,
 plus blocks of ensemble.BLOCK_ROWS (16,384) rows, in one gain routine that
-the whole sample and each batch go through.  evaluate keeps the dense
-images M|psi>: the populations form rounds differently and moves the 12th
-printed digit of some metrics and sweep outputs.
+the whole sample and each batch go through; it forms each block's
+conditionals from the populations whenever the routine reads them.
+conditional_information feeds the same routine from stored conditionals,
+one float64 per sample, with the same bits where no batch is a single row:
+the haar command keeps those of two counters from the streamed draw
+(ensemble.haar_blocks) and never holds the populations.  evaluate keeps
+the dense images M|psi>: the populations form rounds differently and
+moves the 12th printed digit of some metrics and sweep outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .counters import MeasurementModel, build_counter
-from .ensemble import BLOCK_ROWS, Ensemble
+from .ensemble import Ensemble, block_bounds
 from .errors import NumericInconsistency, ZeroProbability
 
 
@@ -70,36 +75,35 @@ class CounterReport:
     backgrounds: dict[str, float]
 
 
-def _gain(outcome: str, populations: np.ndarray, effect: np.ndarray, weight: float) -> float:
+def _gain(outcome: str, rows: np.ndarray, conditionals: Callable, weight: float) -> float:
     """Relative entropy (bits) of the posterior with respect to the prior
-    that gives every row the same weight, over the rows the outcome can
-    occur on; a row's conditional is its populations times the effect.
+    that gives the rows the same weight, over the rows the outcome can
+    occur on; conditionals(block) gives the conditionals of a block of rows.
 
-    Holds one float64 per row: the conditionals become the posterior in
-    place, each block of BLOCK_ROWS rows recomputes its terms from its own
-    rows, and the terms of rows with a positive conditional are written,
-    compacted, to the front of the same array.  Raises ZeroProbability if
-    the outcome has zero total probability.
+    Holds one float64 per row: the posterior is filled block by block, each
+    block of block_bounds asks for its conditionals again for its terms,
+    and the terms of rows with a positive conditional are written,
+    compacted, to the front of the posterior.  Raises ZeroProbability if the
+    outcome has zero total probability.
     """
-    posterior = populations @ effect
-    posterior *= weight
+    posterior = np.empty(len(rows))
+    blocks = block_bounds(len(rows))
+    for a, b in blocks:
+        np.multiply(conditionals(rows[a:b]), weight, out=posterior[a:b])
     total = float(np.sum(posterior))
     if total <= 0.0:
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     posterior /= total
-    # The last block takes a lone last row: numpy forms a one-row product
-    # with dot, which rounds differently from the matrix-vector product.
-    n_rows, start, end = len(populations), 0, 0
-    for stop in [*range(BLOCK_ROWS, n_rows - 1, BLOCK_ROWS), n_rows]:
-        terms = populations[start:stop] @ effect
-        post = posterior[start:stop]
-        positive = terms > 0.0
+    end = 0
+    for a, b in blocks:
+        cond, post = conditionals(rows[a:b]), posterior[a:b]
+        positive = cond > 0.0
         if not positive.all():
-            terms, post = terms[positive], post[positive]
-        terms /= total
+            cond, post = cond[positive], post[positive]
+        terms = cond / total
         np.log2(terms, out=terms)
         np.multiply(terms, post, out=posterior[end : end + terms.size])
-        start, end = stop, end + terms.size
+        end += terms.size
     # Non-negative by Gibbs' inequality; clamp the rounding residue.
     return max(float(np.sum(posterior[:end])), 0.0)
 
@@ -232,6 +236,22 @@ def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     return evaluate(build_counter(label, gamma, ensemble.dim), ensemble)
 
 
+def _information(
+    outcome: str, rows: np.ndarray, conditionals: Callable, n_batches: int
+) -> tuple[float, np.ndarray]:
+    """Whole-sample and batch gains of equally weighted rows."""
+    n_rows = len(rows)
+    if not 1 <= n_batches <= n_rows:
+        raise ValueError(f"n_batches = {n_batches} outside [1, {n_rows}]")
+    weight = 1.0 / n_rows
+    # Each batch renormalizes its equal weights, as w / w.sum() would.
+    gains = [
+        _gain(outcome, batch, conditionals, weight / np.full(len(batch), weight).sum())
+        for batch in np.array_split(rows, n_batches)
+    ]
+    return _gain(outcome, rows, conditionals, weight), np.array(gains)
+
+
 def batched_information(
     model: MeasurementModel,
     populations: np.ndarray,
@@ -251,22 +271,33 @@ def batched_information(
     ZeroProbability if the outcome (or a batch) has zero total probability.
 
     Memory: one float64 per sample beyond the populations on every input,
-    plus blocks of BLOCK_ROWS (16,384) rows; each batch forms its own
-    conditionals from its rows, and the values are those of full-length
-    weights, posterior and terms arrays bit for bit.
+    plus blocks of BLOCK_ROWS (16,384) rows; each gain forms the
+    conditionals of a block from its rows whenever it reads them, and the
+    values are those of full-length weights, posterior and terms arrays bit
+    for bit.
     """
-    n_samples, support_dim = populations.shape
-    if not 1 <= n_batches <= n_samples:
-        raise ValueError(f"n_batches = {n_batches} outside [1, {n_samples}]")
+    support_dim = populations.shape[1]
     model.support_effects(support_dim)
     effect = model.effect_for(outcome)[:support_dim]
-    weight = 1.0 / n_samples
-    # Each batch renormalizes its equal weights, as w / w.sum() would.
-    batches = [
-        _gain(outcome, rows, effect, weight / np.full(len(rows), weight).sum())
-        for rows in np.array_split(populations, n_batches)
-    ]
-    return _gain(outcome, populations, effect, weight), np.array(batches)
+    return _information(outcome, populations, lambda rows: rows @ effect, n_batches)
+
+
+def conditional_information(
+    outcome: str, conditionals: np.ndarray, n_batches: int = 100
+) -> tuple[float, np.ndarray]:
+    """batched_information from the stored conditionals p(outcome|sample)
+    of its samples, one float64 each; beyond them it holds one float64 per
+    sample.  The bits are batched_information's on the same rows when every
+    conditional was formed in a block of more than one row, as in the
+    blocks of block_bounds, and every batch has more than one row: numpy
+    forms a one-row product with dot, which rounds differently.  Raises
+    ValueError if a conditional is negative or not finite, or if n_batches
+    lies outside [1, n_samples], and ZeroProbability if the outcome (or a
+    batch) has zero total probability.
+    """
+    if not np.all((conditionals >= 0.0) & np.isfinite(conditionals)):
+        raise ValueError("conditionals must be finite and non-negative")
+    return _information(outcome, conditionals, lambda rows: rows, n_batches)
 
 
 def fit_gamma_squared(gammas: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -187,12 +187,15 @@ def trajectory_sim(
     block-sized; beyond them only the successes per node are kept, and the
     mean recovery fidelity is their count-weighted mean over the nodes.
     The success rate conditioned on one-count converges to the counter's
-    reversibility.  Raises ValueError if the effects on the support are not
-    outcome probabilities (MeasurementModel.support_effects), and
-    NonReversible if the one-count has zero background there.
+    reversibility.  Raises ValueError for fewer than 10^4 trials, a
+    negative seed, or effects on the support that are not outcome
+    probabilities (MeasurementModel.support_effects), and NonReversible if
+    the one-count has zero background there.
     """
     if trials < 10_000:
         raise ValueError("at least 10^4 trials are required")
+    if seed < 0:
+        raise ValueError(f"seed = {seed} is negative")
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
     rev = build_reversing(model, "1", ensemble.support_dim)

@@ -18,9 +18,11 @@ from photocount import (
     build_reversing,
     cli,
     evaluate,
+    haar_populations,
     trajectory_sim,
 )
 from photocount.cli import format_number, main
+from photocount.metrics import conditional_information
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -230,11 +232,12 @@ class TestHaar:
         assert gap["value"] > 3 * gap["standard_error"]
 
     def test_default_run_holds_about_its_populations(self, capsys):
-        # `haar --d 3` at its default 10^5 samples needs 2.4 MB of
-        # populations; block temporaries of BLOCK_ROWS rows bring the traced
-        # peak to 4.3 MB, and blocks of 65,536 rows took 9.8 MB.  The first
-        # call pays the lazy imports and caches, so the second is traced.
-        # A memory bound, not a timing bound.
+        # `haar --d 3` at its default 10^5 samples keeps 1.6 MB of pc and
+        # qpc conditionals from the streamed draw; block temporaries of
+        # BLOCK_ROWS rows bring the traced peak to 3.9 MB.  Holding the
+        # 2.4 MB of populations took 4.3 MB, and blocks of 65,536 rows
+        # 9.8 MB.  The first call pays the lazy imports and caches, so the
+        # second is traced.  A memory bound, not a timing bound.
         assert run_cli(["haar", "--d", "3"], capsys)[0] == 0
         tracemalloc.start()
         try:
@@ -281,15 +284,55 @@ class TestHaar:
         ["--d", "3", "--dim", "2"],
     ])
     def test_refuses_the_support_before_the_draw(self, flags, capsys, monkeypatch):
-        # The draw holds the whole sample, so a refusal that needs no draw
+        # The draw takes most of the run, so a refusal that needs no draw
         # comes first.
         def draw(*_):
             raise AssertionError("populations drawn before the support was checked")
 
-        monkeypatch.setattr(cli, "haar_populations", draw)
+        monkeypatch.setattr(cli, "haar_blocks", draw)
         code, out, err = run_cli(["haar", *flags], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [100_000, 114_689, 131_072])
+    def test_streamed_gains_equal_the_library(self, d, n, capsys, monkeypatch):
+        # The command keeps each counter's conditionals from the streamed
+        # draw; its gains are the library's on the populations array, bit
+        # for bit.  114,689 is 7 x 16,384 + 1 rows, whose lone last row
+        # joins the block before it.
+        got = []
+
+        def record(outcome, conditionals):
+            got.append(conditional_information(outcome, conditionals))
+            return got[-1]
+
+        monkeypatch.setattr(cli, "conditional_information", record)
+        argv = ["haar", "--d", str(d), "--dim", str(d + 2), "--samples", str(n)]
+        assert run_cli(argv, capsys)[0] == 0
+        populations = haar_populations(d, n, 42)
+        for label, (value, batches) in zip(("pc", "qpc"), got, strict=True):
+            want = batched_information(build_counter(label, 0.3, d + 2), populations, "1")
+            assert (repr(value), batches.tobytes()) == (repr(want[0]), want[1].tobytes())
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_streamed_run_holds_two_conditionals_per_sample(self, d, capsys):
+        # The pc and qpc conditionals (8 bytes a sample each) and one
+        # posterior, plus blocks of BLOCK_ROWS rows: 3.04 x 8n measured at
+        # 10^6 samples.  Holding the populations as well measured 4.04 x
+        # (d = 3) and 5.04 x (d = 4).  The first call pays the lazy imports
+        # and caches, so the second is traced.  A memory bound, not a timing
+        # bound.
+        assert run_cli(["haar", "--d", "3"], capsys)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(["haar", "--d", str(d), "--dim", str(d + 2), "--samples", "1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 3.2 * 8 * 10**6
 
     def test_zero_probability_outcome_is_numeric_failure(self, capsys):
         # Its zero total needs the draw.

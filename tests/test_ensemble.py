@@ -12,6 +12,7 @@ from photocount import (
     evaluate,
     haar_populations,
 )
+from photocount.ensemble import block_bounds, haar_blocks
 
 LN2 = np.log(2.0)
 
@@ -153,6 +154,22 @@ class TestHaarEnsemble:
             haar_populations(1, 10_000, 0)
         with pytest.raises(ValueError, match=r"^at least 10\^4 samples are required$"):
             haar_populations(2, 5_000, 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_blocks_stream_the_populations(self, d):
+        # 16,385 and 114,689 rows end in a lone row, which joins the block
+        # before it, so no block is a single row
+        for n in (10_000, 16_385, 114_689):
+            blocks = list(haar_blocks(d, n, 17))
+            assert [len(rows) for rows in blocks] == [b - a for a, b in block_bounds(n)]
+            assert min(len(rows) for rows in blocks) > 1
+            assert np.array_equal(np.concatenate(blocks), haar_populations(d, n, 17))
+
+    @pytest.mark.parametrize("draw", [haar_populations, haar_blocks])
+    def test_negative_seed_rejected_by_name(self, draw):
+        # numpy's own refusal, "expected non-negative integer", names nothing
+        with pytest.raises(ValueError, match="^seed = -1 is negative$"):
+            draw(3, 10_000, -1)
 
     def test_populations_hold_block_sized_temporaries(self):
         # Beyond the populations it returns, haar_populations holds one block

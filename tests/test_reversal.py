@@ -169,6 +169,11 @@ class TestTrajectorySim:
         with pytest.raises(ValueError):
             trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=100, seed=1)
 
+    def test_negative_seed_rejected_by_name(self, bloch):
+        # numpy's own refusal, "expected non-negative integer", names nothing
+        with pytest.raises(ValueError, match="^seed = -1 is negative$"):
+            trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=10_000, seed=-1)
+
     def test_dimension_mismatch_rejected(self, bloch):
         with pytest.raises(ValueError, match="dimensions differ"):
             trajectory_sim(build_counter("qc", 0.3, 6), bloch, trials=10_000, seed=1)
