@@ -9,9 +9,10 @@ caller has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
 ``OMP_NUM_THREADS``.
 
 The library builds the model and the family of the shared flags once per
-call, and its checks refuse their out-of-range values.  Each command
-returns one results record: the JSON output prints it, and the CSV output
-is a table view of it, so no value is named twice.  A printed mean
+call (haar its own two models and no family), and its checks refuse their
+out-of-range values.  Each command returns one results record: the JSON
+output prints it, and the CSV output is a table view of it, so no value is
+named twice.  A printed mean
 fidelity above 1 adds one note on stderr; stdout keeps its bytes.
 
 Exit codes: 0 success, 2 usage error, 3 non-reversible counter requested
@@ -44,7 +45,7 @@ from . import __version__  # noqa: E402
 from .counters import LABELS, MeasurementModel, build_counter  # noqa: E402
 from .ensemble import Ensemble, bloch_two_state_ensemble, check_bloch_family, haar_blocks  # noqa: E402
 from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
-from .metrics import conditional_information, evaluate, gamma_sweep  # noqa: E402
+from .metrics import evaluate, gamma_sweep, streamed_information  # noqa: E402
 from .reversal import trajectory_sim  # noqa: E402
 
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
@@ -196,22 +197,15 @@ def cmd_haar(args: argparse.Namespace, *_) -> dict:
         raise ValueError("d must be 2, 3, or 4")
     if args.samples < 100_000:
         raise ValueError("at least 10^5 samples are required")
-    # The support is refused before the draw, which takes most of the time.
-    effects = {}
-    for label in ("pc", "qpc"):
+    # The support and a vanishing effect are refused before the draw, which
+    # takes most of the time; the gains read each block of it once.
+    labels, effects = ("pc", "qpc"), []
+    for label in labels:
         model = build_counter(label, args.gamma, args.dim)
-        effects[label] = model.support_effects(args.d)[model.outcomes.index("1")]
-    # Each block of the draw becomes its one-count conditionals, one float64
-    # per sample and counter, and is dropped: the populations are never held.
-    conditionals = {label: np.empty(args.samples) for label in effects}
-    start = 0
-    for rows in haar_blocks(args.d, args.samples, args.seed):
-        for label, effect in effects.items():
-            np.matmul(rows, effect, out=conditionals[label][start : start + len(rows)])
-        start += len(rows)
-    values, batches = {}, {}
-    for label, cond in conditionals.items():
-        values[label], batches[label] = conditional_information("1", cond)
+        effects.append(model.support_effects(args.d)[model.outcomes.index("1")])
+    gains, batches = streamed_information(
+        "1", np.stack(effects), lambda: haar_blocks(args.d, args.samples, args.seed), args.samples)
+    values, batches = dict(zip(labels, gains.tolist())), dict(zip(labels, batches))
 
     def standard_error(batch: np.ndarray) -> float:
         return float(np.std(batch, ddof=1) / np.sqrt(batch.size))
@@ -222,7 +216,7 @@ def cmd_haar(args: argparse.Namespace, *_) -> dict:
         "samples": args.samples,
         "information_gain": {
             label: {"value": values[label], "standard_error": standard_error(batches[label])}
-            for label in ("pc", "qpc")
+            for label in labels
         },
         "difference_qpc_minus_pc": {
             "value": diff,
@@ -334,10 +328,14 @@ def _dispatch(args: argparse.Namespace):
         raise ValueError("samples must be positive")
     if args.seed < 0:
         raise ValueError("seed must be non-negative")
-    model = build_counter(args.counter, args.gamma, args.dim)
-    # haar reads no family, so it only checks the flags: a build adds 1.7 MiB to its peak RSS.
-    family = check_bloch_family if args.command == "haar" else bloch_two_state_ensemble
-    ens = family(args.theta_nodes, args.dim)
+    model = ens = None
+    if args.command == "haar":
+        # haar builds its own pc and qpc models, which refuse --gamma and
+        # --dim, and only checks the family: a build adds 1.7 MiB to its RSS.
+        check_bloch_family(args.theta_nodes, args.dim)
+    else:
+        model = build_counter(args.counter, args.gamma, args.dim)
+        ens = bloch_two_state_ensemble(args.theta_nodes, args.dim)
     command, table = COMMANDS[args.command]
     results = command(args, model, ens)
 

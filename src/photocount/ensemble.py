@@ -24,10 +24,10 @@ from .fock import read_only
 
 
 # Rows per block of every Monte Carlo loop (the Haar draw, the gains of
-# metrics.batched_information and metrics.conditional_information,
-# reversal.trajectory_sim), so temporaries do not grow with the sample
-# count: a block of d = 4 complex amplitudes is 1 MiB, near a core's L2
-# cache (2 MiB on a current Xeon), and larger blocks only raise peak memory.
+# metrics.streamed_information, reversal.trajectory_sim), so temporaries do
+# not grow with the sample count: a block of d = 4 complex amplitudes is
+# 1 MiB, near a core's L2 cache (2 MiB on a current Xeon), and larger
+# blocks only raise peak memory.
 BLOCK_ROWS = 16_384
 
 

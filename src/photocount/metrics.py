@@ -28,22 +28,21 @@ outcome probabilities there.
 
 batched_information reads the model's diagonal effects and the populations
 |c_n|^2 alone (haar_populations draws them) and weighs the rows equally.
-Beyond the populations it holds one float64 per sample on every input,
-plus blocks of ensemble.BLOCK_ROWS (16,384) rows, in one gain routine that
-the whole sample and each batch go through; it forms each block's
-conditionals from the populations whenever the routine reads them.
-conditional_information feeds the same routine from stored conditionals,
-one float64 per sample, with the same bits where no batch is a single row:
-the haar command keeps those of two counters from the streamed draw
-(ensemble.haar_blocks) and never holds the populations.  evaluate keeps
-the dense images M|psi>: the populations form rounds differently and
-moves the 12th printed digit of some metrics and sweep outputs.
+With equal weights a gain needs only the sums of c and c log2 c of the
+conditionals c, so streamed_information reads populations block by block
+(ensemble.BLOCK_ROWS, 16,384 rows) and adds each block's two sums into
+those of its batches: nothing it holds grows with the sample count.
+batched_information feeds it blocks of a populations array, and the haar
+command the streamed draw (ensemble.haar_blocks) with the pc and qpc
+effects together, so it never holds the populations.  evaluate keeps the
+dense images M|psi>: the populations form rounds differently and moves
+the 12th printed digit of some metrics and sweep outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -73,39 +72,6 @@ class CounterReport:
     mean_fidelity: float
     mean_reversibility: float
     backgrounds: dict[str, float]
-
-
-def _gain(outcome: str, rows: np.ndarray, conditionals: Callable, weight: float) -> float:
-    """Relative entropy (bits) of the posterior with respect to the prior
-    that gives the rows the same weight, over the rows the outcome can
-    occur on; conditionals(block) gives the conditionals of a block of rows.
-
-    Holds one float64 per row: the posterior is filled block by block, each
-    block of block_bounds asks for its conditionals again for its terms,
-    and the terms of rows with a positive conditional are written,
-    compacted, to the front of the posterior.  Raises ZeroProbability if the
-    outcome has zero total probability.
-    """
-    posterior = np.empty(len(rows))
-    blocks = block_bounds(len(rows))
-    for a, b in blocks:
-        np.multiply(conditionals(rows[a:b]), weight, out=posterior[a:b])
-    total = float(np.sum(posterior))
-    if total <= 0.0:
-        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
-    posterior /= total
-    end = 0
-    for a, b in blocks:
-        cond, post = conditionals(rows[a:b]), posterior[a:b]
-        positive = cond > 0.0
-        if not positive.all():
-            cond, post = cond[positive], post[positive]
-        terms = cond / total
-        np.log2(terms, out=terms)
-        np.multiply(terms, post, out=posterior[end : end + terms.size])
-        end += terms.size
-    # Non-negative by Gibbs' inequality; clamp the rounding residue.
-    return max(float(np.sum(posterior[:end])), 0.0)
 
 
 def _figures(weights, cond, post, totals, overlaps, backgrounds) -> np.ndarray:
@@ -236,20 +202,67 @@ def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
     return evaluate(build_counter(label, gamma, ensemble.dim), ensemble)
 
 
-def _information(
-    outcome: str, rows: np.ndarray, conditionals: Callable, n_batches: int
-) -> tuple[float, np.ndarray]:
-    """Whole-sample and batch gains of equally weighted rows."""
-    n_rows = len(rows)
+def _block_sums(rows: np.ndarray, scaled: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Sums of c and c log2 c (0 log 0 = 0), (K, 2, len(cuts)), over the
+    segments of rows that start at cuts, with c = rows @ scaled[k]; one
+    product per effect, so c keeps its bits however many effects share it."""
+    terms = np.empty((len(scaled), 2, len(rows)))
+    for effect, out in zip(scaled, terms[:, 0]):
+        np.matmul(rows, effect, out=out)
+    cond, c_log_c = terms[:, 0], terms[:, 1]
+    c_log_c.fill(0.0)
+    np.log2(cond, out=c_log_c, where=cond > 0.0)
+    c_log_c *= cond
+    return np.add.reduceat(terms, cuts, axis=2)
+
+
+def streamed_information(
+    outcome: str,
+    effects: np.ndarray,
+    blocks: Callable[[], Iterable[np.ndarray]],
+    n_rows: int,
+    n_batches: int = 100,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-sample gains (K,) and np.array_split batch gains (K, n_batches)
+    of an outcome under K diagonal effects (K, support_dim), over n_rows
+    equally weighted rows of populations that blocks() yields in order.
+
+    A gain of m rows is S2 / S1 - log2(S1 / m), with S1 = sum c and S2 =
+    sum c log2 c over their conditionals c, so one pass adds each block's
+    sums into its batches'.  Each effect is first divided by its mean, which
+    leaves the gain as it is and keeps log2(S1 / m) near 0 on Haar rows, so
+    the difference does not cancel at tiny couplings.  Raises ValueError if
+    n_batches lies outside [1, n_rows], and ZeroProbability if an effect
+    vanishes on the support (before blocks() is called) or a batch has zero
+    total probability.
+    """
     if not 1 <= n_batches <= n_rows:
         raise ValueError(f"n_batches = {n_batches} outside [1, {n_rows}]")
-    weight = 1.0 / n_rows
-    # Each batch renormalizes its equal weights, as w / w.sum() would.
-    gains = [
-        _gain(outcome, batch, conditionals, weight / np.full(len(batch), weight).sum())
-        for batch in np.array_split(rows, n_batches)
-    ]
-    return _gain(outcome, rows, conditionals, weight), np.array(gains)
+    scales = effects.mean(axis=1)
+    if (scales <= 0.0).any():
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
+    scaled = effects / scales[:, None]
+    # Batch j holds rows edges[j]:edges[j + 1], as np.array_split splits them.
+    size, larger = divmod(n_rows, n_batches)
+    j = np.arange(n_batches + 1)
+    edges = size * j + np.minimum(j, larger)
+    sums = np.zeros((len(scaled), 2, n_batches))  # S1 and S2 of each batch
+    start = 0
+    for rows in blocks():
+        # The block's rows up to each batch edge inside it, and past the
+        # last one, belong to consecutive batches.
+        first, last = np.searchsorted(edges, [start, start + len(rows) - 1], side="right")
+        cuts = np.r_[start, edges[first:last]] - start
+        sums[:, :, first - 1 : last] += _block_sums(rows, scaled, cuts)
+        start += len(rows)
+    if (sums[:, 0] <= 0.0).any():
+        raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
+
+    def gains(s, counts):
+        # Non-negative by Gibbs' inequality; clamp the rounding residue.
+        return np.maximum(s[:, 1] / s[:, 0] - np.log2(s[:, 0] / counts), 0.0)
+
+    return gains(sums.sum(axis=2), n_rows), gains(sums, np.diff(edges))
 
 
 def batched_information(
@@ -265,39 +278,19 @@ def batched_information(
     The full-sample value is the point estimate; the spread of the batch
     values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
     Only the requested outcome is evaluated, from the populations and the
-    diagonal effect.  Raises ValueError if n_batches lies outside
+    diagonal effect, in one streamed_information pass over blocks of
+    BLOCK_ROWS rows, so nothing beyond the populations grows with the
+    sample count.  Raises ValueError if n_batches lies outside
     [1, n_samples] (a batch would be empty) or if the effects on the support
     are not outcome probabilities (MeasurementModel.support_effects), and
     ZeroProbability if the outcome (or a batch) has zero total probability.
-
-    Memory: one float64 per sample beyond the populations on every input,
-    plus blocks of BLOCK_ROWS (16,384) rows; each gain forms the
-    conditionals of a block from its rows whenever it reads them, and the
-    values are those of full-length weights, posterior and terms arrays bit
-    for bit.
     """
-    support_dim = populations.shape[1]
+    n_rows, support_dim = populations.shape
     model.support_effects(support_dim)
-    effect = model.effect_for(outcome)[:support_dim]
-    return _information(outcome, populations, lambda rows: rows @ effect, n_batches)
-
-
-def conditional_information(
-    outcome: str, conditionals: np.ndarray, n_batches: int = 100
-) -> tuple[float, np.ndarray]:
-    """batched_information from the stored conditionals p(outcome|sample)
-    of its samples, one float64 each; beyond them it holds one float64 per
-    sample.  The bits are batched_information's on the same rows when every
-    conditional was formed in a block of more than one row, as in the
-    blocks of block_bounds, and every batch has more than one row: numpy
-    forms a one-row product with dot, which rounds differently.  Raises
-    ValueError if a conditional is negative or not finite, or if n_batches
-    lies outside [1, n_samples], and ZeroProbability if the outcome (or a
-    batch) has zero total probability.
-    """
-    if not np.all((conditionals >= 0.0) & np.isfinite(conditionals)):
-        raise ValueError("conditionals must be finite and non-negative")
-    return _information(outcome, conditionals, lambda rows: rows, n_batches)
+    effect = model.effect_for(outcome)[None, :support_dim]
+    full, batches = streamed_information(
+        outcome, effect, lambda: (populations[a:b] for a, b in block_bounds(n_rows)), n_rows, n_batches)
+    return float(full[0]), batches[0]
 
 
 def fit_gamma_squared(gammas: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from photocount import (
     build_reversing,
     efficiency,
 )
+from photocount.ensemble import BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,87 @@ def batched_reference(model, populations, outcome="1", n_batches=100):
     ):
         batches.append(information_gain(_weighted_stats(outcome, cond, w / w.sum())))
     return full, np.array(batches)
+
+
+# Rounding bounds of the Monte Carlo gains, on n equally weighted rows in
+# np.array_split batches.  u = 2^-53 is the unit roundoff.  For a batch of m
+# rows with exact conditionals x (at any scale) the gain is G = q - l, with
+# S1 = sum x, q = sum x log2 x / S1, l = log2(S1 / m), pi = x / S1, and the
+# magnitudes
+#   M = sum pi |log2 x|,  V = sum pi |log2 x - q|,  N = sum pi |log2 x - l|.
+# To first order in u:
+# - dG/dx_i = (log2 x_i - q) / S1, so conditionals within r u relative of x
+#   move G by at most r u V;
+# - a sum of k terms, pairwise as numpy sums (and reduceat, which starts
+#   from the first term), passes a term through at most 24 + bit_length(k)
+#   additions: 8 running sums of up to 16 terms, 3 levels joining them and
+#   7 left-over terms in a leaf of at most 128, and one more per halving;
+# - numpy's float64 log2 is accurate to 1 ulp (its accuracy tests), at most
+#   2u relative.
+# streamed_information: x log2 x is within 3u |x log2 x|.  Each of S1 and
+# S2 passes a term through at most h additions: a reduceat within a block
+# of at most BLOCK_ROWS + 1 rows, one per block the batch touches (at most
+# m // BLOCK_ROWS + 2), and for the whole sample the pairwise sum of the
+# batch sums.  So S1 is within h u relative, S2 within (h + 3) u M S1, and
+# q within (2h + 4) u M; S1 / m is within (h + 1) u, which moves l by
+# (h + 1) u / ln 2, and log2 adds 2u |l|; the subtraction adds
+# u |G| <= u (M + |l|).  In all
+#   u [r V + (2h + 5) M + 3 |l| + (h + 1) / ln 2],
+# with M and l of the mean-scaled conditionals it forms.
+# information_gain on weights 1/n (renormalized per batch), with
+# h' = 24 + bit_length(m): m times a weight is within (h' + 1) u of 1 and
+# the total T = sum w x within (h' + 1) u, so each posterior is within
+# (h' + 3) u, log2(x / T) within (2h' + 3) u / ln 2 + 2u |log2 x - l| of
+# log2 x - l, and the product and the sum add u N and h' u N:
+#   u [r V + (2h' + 6) N + (2h' + 3) / ln 2].
+_U = 2.0**-53
+
+
+def _sum_depth(k):
+    return 24 + int(k).bit_length()
+
+
+def gain_error_bounds(populations, effect, n_batches, conditional_ulps, streamed):
+    """Bounds on the error of the whole-sample gain and of each batch gain of
+    an outcome with the given diagonal effect (one entry per support level),
+    from streamed_information (streamed) or information_gain on equal
+    weights, whose conditionals lie within conditional_ulps units of
+    roundoff of the exact ones the caller compares against; see above.  The
+    magnitudes are read from populations @ effect."""
+    n, d = populations.shape
+    x = populations @ (effect / effect.mean())
+    batches = np.array_split(x, n_batches)
+    block_depth = _sum_depth(BLOCK_ROWS + 1)
+
+    def bound(x, h):
+        positive = x[x > 0.0]
+        total = positive.sum()
+        pi, logs = positive / total, np.log2(positive)
+        q, level = pi @ logs, math.log2(total / len(x))
+        v = pi @ np.abs(logs - q)
+        if streamed:
+            rest = (2 * h + 5) * (pi @ np.abs(logs)) + 3 * abs(level) + (h + 1) / math.log(2)
+        else:
+            rest = (2 * h + 6) * (pi @ np.abs(logs - level)) + (2 * h + 3) / math.log(2)
+        return _U * (conditional_ulps * v + rest)
+
+    def depth(m):
+        return block_depth + m // BLOCK_ROWS + 2 if streamed else _sum_depth(m)
+
+    largest = max(len(b) for b in batches)
+    whole = depth(largest) + _sum_depth(n_batches) if streamed else _sum_depth(n)
+    return bound(x, whole), np.array([bound(b, depth(len(b))) for b in batches])
+
+
+def gain_rounding_bound(populations, effect, n_batches):
+    """Bounds on |streamed_information - batched_reference| for the
+    whole-sample gain and each batch gain: the sum of both errors, with
+    conditionals formed from d populations (d products and d - 1
+    additions), after a division by the mean effect in streamed_information."""
+    d = populations.shape[1]
+    streamed = gain_error_bounds(populations, effect, n_batches, d + 1, True)
+    reference = gain_error_bounds(populations, effect, n_batches, d, False)
+    return streamed[0] + reference[0], streamed[1] + reference[1]
 
 
 def _weighted_stats(outcome, cond, weights):

@@ -22,7 +22,7 @@ from photocount import (
     trajectory_sim,
 )
 from photocount.cli import format_number, main
-from photocount.metrics import conditional_information
+from photocount.metrics import streamed_information
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -232,12 +232,13 @@ class TestHaar:
         assert gap["value"] > 3 * gap["standard_error"]
 
     def test_default_run_holds_about_its_populations(self, capsys):
-        # `haar --d 3` at its default 10^5 samples keeps 1.6 MB of pc and
-        # qpc conditionals from the streamed draw; block temporaries of
-        # BLOCK_ROWS rows bring the traced peak to 3.9 MB.  Holding the
-        # 2.4 MB of populations took 4.3 MB, and blocks of 65,536 rows
-        # 9.8 MB.  The first call pays the lazy imports and caches, so the
-        # second is traced.  A memory bound, not a timing bound.
+        # `haar --d 3` at its default 10^5 samples holds no array of the
+        # sample's length: block temporaries of BLOCK_ROWS rows (the draw's
+        # and the pc and qpc sums') bring the traced peak to 2.3 MB.  The
+        # pc and qpc conditionals, one float64 per sample each, took
+        # 3.9 MB, and holding the 2.4 MB of populations 4.3 MB.  The first
+        # call pays the lazy imports and caches, so the second is traced.  A
+        # memory bound, not a timing bound.
         assert run_cli(["haar", "--d", "3"], capsys)[0] == 0
         tracemalloc.start()
         try:
@@ -275,67 +276,77 @@ class TestHaar:
         assert out == ""
         assert "effect of outcome '1' is 2.25 > 1 on level 3" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--d", "4", "--dim", "5"],
-        ["--d", "4", "--dim", "6", "--gamma", "0.5"],
-        ["--d", "2", "--gamma", "1.1e-161"],
-        ["--d", "3", "--dim", "4"],
-        ["--dim", "3"],
-        ["--d", "3", "--dim", "2"],
+    @pytest.mark.parametrize("flags, code", [
+        (["--d", "4", "--dim", "5"], 2),
+        (["--d", "4", "--dim", "6", "--gamma", "0.5"], 2),
+        (["--d", "2", "--gamma", "1.1e-161"], 2),
+        (["--d", "3", "--dim", "4"], 2),
+        (["--dim", "3"], 2),
+        (["--d", "3", "--dim", "2"], 2),
+        # gamma^2 underflows to 0, so the one-count effect vanishes on the
+        # support (exit 4, zero total probability)
+        (["--d", "2", "--gamma", "1e-170"], 4),
     ])
-    def test_refuses_the_support_before_the_draw(self, flags, capsys, monkeypatch):
+    def test_refuses_the_support_before_the_draw(self, flags, code, capsys, monkeypatch):
         # The draw takes most of the run, so a refusal that needs no draw
         # comes first.
         def draw(*_):
             raise AssertionError("populations drawn before the support was checked")
 
         monkeypatch.setattr(cli, "haar_blocks", draw)
-        code, out, err = run_cli(["haar", *flags], capsys)
-        assert (code, out) == (2, "")
+        got, out, err = run_cli(["haar", *flags], capsys)
+        assert (got, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [100_000, 114_689, 131_072])
     def test_streamed_gains_equal_the_library(self, d, n, capsys, monkeypatch):
-        # The command keeps each counter's conditionals from the streamed
-        # draw; its gains are the library's on the populations array, bit
-        # for bit.  114,689 is 7 x 16,384 + 1 rows, whose lone last row
-        # joins the block before it.
+        # The command sums both counters' conditionals over the streamed
+        # draw in one pass; its gains are the library's on the populations
+        # array, bit for bit, since both go through streamed_information on
+        # the same blocks.  114,689 is 7 x 16,384 + 1 rows, whose lone last
+        # row joins the block before it.
         got = []
 
-        def record(outcome, conditionals):
-            got.append(conditional_information(outcome, conditionals))
+        def record(*args):
+            got.append(streamed_information(*args))
             return got[-1]
 
-        monkeypatch.setattr(cli, "conditional_information", record)
+        monkeypatch.setattr(cli, "streamed_information", record)
         argv = ["haar", "--d", str(d), "--dim", str(d + 2), "--samples", str(n)]
         assert run_cli(argv, capsys)[0] == 0
+        (values, batches), = got
         populations = haar_populations(d, n, 42)
-        for label, (value, batches) in zip(("pc", "qpc"), got, strict=True):
+        for k, label in enumerate(("pc", "qpc")):
             want = batched_information(build_counter(label, 0.3, d + 2), populations, "1")
-            assert (repr(value), batches.tobytes()) == (repr(want[0]), want[1].tobytes())
+            assert (repr(float(values[k])), batches[k].tobytes()) == (repr(want[0]), want[1].tobytes())
 
     @pytest.mark.parametrize("d", [3, 4])
-    def test_streamed_run_holds_two_conditionals_per_sample(self, d, capsys):
-        # The pc and qpc conditionals (8 bytes a sample each) and one
-        # posterior, plus blocks of BLOCK_ROWS rows: 3.04 x 8n measured at
-        # 10^6 samples.  Holding the populations as well measured 4.04 x
-        # (d = 3) and 5.04 x (d = 4).  The first call pays the lazy imports
-        # and caches, so the second is traced.  A memory bound, not a timing
-        # bound.
+    def test_streamed_run_memory_does_not_grow_with_samples(self, d, capsys):
+        # Nothing the run holds has the sample's length: block temporaries
+        # of BLOCK_ROWS rows set the traced peak, 2.3 MB (d = 3) and 2.9 MB
+        # (d = 4) measured at both 10^5 and 10^6 samples.  One float64 per
+        # sample would add 8 MB at 10^6, and the pc and qpc conditionals
+        # with a posterior took 3.04 x 8n.  The first call pays the lazy
+        # imports and caches, so the later ones are traced.  A memory bound,
+        # not a timing bound.
         assert run_cli(["haar", "--d", "3"], capsys)[0] == 0
-        tracemalloc.start()
-        try:
-            code = main(["haar", "--d", str(d), "--dim", str(d + 2), "--samples", "1000000"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        assert code == 0
-        assert peak < 3.2 * 8 * 10**6
+        peaks = []
+        for samples in ("100000", "1000000"):
+            tracemalloc.start()
+            try:
+                code = main(["haar", "--d", str(d), "--dim", str(d + 2), "--samples", samples])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] < 1.05 * peaks[0]
 
     def test_zero_probability_outcome_is_numeric_failure(self, capsys):
-        # Its zero total needs the draw.
+        # gamma^2 underflows to 0, so the pc one-count effect vanishes on
+        # the support and is refused before the draw.
         code, out, err = run_cli(["haar", "--d", "2", "--gamma", "1e-170"], capsys)
         assert code == 4
         assert out == ""

@@ -12,7 +12,7 @@ from photocount import (
     evaluate,
     haar_populations,
 )
-from photocount.ensemble import block_bounds, haar_blocks
+from photocount.ensemble import BLOCK_ROWS, block_bounds, haar_blocks
 
 LN2 = np.log(2.0)
 
@@ -185,11 +185,11 @@ class TestHaarEnsemble:
         assert peak < 1.15 * populations.nbytes
 
     def test_memory_stays_populations_sized(self):
-        # The Haar path holds the populations, block-sized draws and one
-        # float64 per sample of one outcome's statistics (1.26x measured,
-        # set by batched_information's conditionals rather than by block
-        # temporaries); the dense 96 MB state array of the old construction
-        # alone would exceed the bound.  A memory bound, not a timing bound.
+        # The Haar path holds the populations and block-sized temporaries:
+        # those of the draw, and the conditionals and terms of one block of
+        # one outcome's statistics (1.11x measured, set by the draw); the
+        # dense 96 MB state array of the old construction alone would exceed
+        # the bound.  A memory bound, not a timing bound.
         tracemalloc.start()
         try:
             populations = haar_populations(4, 10**6, 42)
@@ -199,12 +199,12 @@ class TestHaarEnsemble:
             tracemalloc.stop()
         assert peak < 1.5 * populations.nbytes
 
-    def test_batched_information_holds_one_float_per_sample(self):
+    def test_batched_information_holds_block_sized_temporaries(self):
         # Above the populations it is given, the call holds the conditionals
-        # (8 bytes a sample, turned into the posterior in place) and blocks
-        # of BLOCK_ROWS rows: 8.35 MB measured at 10^6 rows.  Full-length
-        # weights, posterior and terms arrays would take 33 MB, and blocks
-        # of 65,536 rows with a full-length bool mask took 9.1 MB.
+        # and their c log2 c terms of one block of BLOCK_ROWS rows (two
+        # float64 a row) and the batch sums: 2.20 x 8 x BLOCK_ROWS measured
+        # at 10^6 rows, as at 10^5.  One float64 per sample, the least the
+        # stored-posterior form held, would be 8 MB here.
         populations = haar_populations(4, 10**6, 42)
         model = build_counter("pc", 0.3, 6)
         tracemalloc.start()
@@ -213,13 +213,13 @@ class TestHaarEnsemble:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 8 * populations.shape[0]
+        assert peak < 2.5 * 8 * BLOCK_ROWS
 
-    def test_batched_information_holds_one_float_per_sample_on_zero_conditionals(self):
-        # Rows the outcome cannot occur on are compacted within each block,
-        # into the front of the posterior, so zero conditionals take no more
-        # memory than positive ones.  Full-length weights, posterior and
-        # terms arrays for them measured 5.13 x 8n.
+    def test_batched_information_holds_block_sized_temporaries_on_zero_conditionals(self):
+        # Zero conditionals add nothing to either sum and take no more
+        # memory than positive ones (2.19 x 8 x BLOCK_ROWS measured).
+        # Full-length weights, posterior and terms arrays for them measured
+        # 5.13 x 8n.
         populations = haar_populations(4, 10**6, 42).copy()
         populations[::1000] = 0.0
         model = build_counter("pc", 0.3, 6)
@@ -229,7 +229,7 @@ class TestHaarEnsemble:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 8 * populations.shape[0]
+        assert peak < 2.5 * 8 * BLOCK_ROWS
 
 
 class TestPopulations:

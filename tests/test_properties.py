@@ -24,6 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     batched_reference,
+    gain_error_bounds,
+    gain_rounding_bound,
     build_counter_reference,
     compose_reference,
     evaluate_reference,
@@ -426,13 +428,22 @@ def test_verify_recovery_equals_the_per_state_reference(kind, gamma, nodes, dim)
 
 
 def _gains(model, populations, outcome, n_batches, fn):
-    """repr of the full gain and the bytes of the batch gains of fn, or the
-    type and message of the error it raised."""
+    """The full gain and the batch gains of fn, or the type and message of
+    the error it raised."""
     try:
-        full, batches = fn(model, populations, outcome, n_batches)
+        return fn(model, populations, outcome, n_batches)
     except (PhotocountError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr(full), batches.tobytes()
+
+
+def _zeroed(populations, zero_stride, zero_head):
+    """populations with every zero_stride-th row and the first zero_head
+    rows set to zero (synthetic; a Haar draw has none)."""
+    populations = populations.copy()
+    if zero_stride:
+        populations[::zero_stride] = 0.0
+    populations[:zero_head] = 0.0
+    return populations
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -454,37 +465,79 @@ def _gains(model, populations, outcome, n_batches, fn):
     d=4, extra=2, n_samples=3 * 65_536, n_batches=128, label="pc", outcome_index=1,
     gamma=0.3, seed=42, zero_stride=0, zero_head=0,
 )
-# One row past a block boundary (65,537 is 4 x BLOCK_ROWS + 1): a one-row
-# product of that row alone (numpy forms it with dot) moves the last bit of
-# this no-count gain.
+# One row past a block boundary (65,537 is 4 x BLOCK_ROWS + 1), on a
+# no-count gain near 2.5e-5, where the two sums nearly cancel.
 @example(
     d=5, extra=2, n_samples=65_537, n_batches=100, label="pc", outcome_index=0,
     gamma=0.1, seed=2, zero_stride=0, zero_head=0,
 )
-# One row per batch: numpy forms each batch's one-row product with dot, and
-# each batch gains exactly 0.0 (c / c = 1) either way.
+# One row per batch: each batch gains exactly 0.0 (c / c = 1) in the
+# reference and within the bound in the two sums.
 @example(
     d=3, extra=2, n_samples=10_000, n_batches=10_000, label="qc", outcome_index=1,
     gamma=0.2, seed=7, zero_stride=0, zero_head=0,
 )
-def test_batched_information_equals_the_full_length_reference(
+def test_batched_information_matches_the_full_length_reference(
     d, extra, n_samples, n_batches, label, outcome_index, gamma, seed, zero_stride, zero_head
 ):
-    # The one-array pass against full-length weights, posterior and terms
-    # arrays, byte for byte.  All-zero rows (synthetic; a Haar draw has
-    # none) give zero conditionals, which take the compacting path, and a
+    # The two-sum pass against full-length weights, posterior and terms
+    # arrays, within the derived rounding bound of both
+    # (oracles.gain_rounding_bound); the errors are the same.  All-zero
+    # rows give zero conditionals, which add nothing to either sum, and a
     # zero head of the sample can empty the first batches.
     dim = d + extra
     model = build_counter(label, gamma, dim)
     outcome = model.outcomes[outcome_index % len(model.outcomes)]
-    populations = haar_populations(d, n_samples, seed)
-    if zero_stride or zero_head:
-        populations = populations.copy()
-        if zero_stride:
-            populations[::zero_stride] = 0.0
-        populations[:zero_head] = 0.0
+    populations = _zeroed(haar_populations(d, n_samples, seed), zero_stride, zero_head)
     want = _gains(model, populations, outcome, n_batches, batched_reference)
-    assert _gains(model, populations, outcome, n_batches, batched_information) == want
+    got = _gains(model, populations, outcome, n_batches, batched_information)
+    if isinstance(want, str):
+        assert got == want
+        return
+    full, batches = gain_rounding_bound(populations, model.effect_for(outcome)[:d], n_batches)
+    assert abs(got[0] - want[0]) <= full
+    assert np.all(np.abs(got[1] - want[1]) <= batches)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    d=st.integers(min_value=2, max_value=4),
+    n_samples=st.integers(min_value=10_000, max_value=200_000),
+    n_batches=st.integers(min_value=2, max_value=200),
+    label=st.sampled_from(("pc", "qpc")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zero_stride=st.one_of(st.just(0), st.integers(min_value=2, max_value=1000)),
+    zero_head=st.one_of(st.just(0), st.integers(min_value=1, max_value=2000)),
+)
+@example(d=3, n_samples=100_000, n_batches=100, label="qpc", seed=42, zero_stride=0, zero_head=0)
+@example(d=4, n_samples=65_537, n_batches=100, label="pc", seed=3, zero_stride=7, zero_head=1_500)
+def test_one_count_gains_do_not_depend_on_the_coupling(
+    d, n_samples, n_batches, label, seed, zero_stride, zero_head
+):
+    # The pc and qpc one-count effects are gamma^2 f(n)^2, so their gains do
+    # not depend on gamma; at gamma = 1e-150 the sums S1 and S2 of the raw
+    # conditionals would be near 2^-997 and their difference would cancel.
+    # Each effect entry, fl(fl(gamma f(n))^2) with f(n) = sqrt(n) or n, is
+    # within 5u of gamma^2 f(n)^2, so each run's conditionals are within
+    # (d + 6) u of the exact ones, and the two gains agree within twice the
+    # two-sum error bound (oracles.gain_error_bounds).  All-zero rows and a
+    # zero head that empties the first batches come from zero_stride and
+    # zero_head.
+    populations = _zeroed(haar_populations(d, n_samples, seed), zero_stride, zero_head)
+    runs = [
+        _gains(build_counter(label, gamma, d + 2), populations, "1", n_batches,
+               batched_information)
+        for gamma in (1e-150, 0.3)
+    ]
+    if isinstance(runs[0], str):
+        assert runs[0] == runs[1]
+        assert "has zero total probability" in runs[0]
+        return
+    effect = build_counter(label, 0.3, d + 2).effect_for("1")[:d]
+    full, batches = gain_error_bounds(populations, effect, n_batches, d + 6, streamed=True)
+    (tiny, tiny_batches), (large, large_batches) = runs
+    assert abs(tiny - large) <= 2 * full
+    assert np.all(np.abs(tiny_batches - large_batches) <= 2 * batches)
 
 
 # What each printed result is: a probability (or fidelity or reversibility)
