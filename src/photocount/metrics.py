@@ -205,11 +205,15 @@ def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
 def _block_sums(rows: np.ndarray, scaled: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Sums of c and c log2 c (0 log 0 = 0), (K, 2, len(cuts)), over the
     segments of rows that start at cuts, with c = rows @ scaled[k]; one
-    product per effect, so c keeps its bits however many effects share it."""
+    product per effect, so c keeps its bits however many effects share it.
+    Raises ValueError if some c is negative or not finite (a NaN gave a NaN
+    gain, a negative c a wrong one)."""
     terms = np.empty((len(scaled), 2, len(rows)))
     for effect, out in zip(scaled, terms[:, 0]):
         np.matmul(rows, effect, out=out)
     cond, c_log_c = terms[:, 0], terms[:, 1]
+    if not (cond.min() >= 0.0 and cond.max() < np.inf):
+        raise ValueError("conditionals must be finite and non-negative")
     c_log_c.fill(0.0)
     np.log2(cond, out=c_log_c, where=cond > 0.0)
     c_log_c *= cond
@@ -232,7 +236,8 @@ def streamed_information(
     sums into its batches'.  Each effect is first divided by its mean, which
     leaves the gain as it is and keeps log2(S1 / m) near 0 on Haar rows, so
     the difference does not cancel at tiny couplings.  Raises ValueError if
-    n_batches lies outside [1, n_rows], and ZeroProbability if an effect
+    n_batches lies outside [1, n_rows] or a conditional is negative or not
+    finite, and ZeroProbability if an effect
     vanishes on the support (before blocks() is called) or a batch has zero
     total probability.
     """
@@ -281,8 +286,9 @@ def batched_information(
     diagonal effect, in one streamed_information pass over blocks of
     BLOCK_ROWS rows, so nothing beyond the populations grows with the
     sample count.  Raises ValueError if n_batches lies outside
-    [1, n_samples] (a batch would be empty) or if the effects on the support
-    are not outcome probabilities (MeasurementModel.support_effects), and
+    [1, n_samples] (a batch would be empty), if the effects on the support
+    are not outcome probabilities (MeasurementModel.support_effects) or if a
+    conditional is negative or not finite (a population is), and
     ZeroProbability if the outcome (or a batch) has zero total probability.
     """
     n_rows, support_dim = populations.shape

@@ -485,6 +485,24 @@ class TestBatchedInformation:
         with pytest.raises(ValueError, match=f"n_batches = {n_batches} outside"):
             batched_information(build_counter("pc", 0.3, 5), populations, "1", n_batches)
 
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_stored_conditionals_outside_probabilities_rejected(self, bad):
+        # batched_information checks its effects (support_effects); the
+        # conditionals are checked themselves, where a NaN gave a NaN gain.
+        # Stored conditionals are one-column populations under effect 1.
+        conditionals = np.full(10_000, 0.5)
+        conditionals[17] = bad
+        with pytest.raises(ValueError, match="^conditionals must be finite and non-negative$"):
+            metrics.streamed_information("1", np.ones((1, 1)), lambda: [conditionals[:, None]], 10_000)
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_populations_outside_probabilities_rejected(self, bad):
+        # a negative population gave a wrong gain, a NaN or infinite one NaN
+        populations = haar_populations(2, 10_000, 1).copy()
+        populations[17, 1] = bad
+        with pytest.raises(ValueError, match="^conditionals must be finite and non-negative$"):
+            batched_information(build_counter("pc", 0.3, 4), populations, "1")
+
     @pytest.mark.parametrize("support_dim", [0, 5])
     def test_support_outside_truncation_rejected(self, support_dim):
         populations = np.full((10_000, support_dim), 1.0 / max(support_dim, 1))
