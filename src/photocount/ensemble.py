@@ -23,9 +23,9 @@ import numpy as np
 from .fock import read_only
 
 
-# Rows per block of every Monte Carlo loop (the Haar draw, the gains of
-# metrics.streamed_information, reversal.trajectory_sim), so temporaries do
-# not grow with the sample count: a block of d = 4 complex amplitudes is
+# Rows per block of every Monte Carlo loop (the Haar draw and the gains of
+# metrics.streamed_information; reversal.trajectory_sim draws per-node
+# counts and has no loop), so temporaries do not grow with the sample count: a block of d = 4 complex amplitudes is
 # 1 MiB, near a core's L2 cache (2 MiB on a current Xeon), and larger
 # blocks only raise peak memory.
 BLOCK_ROWS = 16_384

@@ -10,12 +10,13 @@ conditioned on a one-count equals the reversibility figure of the counter.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import MeasurementModel, background
-from .ensemble import BLOCK_ROWS, Ensemble
+from .ensemble import Ensemble
 from .errors import NonReversible, ZeroProbability
 
 
@@ -25,10 +26,6 @@ _PROB_FLOOR = 1e-15
 # Smallest background, relative to the largest effect on the support, for
 # which the left inverse counts as bounded.
 _INVERSE_FLOOR = 1e-12
-
-# Buckets of the node lookup table; a power of two, so u * _NODE_BUCKETS is
-# exact and every bucket edge is a double.
-_NODE_BUCKETS = 4096
 
 
 @dataclass(frozen=True)
@@ -132,43 +129,6 @@ class TrajectoryStats:
     seed: int
 
 
-def _uniform_stream(seed: int, offset: int) -> np.random.Generator:
-    """Philox(seed) generator placed `offset` doubles into its stream.
-
-    Each double takes one 64-bit output and a Philox step yields four, so the
-    counter advances offset // 4 steps and the remainder is drawn and dropped.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    rng.bit_generator.advance(offset // 4)
-    rng.random(offset % 4)
-    return rng
-
-
-class _NodeTable:
-    """Node index for a uniform u, as Generator.choice(p=weights) maps it:
-    cdf.searchsorted(u, side="right") on the normalized cumulative weights.
-
-    u falls in the bucket b = int(u * _NODE_BUCKETS).  When no CDF value
-    lies in (b, b + 1] / _NODE_BUCKETS every u of the bucket has the index
-    the table holds for b; otherwise the index comes from the binary search.
-    """
-
-    def __init__(self, weights: np.ndarray):
-        self.cdf = weights.cumsum()
-        self.cdf /= self.cdf[-1]
-        edges = np.arange(_NODE_BUCKETS + 1) / _NODE_BUCKETS
-        index = self.cdf.searchsorted(edges, side="right")
-        self.index = index[:-1]
-        self.settled = index[:-1] == index[1:]
-
-    def nodes(self, u: np.ndarray) -> np.ndarray:
-        bucket = (u * _NODE_BUCKETS).astype(np.intp)
-        nodes = self.index[bucket]
-        unsettled = np.flatnonzero(~self.settled[bucket])
-        nodes[unsettled] = self.cdf.searchsorted(u[unsettled], side="right")
-        return nodes
-
-
 def trajectory_sim(
     model: MeasurementModel,
     ensemble: Ensemble,
@@ -178,19 +138,20 @@ def trajectory_sim(
     """Monte Carlo of draw-state, measure with the model, and (on its
     one-count outcome "1") try to reverse.
 
-    Uses a counter-based (Philox) generator keyed by the seed with a fixed
-    draw order, so results are reproducible bit for bit: the node uniforms,
-    the outcome uniforms and the reversal uniforms sit at offsets 0, trials
-    and 2 * trials of the one stream, and each node is drawn as
-    Generator.choice(n_samples, p=weights) draws it.  Trials run in fixed
-    blocks of ensemble.BLOCK_ROWS (16,384), so the per-trial arrays stay
-    block-sized; beyond them only the successes per node are kept, and the
-    mean recovery fidelity is their count-weighted mean over the nodes.
-    The success rate conditioned on one-count converges to the counter's
-    reversibility.  Raises ValueError for fewer than 10^4 trials, a
-    negative seed, or effects on the support that are not outcome
-    probabilities (MeasurementModel.support_effects), and NonReversible if
-    the one-count has zero background there.
+    A trial's outcomes depend only on the node it draws, so the trials are
+    drawn as per-node counts, from one counter-based (Philox) generator
+    keyed by the seed, in this order: the visits to each node,
+    multinomial(trials, weights); the one-counts among them,
+    binomial(visits, p(1 | node)); and the successful reversals among
+    those, binomial(one-counts, eta^2 / p(1 | node)).  These counts have
+    the joint law of independent trials, results are reproducible bit for
+    bit, and nothing grows with the trial count, in time or memory.  The
+    mean recovery fidelity is the success-weighted mean of the per-node
+    fidelities.  The success rate conditioned on one-count converges to
+    the counter's reversibility.  Raises ValueError for fewer than 10^4
+    trials, a negative seed, or effects on the support that are not
+    outcome probabilities (MeasurementModel.support_effects), and
+    NonReversible if the one-count has zero background there.
     """
     if trials < 10_000:
         raise ValueError("at least 10^4 trials are required")
@@ -202,26 +163,22 @@ def trajectory_sim(
 
     cond_one = ensemble.populations @ model.effect_for("1")[: ensemble.support_dim]
     success_given_one = np.minimum(rev.eta_sq / cond_one, 1.0)
+    # An effect of exactly 1 on the support can round cond_one one ulp above
+    # 1; such a one-count is certain.
+    cond_one = np.minimum(cond_one, 1.0)
     # The trajectory through a node is deterministic once the outcomes are
     # fixed, so each node's recovery fidelity is computed once.
     recovery = verify_recovery(ensemble.states, model.operator_for("1"), rev)
     fidelities = recovery["recovery_fidelity"]
 
-    table = _NodeTable(ensemble.weights)
-    node_rng, outcome_rng, reverse_rng = (
-        _uniform_stream(seed, offset) for offset in (0, trials, 2 * trials)
-    )
-    n_one = 0
-    counts = np.zeros(fidelities.size, dtype=np.intp)  # successes per node
-    for start in range(0, trials, BLOCK_ROWS):
-        size = min(BLOCK_ROWS, trials - start)
-        nodes = table.nodes(node_rng.random(size))
-        one_count_mask = outcome_rng.random(size) < cond_one[nodes]
-        success_mask = one_count_mask & (reverse_rng.random(size) < success_given_one[nodes])
-        n_one += int(np.count_nonzero(one_count_mask))
-        counts += np.bincount(nodes[success_mask], minlength=fidelities.size)
-    n_success = int(counts.sum())
-    mean_fid = float(counts @ fidelities / n_success) if n_success else float("nan")
+    rng = np.random.Generator(np.random.Philox(seed))
+    # multinomial would truncate a fractional trial count; index refuses it.
+    visits = rng.multinomial(operator.index(trials), ensemble.weights)
+    one_counts = rng.binomial(visits, cond_one)
+    successes = rng.binomial(one_counts, success_given_one)
+    n_one = int(one_counts.sum())
+    n_success = int(successes.sum())
+    mean_fid = float(successes @ fidelities / n_success) if n_success else float("nan")
     rate = n_success / n_one if n_one else float("nan")
     return TrajectoryStats(
         trials=trials,

@@ -414,11 +414,10 @@ def recovery_reference(state, op, rev):
     }
 
 
-def trajectory_reference(kind, gamma, ensemble, trials, seed):
-    """trajectory_sim with every trial held at once and the nodes drawn by
-    Generator.choice, followed by the outcome and reversal uniforms of the
-    same Philox stream.  trajectory_sim must give the same bits, and raise
-    the same errors."""
+def _trajectory_inputs(kind, gamma, ensemble):
+    """Per-node one-count probability, success probability given a
+    one-count, and recovery fidelity of the state, as trajectory_sim reads
+    them; raises what trajectory_sim raises for the model."""
     model = build_counter(kind, gamma, ensemble.dim)
     model.support_effects(ensemble.support_dim)
     one_count_op = model.operator_for("1")
@@ -431,18 +430,13 @@ def trajectory_reference(kind, gamma, ensemble, trials, seed):
             for state in ensemble.states
         ]
     )
+    return cond_one, success_given_one, fidelities
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    nodes = rng.choice(ensemble.n_samples, size=trials, p=ensemble.weights)
-    u_outcome = rng.random(trials)
-    u_reverse = rng.random(trials)
 
-    one_count_mask = u_outcome < cond_one[nodes]
-    success_mask = one_count_mask & (u_reverse < success_given_one[nodes])
-    n_one = int(np.count_nonzero(one_count_mask))
-    n_success = int(np.count_nonzero(success_mask))
-    counts = np.bincount(nodes[success_mask], minlength=ensemble.n_samples)
-    mean_fid = float(counts @ fidelities / n_success) if n_success else float("nan")
+def _trajectory_stats(trials, seed, n_one, successes, fidelities):
+    """TrajectoryStats from the one-count total and the successes per node."""
+    n_success = int(successes.sum())
+    mean_fid = float(successes @ fidelities / n_success) if n_success else float("nan")
     rate = n_success / n_one if n_one else float("nan")
     return TrajectoryStats(
         trials=trials,
@@ -452,3 +446,41 @@ def trajectory_reference(kind, gamma, ensemble, trials, seed):
         empirical_success_rate=rate,
         seed=seed,
     )
+
+
+def trajectory_reference(kind, gamma, ensemble, trials, seed):
+    """trajectory_sim trial by trial, with every trial held at once: the
+    nodes drawn by Generator.choice, then the outcome and reversal uniforms
+    of the same Philox stream.  A trial is a one-count when its uniform
+    falls below p(1 | node), so a probability rounded above 1 is certain.
+    trajectory_sim draws per-node counts instead, so it matches this in law,
+    not in bits."""
+    cond_one, success_given_one, fidelities = _trajectory_inputs(kind, gamma, ensemble)
+    rng = np.random.Generator(np.random.Philox(seed))
+    nodes = rng.choice(ensemble.n_samples, size=trials, p=ensemble.weights)
+    u_outcome = rng.random(trials)
+    u_reverse = rng.random(trials)
+
+    one_count_mask = u_outcome < cond_one[nodes]
+    success_mask = one_count_mask & (u_reverse < success_given_one[nodes])
+    successes = np.bincount(nodes[success_mask], minlength=ensemble.n_samples)
+    return _trajectory_stats(trials, seed, int(np.count_nonzero(one_count_mask)),
+                             successes, fidelities)
+
+
+def trajectory_count_reference(kind, gamma, ensemble, trials, seed):
+    """trajectory_sim node by node, in its draw order from one
+    Generator(Philox(seed)): the visits to every node, one
+    multinomial(trials, weights) draw; then for each node in turn its
+    one-counts, binomial(visits, p(1 | node)), with p(1 | node) capped at 1
+    as the trial-by-trial comparison treats it; then for each node in turn
+    its successes, binomial(one-counts, eta^2 / p(1 | node)).
+    trajectory_sim must give the same bits, and raise the same errors."""
+    cond_one, success_given_one, fidelities = _trajectory_inputs(kind, gamma, ensemble)
+    rng = np.random.Generator(np.random.Philox(seed))
+    visits = rng.multinomial(trials, ensemble.weights)
+    one_counts = [rng.binomial(int(n), min(float(p), 1.0)) for n, p in zip(visits, cond_one)]
+    successes = np.array(
+        [rng.binomial(n, float(p)) for n, p in zip(one_counts, success_given_one)]
+    )
+    return _trajectory_stats(trials, seed, int(sum(one_counts)), successes, fidelities)

@@ -34,6 +34,7 @@ from oracles import (
     polar_factors,
     probe_reference,
     recovery_reference,
+    trajectory_count_reference,
     trajectory_reference,
     two_level_gain,
 )
@@ -354,20 +355,16 @@ def test_reversing_cap_is_the_minimum_eigenvalue_of_the_effect(gamma, target, di
     nodes=st.integers(min_value=8, max_value=128),
     dim=st.integers(min_value=4, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # the floor, and counts far past any per-trial loop
     trials=st.one_of(
-        # around one and four blocks of BLOCK_ROWS (16,384) trials, and on
-        # every residue mod 4
-        st.sampled_from([
-            10_000, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-            65_535, 65_536, 65_537, 131_073,
-        ]),
-        st.builds(lambda q, r: 4 * q + r, st.integers(2_500, 50_000), st.integers(1, 3)),
+        st.sampled_from([10_000, 10_001, 10**12]),
+        st.integers(min_value=10_000, max_value=10**12),
     ),
 )
-def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, seed, trials):
+def test_trajectory_sim_equals_the_count_reference(kind, gamma, nodes, dim, seed, trials):
     ens = bloch_two_state_ensemble(nodes, dim)
     try:
-        want = trajectory_reference(kind, gamma, ens, trials, seed)
+        want = trajectory_count_reference(kind, gamma, ens, trials, seed)
     except (NonReversible, ValueError) as exc:
         # At tiny coupling the background underflows to zero, or the effects
         # on the support are subnormal and refused.
@@ -378,6 +375,35 @@ def test_trajectory_sim_equals_the_choice_reference(kind, gamma, nodes, dim, see
     # repr tells every float apart bit for bit, and NaN from NaN-free values
     for field in fields(want):
         assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("kind,gamma", [("qc", 0.3), ("qqc", 0.3), ("qqc", 0.5)])
+def test_trajectory_sim_has_the_law_of_the_trial_reference(kind, gamma):
+    # Every trial of either simulation is independent and, averaged over the
+    # nodes, a one-count with probability p1 = sum_a w_a p(1|a) and a
+    # success with ps = sum_a w_a p(1|a) min(eta^2 / p(1|a), 1).  So in one
+    # run one_counts ~ Binomial(T, p1) and successes ~ Binomial(T, ps): for
+    # the trial-by-trial reference by construction, for trajectory_sim
+    # because multinomial visits thinned by per-node binomials have the law
+    # of independent trials.  A mean over S seeds has variance
+    # T p (1 - p) / S, and the two means use disjoint seeds, so they are
+    # independent and their difference has standard error
+    # sqrt(2 T p (1 - p) / S).  Five of them bound it.  qqc at gamma = 0.5
+    # has one-count probabilities up to 1, where its effect on |1> is 1.
+    trials, runs = 10_000, 300
+    ens = bloch_two_state_ensemble(64, 5)
+    model = build_counter(kind, gamma, 5)
+    cond_one = np.minimum(ens.populations @ model.effect_for("1")[: ens.support_dim], 1.0)
+    eta_sq = build_reversing(model, "1", ens.support_dim).eta_sq
+    p_one = float(ens.weights @ cond_one)
+    p_success = float(ens.weights @ np.minimum(eta_sq, cond_one))
+    sims = [trajectory_sim(model, ens, trials, seed) for seed in range(runs)]
+    refs = [trajectory_reference(kind, gamma, ens, trials, seed)
+            for seed in range(runs, 2 * runs)]
+    for name, p in (("one_counts", p_one), ("successes", p_success)):
+        got = np.mean([getattr(s, name) for s in sims])
+        want = np.mean([getattr(s, name) for s in refs])
+        assert abs(got - want) < 5 * math.sqrt(2 * trials * p * (1 - p) / runs), name
 
 
 @settings(derandomize=True, deadline=None, database=None)

@@ -15,7 +15,6 @@ from photocount import (
     trajectory_sim,
     verify_recovery,
 )
-from photocount.reversal import _NODE_BUCKETS, _NodeTable
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +168,14 @@ class TestTrajectorySim:
         with pytest.raises(ValueError):
             trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=100, seed=1)
 
+    def test_fractional_trial_count_refused(self, bloch):
+        # The count-level draw would otherwise run 10^4 trials and report
+        # 10000.5 of them.
+        with pytest.raises(TypeError):
+            trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=10_000.5, seed=1)
+        stats = trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=np.int64(10_000), seed=1)
+        assert stats == trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=10_000, seed=1)
+
     def test_negative_seed_rejected_by_name(self, bloch):
         # numpy's own refusal, "expected non-negative integer", names nothing
         with pytest.raises(ValueError, match="^seed = -1 is negative$"):
@@ -185,6 +192,26 @@ class TestTrajectorySim:
         with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 2"):
             trajectory_sim(model, ens, trials=10_000, seed=1)
         trajectory_sim(model, bloch, trials=10_000, seed=1)
+
+    def test_one_count_probability_rounded_above_one_is_certain(self):
+        # qqc at gamma = 0.5 has effect exactly 1 on |1>; this row's
+        # populations sum to 1 + 2^-50, and p(1) = 2^-52 + 1 rounds to
+        # 1 + 2^-52.  Generator.binomial refuses a p above 1.
+        ens = Ensemble(support_dim=2, states=np.array([[2**-25, 1, 0, 0, 0]]),
+                       weights=np.array([1.0]))
+        model = build_counter("qqc", 0.5, 5)
+        assert (ens.populations @ model.effect_for("1")[:2])[0] > 1.0
+        stats = trajectory_sim(model, ens, trials=10_000, seed=1)
+        assert stats.one_counts == stats.trials
+
+    @pytest.mark.parametrize("kind,target", [("qc", 2 / 3), ("qqc", 2 / 5)])
+    def test_trial_count_past_any_per_trial_loop(self, bloch, kind, target):
+        # 10^12 trials: the draw is per node, so this returns as fast as
+        # 10^4 do; a per-trial loop would not return at all.
+        stats = trajectory_sim(build_counter(kind, 0.3, 5), bloch, trials=10**12, seed=42)
+        assert stats.successes <= stats.one_counts <= stats.trials == 10**12
+        sigma = np.sqrt(target * (1 - target) / stats.one_counts)
+        assert abs(stats.empirical_success_rate - target) < 4 * sigma
 
     def test_memory_stays_block_sized(self, bloch):
         # A memory bound, not a timing bound: every per-trial array holds
@@ -211,38 +238,3 @@ class TestTrajectorySim:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
-
-DYADIC_WEIGHTS = [
-    np.full(4, 1 / 4),
-    np.full(8, 1 / 8),
-    np.array([1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 16]),
-]
-
-
-class TestNodeTable:
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            *DYADIC_WEIGHTS,
-            bloch_two_state_ensemble(64, 5).weights,
-            bloch_two_state_ensemble(9, 5).weights,
-            np.random.default_rng(3).dirichlet(np.ones(300)),
-        ],
-    )
-    def test_matches_generator_choice(self, weights):
-        draws = 300_000
-        u = np.random.Generator(np.random.Philox(8)).random(draws)
-        expected = np.random.Generator(np.random.Philox(8)).choice(
-            weights.size, size=draws, p=weights
-        )
-        assert np.array_equal(_NodeTable(weights).nodes(u), expected)
-
-    @pytest.mark.parametrize("weights", DYADIC_WEIGHTS)
-    def test_uniforms_on_bucket_edges(self, weights):
-        # Every CDF value of dyadic weights is a bucket edge; uniforms on
-        # and next to each edge take the index of the binary search.
-        edges = np.arange(_NODE_BUCKETS) / _NODE_BUCKETS
-        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0)])
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-        assert np.array_equal(_NodeTable(weights).nodes(u), cdf.searchsorted(u, side="right"))
