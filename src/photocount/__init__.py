@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _SUBMODULES = {
     "counters": ("MeasurementModel", "background", "build_counter",
                  "completeness_residual", "probe_model_operators", "unitary_part_deviation"),
-    "ensemble": ("Ensemble", "bloch_two_state_ensemble", "haar_populations"),
+    "ensemble": ("Ensemble", "bloch_two_state_ensemble"),
     "errors": ("NonReversible", "NumericInconsistency", "PhotocountError", "ZeroProbability"),
     "fock": (),
     "metrics": ("CounterReport", "OutcomeMetrics", "batched_information", "efficiency",

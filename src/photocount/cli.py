@@ -43,9 +43,9 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .counters import LABELS, MeasurementModel, build_counter  # noqa: E402
-from .ensemble import Ensemble, bloch_two_state_ensemble, check_bloch_family, haar_blocks  # noqa: E402
+from .ensemble import Ensemble, bloch_two_state_ensemble, check_bloch_family  # noqa: E402
 from .errors import NonReversible, PhotocountError, ZeroProbability  # noqa: E402
-from .metrics import evaluate, gamma_sweep, streamed_information  # noqa: E402
+from .metrics import batched_information, evaluate, gamma_sweep  # noqa: E402
 from .reversal import trajectory_sim  # noqa: E402
 
 PRIOR_DENSITY = 1.0 / (4.0 * math.pi)
@@ -199,12 +199,9 @@ def cmd_haar(args: argparse.Namespace, *_) -> dict:
         raise ValueError("at least 10^5 samples are required")
     # The support and a vanishing effect are refused before the draw, which
     # takes most of the time; the gains read each block of it once.
-    labels, effects = ("pc", "qpc"), []
-    for label in labels:
-        model = build_counter(label, args.gamma, args.dim)
-        effects.append(model.support_effects(args.d)[model.outcomes.index("1")])
-    gains, batches = streamed_information(
-        "1", np.stack(effects), lambda: haar_blocks(args.d, args.samples, args.seed), args.samples)
+    labels = ("pc", "qpc")
+    models = [build_counter(label, args.gamma, args.dim) for label in labels]
+    gains, batches = batched_information(models, args.d, args.samples, args.seed)
     values, batches = dict(zip(labels, gains.tolist())), dict(zip(labels, batches))
 
     def standard_error(batch: np.ndarray) -> float:

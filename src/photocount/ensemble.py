@@ -8,8 +8,8 @@ populations |c_n|^2 are kept beside them for statistics of effects that are
 diagonal in the number basis.  Monte Carlo draws from the unitarily
 invariant (Haar) measure on a d-dimensional subspace feed only such
 statistics (every effect is diagonal), so no state array is built:
-haar_blocks streams the populations block by block, and haar_populations
-gathers the same rows into one array.
+haar_blocks streams the populations block by block into
+metrics.batched_information, which never holds them all.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 from .fock import read_only
 
 
-# Rows per block of every Monte Carlo loop (the Haar draw and the gains of
-# metrics.streamed_information; reversal.trajectory_sim draws per-node
-# counts and has no loop), so temporaries do not grow with the sample count: a block of d = 4 complex amplitudes is
-# 1 MiB, near a core's L2 cache (2 MiB on a current Xeon), and larger
-# blocks only raise peak memory.
+# Rows per block of the one Monte Carlo loop (the Haar draw and the gains
+# that metrics.streamed_information sums over it), so temporaries do not
+# grow with the sample count: a block of d = 4 complex amplitudes is 1 MiB,
+# near a core's L2 cache (2 MiB on a current Xeon), and larger blocks only
+# raise peak memory.
 BLOCK_ROWS = 16_384
 
 
@@ -140,8 +140,8 @@ def haar_blocks(d: int, n_samples: int, seed: int) -> Iterator[np.ndarray]:
     one block at a time and the amplitudes never exist for the whole
     family at once.  A model that reads them checks that d stays clear of
     its truncation edge (support_effects).  Raises ValueError for d < 2,
-    fewer than 10^4 samples or a negative seed, at the call and before
-    anything is drawn.
+    fewer than 10^4 samples or a negative seed, at the call; nothing is
+    drawn before the first block is asked for.
     """
     if d < 2:
         raise ValueError("support dimension must be at least 2")
@@ -149,12 +149,13 @@ def haar_blocks(d: int, n_samples: int, seed: int) -> Iterator[np.ndarray]:
         raise ValueError("at least 10^4 samples are required")
     if seed < 0:
         raise ValueError(f"seed = {seed} is negative")
-    real_rng, imag_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    skipped = np.empty(BLOCK_ROWS * d)
-    for start in range(0, n_samples * d, skipped.size):
-        imag_rng.standard_normal(out=skipped[: n_samples * d - start])
 
     def blocks():
+        real_rng, imag_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        skipped = np.empty(BLOCK_ROWS * d)
+        for start in range(0, n_samples * d, skipped.size):
+            imag_rng.standard_normal(out=skipped[: n_samples * d - start])
+        del skipped
         for start, stop in block_bounds(n_samples):
             block = np.empty((stop - start, d), dtype=complex)
             block.real = real_rng.standard_normal(block.shape)
@@ -165,16 +166,3 @@ def haar_blocks(d: int, n_samples: int, seed: int) -> Iterator[np.ndarray]:
             yield rows
 
     return blocks()
-
-
-def haar_populations(d: int, n_samples: int, seed: int) -> np.ndarray:
-    """The rows of haar_blocks(d, n_samples, seed) as one read-only
-    (n_samples, d) array; beyond it, the draw holds one block at a time.
-    Raises what haar_blocks raises.
-    """
-    blocks = haar_blocks(d, n_samples, seed)
-    populations = np.empty((n_samples, d))
-    for (start, stop), rows in zip(block_bounds(n_samples), blocks, strict=True):
-        populations[start:stop] = rows
-    populations.setflags(write=False)
-    return populations

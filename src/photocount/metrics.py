@@ -26,28 +26,27 @@ evaluate and batched_information read the effects on the support through
 MeasurementModel.support_effects, which raises ValueError when they are not
 outcome probabilities there.
 
-batched_information reads the model's diagonal effects and the populations
-|c_n|^2 alone (haar_populations draws them) and weighs the rows equally.
+batched_information is the one Haar Monte Carlo path: it checks each
+model's effects on the d-level support and streams the draw
+(ensemble.haar_blocks) through streamed_information once for all of them.
 With equal weights a gain needs only the sums of c and c log2 c of the
-conditionals c, so streamed_information reads populations block by block
+conditionals c, so that pass reads the populations |c_n|^2 block by block
 (ensemble.BLOCK_ROWS, 16,384 rows) and adds each block's two sums into
 those of its batches: nothing it holds grows with the sample count.
-batched_information feeds it blocks of a populations array, and the haar
-command the streamed draw (ensemble.haar_blocks) with the pc and qpc
-effects together, so it never holds the populations.  evaluate keeps the
-dense images M|psi>: the populations form rounds differently and moves
-the 12th printed digit of some metrics and sweep outputs.
+evaluate keeps the dense images M|psi>: the populations form rounds
+differently and moves the 12th printed digit of some metrics and sweep
+outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .counters import MeasurementModel, build_counter
-from .ensemble import Ensemble, block_bounds
+from .ensemble import Ensemble, haar_blocks
 from .errors import NumericInconsistency, ZeroProbability
 
 
@@ -223,23 +222,23 @@ def _block_sums(rows: np.ndarray, scaled: np.ndarray, cuts: np.ndarray) -> np.nd
 def streamed_information(
     outcome: str,
     effects: np.ndarray,
-    blocks: Callable[[], Iterable[np.ndarray]],
+    blocks: Iterable[np.ndarray],
     n_rows: int,
     n_batches: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-sample gains (K,) and np.array_split batch gains (K, n_batches)
     of an outcome under K diagonal effects (K, support_dim), over n_rows
-    equally weighted rows of populations that blocks() yields in order.
+    equally weighted rows of populations that blocks yields in order.
 
     A gain of m rows is S2 / S1 - log2(S1 / m), with S1 = sum c and S2 =
     sum c log2 c over their conditionals c, so one pass adds each block's
     sums into its batches'.  Each effect is first divided by its mean, which
     leaves the gain as it is and keeps log2(S1 / m) near 0 on Haar rows, so
     the difference does not cancel at tiny couplings.  Raises ValueError if
-    n_batches lies outside [1, n_rows] or a conditional is negative or not
-    finite, and ZeroProbability if an effect
-    vanishes on the support (before blocks() is called) or a batch has zero
-    total probability.
+    n_batches lies outside [1, n_rows], a conditional is negative or not
+    finite, or the blocks do not hold n_rows rows, and ZeroProbability if an
+    effect vanishes on the support (before the first block is read) or a
+    batch has zero total probability.
     """
     if not 1 <= n_batches <= n_rows:
         raise ValueError(f"n_batches = {n_batches} outside [1, {n_rows}]")
@@ -253,13 +252,15 @@ def streamed_information(
     edges = size * j + np.minimum(j, larger)
     sums = np.zeros((len(scaled), 2, n_batches))  # S1 and S2 of each batch
     start = 0
-    for rows in blocks():
+    for rows in blocks:
         # The block's rows up to each batch edge inside it, and past the
         # last one, belong to consecutive batches.
         first, last = np.searchsorted(edges, [start, start + len(rows) - 1], side="right")
         cuts = np.r_[start, edges[first:last]] - start
         sums[:, :, first - 1 : last] += _block_sums(rows, scaled, cuts)
         start += len(rows)
+    if start != n_rows:
+        raise ValueError(f"blocks hold {start} rows, not n_rows = {n_rows}")
     if (sums[:, 0] <= 0.0).any():
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
 
@@ -271,32 +272,31 @@ def streamed_information(
 
 
 def batched_information(
-    model: MeasurementModel,
-    populations: np.ndarray,
+    models: Sequence[MeasurementModel],
+    d: int,
+    n_samples: int,
+    seed: int,
     outcome: str = "1",
     n_batches: int = 100,
-) -> tuple[float, np.ndarray]:
-    """Information gain of an outcome plus per-batch values for error bars,
-    over equally weighted samples given by their populations |c_n|^2 (one
-    row per sample, one column per support level).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-sample gains (K,) and per-batch gains (K, n_batches) of an
+    outcome under K models, over the n_samples equally weighted Haar rows of
+    ensemble.haar_blocks(d, n_samples, seed), in one streamed_information
+    pass; the spread of the batch gains gives the Monte Carlo standard error
+    (std / sqrt(n_batches)).
 
-    The full-sample value is the point estimate; the spread of the batch
-    values estimates the Monte Carlo standard error (std / sqrt(n_batches)).
-    Only the requested outcome is evaluated, from the populations and the
-    diagonal effect, in one streamed_information pass over blocks of
-    BLOCK_ROWS rows, so nothing beyond the populations grows with the
-    sample count.  Raises ValueError if n_batches lies outside
-    [1, n_samples] (a batch would be empty), if the effects on the support
-    are not outcome probabilities (MeasurementModel.support_effects) or if a
-    conditional is negative or not finite (a population is), and
-    ZeroProbability if the outcome (or a batch) has zero total probability.
+    Raises KeyError for an unknown outcome, ValueError for effects that are
+    not outcome probabilities on the support (support_effects), for what
+    haar_blocks refuses and for n_batches outside [1, n_samples], and
+    ZeroProbability if the outcome (or a batch) has zero total probability;
+    only a zero-total batch is found after the draw has begun.
     """
-    n_rows, support_dim = populations.shape
-    model.support_effects(support_dim)
-    effect = model.effect_for(outcome)[None, :support_dim]
-    full, batches = streamed_information(
-        outcome, effect, lambda: (populations[a:b] for a, b in block_bounds(n_rows)), n_rows, n_batches)
-    return float(full[0]), batches[0]
+    effects = []
+    for model in models:
+        model.support_effects(d)
+        effects.append(model.effect_for(outcome)[:d])
+    return streamed_information(
+        outcome, np.stack(effects), haar_blocks(d, n_samples, seed), n_samples, n_batches)
 
 
 def fit_gamma_squared(gammas: np.ndarray, values: np.ndarray) -> tuple[float, float]:

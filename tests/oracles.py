@@ -20,7 +20,8 @@ from photocount import (
     build_reversing,
     efficiency,
 )
-from photocount.ensemble import BLOCK_ROWS
+from photocount.ensemble import BLOCK_ROWS, block_bounds
+from photocount.metrics import streamed_information
 
 
 @dataclass(frozen=True)
@@ -235,11 +236,23 @@ def evaluate_reference(model, ensemble):
     )
 
 
+def streamed_gains(model, populations, outcome="1", n_batches=100):
+    """The library's gains of an outcome on equally weighted rows given as a
+    populations array (one row per sample, one column per support level):
+    streamed_information over its blocks, with the model's support_effects
+    row, as (whole-sample gain, batch gains)."""
+    n_rows, support_dim = populations.shape
+    effect = model.support_effects(support_dim)[model.outcomes.index(outcome)]
+    blocks = (populations[a:b] for a, b in block_bounds(n_rows))
+    full, batches = streamed_information(outcome, effect[None], blocks, n_rows, n_batches)
+    return float(full[0]), batches[0]
+
+
 def batched_reference(model, populations, outcome="1", n_batches=100):
-    """batched_information with full-length weights, posterior and terms
-    arrays: the equal weights 1/n, the posterior and gain of the whole
-    sample through information_gain, then each batch's renormalized
-    weights.  batched_information must give the same bits, and raise the
+    """streamed_gains with full-length weights, posterior and terms arrays:
+    the equal weights 1/n, the posterior and gain of the whole sample
+    through information_gain, then each batch's renormalized weights.
+    streamed_gains must agree within gain_rounding_bound, and raise the
     same errors."""
     n_samples, support_dim = populations.shape
     model.support_effects(support_dim)
@@ -387,7 +400,8 @@ def haar_states(d, n_samples, seed, dim):
     """Dense Haar states on the span of |0>, ..., |d-1>, one row of dim
     amplitudes each: i.i.d. complex Gaussian amplitudes, all real parts
     drawn before all imaginary parts, normalized in blocks of 65,536 rows.
-    haar_populations must return |c_n|^2 of these rows bit for bit."""
+    ensemble.haar_blocks must yield |c_n|^2 of these rows bit for bit, the
+    populations that batched_information reads."""
     rng = np.random.default_rng(seed)
     states = np.zeros((n_samples, dim), dtype=complex)
     support = states[:, :d]

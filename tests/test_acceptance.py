@@ -256,11 +256,10 @@ def test_10_polar_structure():
 
 
 def test_11_three_level_information_ordering():
-    populations = pc.haar_populations(3, 1_000_000, 42)
-    values, batches = {}, {}
-    for label in ("pc", "qpc"):
-        model = pc.build_counter(label, 0.3, 5)
-        values[label], batches[label] = pc.batched_information(model, populations, "1")
+    labels = ("pc", "qpc")
+    models = [pc.build_counter(label, 0.3, 5) for label in labels]
+    gains, per_batch = pc.batched_information(models, 3, 1_000_000, 42)
+    values, batches = dict(zip(labels, gains.tolist())), dict(zip(labels, per_batch))
     diff = values["qpc"] - values["pc"]
     diff_se = float(
         np.std(batches["qpc"] - batches["pc"], ddof=1) / np.sqrt(batches["pc"].size)

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import haar_states
 
+import photocount.metrics as metrics
 from photocount import (
     batched_information,
     bloch_two_state_ensemble,
@@ -18,11 +20,10 @@ from photocount import (
     build_reversing,
     cli,
     evaluate,
-    haar_populations,
     trajectory_sim,
 )
 from photocount.cli import format_number, main
-from photocount.metrics import streamed_information
+from photocount.ensemble import block_bounds
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -289,11 +290,13 @@ class TestHaar:
     ])
     def test_refuses_the_support_before_the_draw(self, flags, code, capsys, monkeypatch):
         # The draw takes most of the run, so a refusal that needs no draw
-        # comes first.
+        # comes first.  Calling haar_blocks draws nothing; its first block
+        # does.
         def draw(*_):
             raise AssertionError("populations drawn before the support was checked")
+            yield
 
-        monkeypatch.setattr(cli, "haar_blocks", draw)
+        monkeypatch.setattr(metrics, "haar_blocks", draw)
         got, out, err = run_cli(["haar", *flags], capsys)
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -302,24 +305,26 @@ class TestHaar:
     @pytest.mark.parametrize("n", [100_000, 114_689, 131_072])
     def test_streamed_gains_equal_the_library(self, d, n, capsys, monkeypatch):
         # The command sums both counters' conditionals over the streamed
-        # draw in one pass; its gains are the library's on the populations
-        # array, bit for bit, since both go through streamed_information on
-        # the same blocks.  114,689 is 7 x 16,384 + 1 rows, whose lone last
-        # row joins the block before it.
+        # draw in one pass; its gains are those of streamed_information on
+        # the populations of the dense reference draw cut at the same
+        # blocks, bit for bit.  114,689 is 7 x 16,384 + 1 rows, whose lone
+        # last row joins the block before it.
         got = []
+        streamed = metrics.streamed_information
 
         def record(*args):
-            got.append(streamed_information(*args))
+            got.append(streamed(*args))
             return got[-1]
 
-        monkeypatch.setattr(cli, "streamed_information", record)
+        monkeypatch.setattr(metrics, "streamed_information", record)
         argv = ["haar", "--d", str(d), "--dim", str(d + 2), "--samples", str(n)]
         assert run_cli(argv, capsys)[0] == 0
         (values, batches), = got
-        populations = haar_populations(d, n, 42)
-        for k, label in enumerate(("pc", "qpc")):
-            want = batched_information(build_counter(label, 0.3, d + 2), populations, "1")
-            assert (repr(float(values[k])), batches[k].tobytes()) == (repr(want[0]), want[1].tobytes())
+        populations = np.abs(haar_states(d, n, 42, d)) ** 2
+        effects = np.stack([build_counter(label, 0.3, d + 2).support_effects(d)[1]
+                            for label in ("pc", "qpc")])
+        want = streamed("1", effects, (populations[a:b] for a, b in block_bounds(n)), n)
+        assert (values.tobytes(), batches.tobytes()) == (want[0].tobytes(), want[1].tobytes())
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_streamed_run_memory_does_not_grow_with_samples(self, d, capsys):
@@ -535,7 +540,7 @@ class TestTruncationEdge:
         qc, ens = build_counter("qc", 0.3, 3), bloch_two_state_ensemble(64, 3)
         calls = [
             lambda: evaluate(qc, ens),
-            lambda: batched_information(qc, ens.populations, "1", n_batches=1),
+            lambda: batched_information([qc], 2, 10_000, 0),
             lambda: build_reversing(qc, "1", 2),
             lambda: trajectory_sim(qc, ens, trials=10_000, seed=0),
         ]

@@ -1,8 +1,9 @@
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported before any tracing)
 import pytest
-from oracles import haar_states
+from oracles import haar_states, streamed_gains
 
 from photocount import (
     Ensemble,
@@ -10,11 +11,15 @@ from photocount import (
     bloch_two_state_ensemble,
     build_counter,
     evaluate,
-    haar_populations,
 )
 from photocount.ensemble import BLOCK_ROWS, block_bounds, haar_blocks
 
 LN2 = np.log(2.0)
+
+
+def haar_rows(d, n_samples, seed):
+    """The populations haar_blocks draws, as one array."""
+    return np.concatenate(list(haar_blocks(d, n_samples, seed)))
 
 
 def weighted_mean(ensemble, values):
@@ -110,33 +115,33 @@ class TestHaarEnsemble:
     def test_amplitude_moments_match_uniform_measure(self):
         # E|c_k|^2 = 1/d; compare within 4 Monte Carlo standard errors
         for d in (2, 3):
-            probs = haar_populations(d, 20_000, 123)
+            probs = haar_rows(d, 20_000, 123)
             for k in range(d):
                 se = float(np.std(probs[:, k], ddof=1) / np.sqrt(probs.shape[0]))
                 assert abs(float(probs[:, k].mean()) - 1.0 / d) < 4 * se
 
     def test_d2_matches_bloch_quadrature_moment(self):
-        t_mc = haar_populations(2, 50_000, 7)[:, 1]
+        t_mc = haar_rows(2, 50_000, 7)[:, 1]
         bloch = bloch_two_state_ensemble(64, 5)
         se = float(np.std(t_mc, ddof=1) / np.sqrt(t_mc.size))
         t_quad = float(np.sum(bloch.weights * np.abs(bloch.states[:, 1]) ** 2))
         assert abs(float(t_mc.mean()) - t_quad) < 3 * se
 
     def test_weights_sum_to_one(self):
-        # batched_information weighs the rows equally; with half of them on
+        # The streamed gains weigh the rows equally; with half of them on
         # |0>, where pc cannot click, a click gains exactly one bit only if
         # those weights sum to one
         populations = np.zeros((10_000, 2))
         populations[::2, 0] = 1.0
         populations[1::2, 1] = 1.0
-        full, _ = batched_information(build_counter("pc", 0.3, 4), populations, "1")
+        full, _ = streamed_gains(build_counter("pc", 0.3, 4), populations)
         assert abs(full - 1.0) < 1e-12
 
     def test_deterministic_for_a_seed(self):
-        a = haar_populations(3, 10_000, 9)
-        b = haar_populations(3, 10_000, 9)
+        a = haar_rows(3, 10_000, 9)
+        b = haar_rows(3, 10_000, 9)
         assert np.array_equal(a, b)
-        c = haar_populations(3, 10_000, 10)
+        c = haar_rows(3, 10_000, 10)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("d,dim", [(2, 4), (3, 5), (4, 6)])
@@ -145,15 +150,15 @@ class TestHaarEnsemble:
         # x + 1j y with x and y drawn in that order; 65,537 and 200,003 rows
         # end in partial blocks of 1 and 3,395 rows
         for n in (10_000, 65_537, 200_003):
-            populations = haar_populations(d, n, 17)
+            populations = haar_rows(d, n, 17)
             assert populations.shape == (n, d)
             assert np.array_equal(populations, np.abs(haar_states(d, n, 17, dim)[:, :d]) ** 2)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="^support dimension must be at least 2$"):
-            haar_populations(1, 10_000, 0)
+            haar_blocks(1, 10_000, 0)
         with pytest.raises(ValueError, match=r"^at least 10\^4 samples are required$"):
-            haar_populations(2, 5_000, 0)
+            haar_blocks(2, 5_000, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_blocks_stream_the_populations(self, d):
@@ -163,69 +168,78 @@ class TestHaarEnsemble:
             blocks = list(haar_blocks(d, n, 17))
             assert [len(rows) for rows in blocks] == [b - a for a, b in block_bounds(n)]
             assert min(len(rows) for rows in blocks) > 1
-            assert np.array_equal(np.concatenate(blocks), haar_populations(d, n, 17))
+            assert np.array_equal(np.concatenate(blocks), np.abs(haar_states(d, n, 17, d)) ** 2)
 
-    @pytest.mark.parametrize("draw", [haar_populations, haar_blocks])
-    def test_negative_seed_rejected_by_name(self, draw):
+    def test_negative_seed_rejected_by_name(self):
         # numpy's own refusal, "expected non-negative integer", names nothing
         with pytest.raises(ValueError, match="^seed = -1 is negative$"):
-            draw(3, 10_000, -1)
+            haar_blocks(3, 10_000, -1)
 
-    def test_populations_hold_block_sized_temporaries(self):
-        # Beyond the populations it returns, haar_populations holds one block
-        # of BLOCK_ROWS rows (its complex amplitudes, imaginary draws and
-        # norms): 1.10x measured at d = 4 and 10^6 rows.  Blocks of 65,536
-        # rows measured 1.32x.  A memory bound, not a timing bound.
-        tracemalloc.start()
-        try:
-            populations = haar_populations(4, 10**6, 42)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.15 * populations.nbytes
+    def test_calling_haar_blocks_draws_nothing(self, monkeypatch):
+        # The arguments are checked at the call, but no generator is made
+        # and nothing is drawn (the imaginary stream's skip included) until
+        # the first block is asked for; so a caller can refuse its own
+        # inputs after the call and before the draw.
+        made = []
+        default_rng = np.random.default_rng
 
-    def test_memory_stays_populations_sized(self):
-        # The Haar path holds the populations and block-sized temporaries:
-        # those of the draw, and the conditionals and terms of one block of
-        # one outcome's statistics (1.11x measured, set by the draw); the
-        # dense 96 MB state array of the old construction alone would exceed
-        # the bound.  A memory bound, not a timing bound.
-        tracemalloc.start()
-        try:
-            populations = haar_populations(4, 10**6, 42)
-            batched_information(build_counter("pc", 0.3, 6), populations, "1")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * populations.nbytes
+        def counted(seed):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        blocks = haar_blocks(3, 10**6, 42)
+        assert made == []
+        first = next(blocks)
+        assert made == [42, 42]
+        assert first.tobytes() == haar_rows(3, 10**6, 42)[:BLOCK_ROWS].tobytes()
+
+    def test_draw_holds_one_block(self):
+        # Drawing every block holds one block's temporaries (its complex
+        # amplitudes, the real and imaginary draws, the norms and the
+        # populations, and the block its caller still holds): 2.76 x the
+        # 1 MiB of a block's complex amplitudes at d = 4, at 10^5 rows as at
+        # 10^6.  A memory bound, not a timing bound.
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                for _ in haar_blocks(4, n, 42):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 16 * 4 * BLOCK_ROWS
 
     def test_batched_information_holds_block_sized_temporaries(self):
-        # Above the populations it is given, the call holds the conditionals
-        # and their c log2 c terms of one block of BLOCK_ROWS rows (two
-        # float64 a row) and the batch sums: 2.20 x 8 x BLOCK_ROWS measured
-        # at 10^6 rows, as at 10^5.  One float64 per sample, the least the
-        # stored-posterior form held, would be 8 MB here.
-        populations = haar_populations(4, 10**6, 42)
-        model = build_counter("pc", 0.3, 6)
-        tracemalloc.start()
-        try:
-            batched_information(model, populations, "1")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 8 * BLOCK_ROWS
+        # The draw and the gains together hold one block: those of the draw
+        # (above) and the conditionals and their c log2 c terms of one
+        # block, 2.76 x the 1 MiB of a block's complex amplitudes measured
+        # at d = 4 for one model and for two, at 10^5 rows as at 10^6.  One
+        # float64 per sample, the least the stored-populations form held,
+        # would be 8 MB at 10^6.  A memory bound, not a timing bound.
+        models = [build_counter("pc", 0.3, 6), build_counter("qpc", 0.3, 6)]
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                batched_information(models, 4, n, 42)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 16 * 4 * BLOCK_ROWS
 
-    def test_batched_information_holds_block_sized_temporaries_on_zero_conditionals(self):
+    def test_streamed_gains_hold_block_sized_temporaries_on_zero_conditionals(self):
         # Zero conditionals add nothing to either sum and take no more
-        # memory than positive ones (2.19 x 8 x BLOCK_ROWS measured).
-        # Full-length weights, posterior and terms arrays for them measured
-        # 5.13 x 8n.
-        populations = haar_populations(4, 10**6, 42).copy()
+        # memory than positive ones: above the populations it is given, the
+        # pass holds the conditionals and their c log2 c terms of one block
+        # of BLOCK_ROWS rows (two float64 a row) and the batch sums, 2.20 x
+        # 8 x BLOCK_ROWS measured at 10^6 rows.  Full-length weights,
+        # posterior and terms arrays for them measured 5.13 x 8n.
+        populations = haar_rows(4, 10**6, 42)
         populations[::1000] = 0.0
         model = build_counter("pc", 0.3, 6)
         tracemalloc.start()
         try:
-            batched_information(model, populations, "1")
+            streamed_gains(model, populations)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -234,12 +248,13 @@ class TestHaarEnsemble:
 
 class TestPopulations:
     def test_populations_are_squared_support_amplitudes(self, bloch64):
-        haar = (haar_populations(3, 10_000, 4), haar_states(3, 10_000, 4, 5), 3)
-        for populations, states, d in ((bloch64.populations, bloch64.states, 2), haar):
-            assert populations.shape == (states.shape[0], d)
-            assert np.max(np.abs(populations - np.abs(states[:, :d]) ** 2)) < 1e-15
-            assert np.max(np.abs(populations.sum(axis=1) - 1.0)) < 1e-12
-            assert not populations.flags.writeable
+        # The Haar draw's populations are the oracle's bit for bit
+        # (TestHaarEnsemble.test_draw_order_is_real_parts_then_imaginary_parts).
+        populations, states = bloch64.populations, bloch64.states
+        assert populations.shape == (states.shape[0], 2)
+        assert np.max(np.abs(populations - np.abs(states[:, :2]) ** 2)) < 1e-15
+        assert np.max(np.abs(populations.sum(axis=1) - 1.0)) < 1e-12
+        assert not populations.flags.writeable
 
     def test_moments_from_populations_match_amplitudes(self, bloch64):
         levels = np.arange(bloch64.support_dim)
@@ -326,4 +341,3 @@ class TestImmutability:
     def test_constructed_ensembles_are_read_only(self, bloch64):
         for array in (bloch64.states, bloch64.weights, bloch64.populations, bloch64.thetas):
             assert not array.flags.writeable
-        assert not haar_populations(3, 10_000, 4).flags.writeable

@@ -8,6 +8,7 @@ from oracles import (
     information_gain,
     ladder,
     outcome_stats,
+    streamed_gains,
 )
 
 import photocount.metrics as metrics
@@ -23,10 +24,10 @@ from photocount import (
     efficiency,
     evaluate,
     full_report,
-    haar_populations,
     post_measurement_state,
 )
 from photocount.counters import MeasurementModel
+from photocount.ensemble import haar_blocks
 
 LN2 = np.log(2.0)
 
@@ -433,8 +434,8 @@ class TestBatchedInformation:
         model = build_counter(label, 0.3, d + 2)
         op = model.operator_for("1")
         cond = np.sum(np.abs(states @ op.T) ** 2, axis=1)
-        populations = haar_populations(d, 20_000, 11)
-        full, batches = batched_information(model, populations, "1", n_batches=100)
+        populations = np.abs(states[:, :d]) ** 2
+        (full,), (batches,) = batched_information([model], d, 20_000, 11, "1", n_batches=100)
         effect = model.effect_for("1")[:d]
         streamed = gain_error_bounds(populations, effect, 100, d + 11, streamed=True)
         dense = gain_error_bounds(populations, effect, 100, d + 10, streamed=False)
@@ -450,12 +451,12 @@ class TestBatchedInformation:
         # np.array_split(np.arange(n)) pick, so the gains agree within the
         # rounding bound of the two sums against information_gain
         # (oracles.gain_rounding_bound)
-        populations = haar_populations(3, 10_007, 5)
+        populations = np.abs(haar_states(3, 10_007, 5, 3)) ** 2
         weights = np.full(10_007, 1.0 / 10_007)
         model = build_counter("qpc", 0.3, 5)
         effect = model.effect_for("1")[:3]
         cond = populations @ effect
-        _, batches = batched_information(model, populations, "1", n_batches)
+        _, (batches,) = batched_information([model], 3, 10_007, 5, "1", n_batches)
         indexed = []
         for idx in np.array_split(np.arange(10_007), n_batches):
             w = weights[idx]
@@ -464,9 +465,8 @@ class TestBatchedInformation:
         assert np.all(np.abs(batches - np.array(indexed)) <= bounds)
 
     def test_unknown_outcome_raises_key_error(self):
-        populations = haar_populations(2, 10_000, 1)
         with pytest.raises(KeyError):
-            batched_information(build_counter("pc", 0.3, 4), populations, "2")
+            batched_information([build_counter("pc", 0.3, 4)], 2, 10_000, 1, "2")
 
     def test_zero_total_batch_raises(self):
         # the first of 100 batches holds only the vacuum, where gamma * a
@@ -475,15 +475,14 @@ class TestBatchedInformation:
         populations[:100, 0] = 1.0
         populations[100:, 1] = 1.0
         with pytest.raises(ZeroProbability, match="'1'"):
-            batched_information(build_counter("pc", 0.3, 4), populations, "1")
+            streamed_gains(build_counter("pc", 0.3, 4), populations)
 
     @pytest.mark.parametrize("n_batches", [0, 10_001])
     def test_batch_count_outside_one_to_sample_count_rejected(self, n_batches):
         # 10,001 batches of 10,000 samples would leave one empty, whose zero
         # total was reported as the outcome's although p(1) > 0
-        populations = haar_populations(3, 10_000, 1)
         with pytest.raises(ValueError, match=f"n_batches = {n_batches} outside"):
-            batched_information(build_counter("pc", 0.3, 5), populations, "1", n_batches)
+            batched_information([build_counter("pc", 0.3, 5)], 3, 10_000, 1, "1", n_batches)
 
     @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
     def test_stored_conditionals_outside_probabilities_rejected(self, bad):
@@ -493,29 +492,41 @@ class TestBatchedInformation:
         conditionals = np.full(10_000, 0.5)
         conditionals[17] = bad
         with pytest.raises(ValueError, match="^conditionals must be finite and non-negative$"):
-            metrics.streamed_information("1", np.ones((1, 1)), lambda: [conditionals[:, None]], 10_000)
+            metrics.streamed_information("1", np.ones((1, 1)), [conditionals[:, None]], 10_000)
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     def test_populations_outside_probabilities_rejected(self, bad):
         # a negative population gave a wrong gain, a NaN or infinite one NaN
-        populations = haar_populations(2, 10_000, 1).copy()
+        populations = np.concatenate(list(haar_blocks(2, 10_000, 1)))
         populations[17, 1] = bad
         with pytest.raises(ValueError, match="^conditionals must be finite and non-negative$"):
-            batched_information(build_counter("pc", 0.3, 4), populations, "1")
+            streamed_gains(build_counter("pc", 0.3, 4), populations)
+
+    @pytest.mark.parametrize("split,n_rows", [((15_000, 5_000), 15_000), ((15_000,), 20_000)])
+    def test_blocks_of_another_row_count_rejected(self, split, n_rows):
+        # Rows past n_rows fell into no batch and were dropped (0.030401
+        # against 0.030580 for the whole 20,000 rows), and too few rows
+        # left the last batches empty, reported as a zero total.
+        populations = np.concatenate(list(haar_blocks(3, 20_000, 1)))
+        blocks = np.split(populations[: sum(split)], np.cumsum(split)[:-1])
+        effect = np.array([[0.1, 0.2, 0.3]])
+        message = f"^blocks hold {sum(split)} rows, not n_rows = {n_rows}$"
+        with pytest.raises(ValueError, match=message):
+            metrics.streamed_information("1", effect, blocks, n_rows)
 
     @pytest.mark.parametrize("support_dim", [0, 5])
     def test_support_outside_truncation_rejected(self, support_dim):
-        populations = np.full((10_000, support_dim), 1.0 / max(support_dim, 1))
+        # support_dim 0 is refused by support_effects, before haar_blocks
+        # refuses d < 2
         with pytest.raises(ValueError, match="support dimension"):
-            batched_information(build_counter("pc", 0.3, 4), populations, "1")
+            batched_information([build_counter("pc", 0.3, 4)], support_dim, 10_000, 1)
 
     def test_effect_above_one_rejected(self):
         # gamma^2 n^2 of qpc is 2.25 on |3> at gamma = 0.5, and exactly 1 on |2>
-        populations = haar_populations(4, 10_000, 1)
         model = build_counter("qpc", 0.5, 6)
         with pytest.raises(ValueError, match=r"'1' is 2\.25 > 1 on level 3"):
-            batched_information(model, populations, "1")
-        full, _ = batched_information(model, populations[:, :3], "1")
+            batched_information([model], 4, 10_000, 1)
+        (full,), _ = batched_information([model], 3, 10_000, 1)
         assert full > 0.0
 
 
@@ -530,9 +541,8 @@ class TestTruncationEdge:
             evaluate(build_counter("qc", 0.3, 4), ens)
 
     def test_batched_information_refuses_a_support_at_the_edge(self):
-        populations = np.tile(np.eye(4)[[0, 1, 3]], (100, 1))
         with pytest.raises(ValueError, match=self.EDGE):
-            batched_information(build_counter("qc", 0.3, 4), populations, "1")
+            batched_information([build_counter("qc", 0.3, 4)], 4, 10_000, 0)
 
 
 class TestOneValidatedModel:
@@ -627,7 +637,7 @@ class TestFullReport:
         )
         model = build_counter("pc", 0.3, 5)
         with pytest.raises(ZeroProbability, match="'1'"):
-            batched_information(model, vacuum.populations, "1", n_batches=1)
+            streamed_gains(model, vacuum.populations, n_batches=1)
         with pytest.raises(ZeroProbability):
             full_report("pc", 0.3, vacuum)
         with pytest.raises(ZeroProbability):

@@ -18,7 +18,7 @@ import photocount
 EXPORTED = {
     "MeasurementModel", "build_counter", "completeness_residual",
     "probe_model_operators", "unitary_part_deviation",
-    "Ensemble", "bloch_two_state_ensemble", "haar_populations",
+    "Ensemble", "bloch_two_state_ensemble",
     "NonReversible", "NumericInconsistency", "PhotocountError",
     "ZeroProbability",
     "CounterReport", "OutcomeMetrics", "background", "batched_information",
@@ -137,10 +137,9 @@ def test_only_the_package_lists_public_names():
     assert assigned == []
 
 
-def test_every_export_has_a_caller_or_a_readme_entry():
-    # A public name is read by package code outside __init__ (a name, an
-    # attribute or an import, not a string), or the README names it in
-    # backticks as part of the documented API; otherwise it is dead code.
+def _names_read():
+    """Every name that package code outside __init__ reads: a name, an
+    attribute or an import, not a string."""
     package = Path(photocount.__file__).parent
     read = set()
     for path in sorted(package.glob("*.py")):
@@ -153,9 +152,32 @@ def test_every_export_has_a_caller_or_a_readme_entry():
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
+    return read
+
+
+def test_every_export_has_a_caller_or_a_readme_entry():
+    # A public name is read by package code, or the README names it in
+    # backticks as part of the documented API; otherwise it is dead code.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     documented = {
         word for span in re.findall(r"`([^`]*)`", readme) for word in re.findall(r"\w+", span)
     }
     names = [name for names in photocount._SUBMODULES.values() for name in names]
-    assert [name for name in names if name not in read | documented] == []
+    assert [name for name in names if name not in _names_read() | documented] == []
+
+
+def test_every_unexported_function_has_a_caller():
+    # A public module-level function that the package does not export is
+    # read by package code; otherwise it is dead code.  The README does not
+    # excuse it, since no documented import path reaches it.
+    package = Path(photocount.__file__).parent
+    functions = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in photocount.__all__
+    ]
+    assert functions
+    read = _names_read()
+    assert [name for name in functions if name.split(".")[1] not in read] == []

@@ -34,6 +34,7 @@ from oracles import (
     polar_factors,
     probe_reference,
     recovery_reference,
+    streamed_gains,
     trajectory_count_reference,
     trajectory_reference,
     two_level_gain,
@@ -50,10 +51,8 @@ from photocount import (
     build_reversing,
     completeness_residual,
     evaluate,
-    batched_information,
     full_report,
     gamma_sweep,
-    haar_populations,
     probe_model_operators,
     trajectory_sim,
     unitary_part_deviation,
@@ -61,7 +60,7 @@ from photocount import (
 )
 from photocount import cli
 from photocount.counters import LABELS
-from photocount.ensemble import BLOCK_ROWS
+from photocount.ensemble import BLOCK_ROWS, haar_blocks
 
 PAPER_LABELS = LABELS[:4]  # the two-outcome counters
 
@@ -462,10 +461,11 @@ def _gains(model, populations, outcome, n_batches, fn):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _zeroed(populations, zero_stride, zero_head):
-    """populations with every zero_stride-th row and the first zero_head
-    rows set to zero (synthetic; a Haar draw has none)."""
-    populations = populations.copy()
+def _zeroed(d, n_samples, seed, zero_stride, zero_head):
+    """The populations of haar_blocks(d, n_samples, seed) with every
+    zero_stride-th row and the first zero_head rows set to zero (synthetic;
+    a Haar draw has none)."""
+    populations = np.concatenate(list(haar_blocks(d, n_samples, seed)))
     if zero_stride:
         populations[::zero_stride] = 0.0
     populations[:zero_head] = 0.0
@@ -503,7 +503,7 @@ def _zeroed(populations, zero_stride, zero_head):
     d=3, extra=2, n_samples=10_000, n_batches=10_000, label="qc", outcome_index=1,
     gamma=0.2, seed=7, zero_stride=0, zero_head=0,
 )
-def test_batched_information_matches_the_full_length_reference(
+def test_streamed_information_matches_the_full_length_reference(
     d, extra, n_samples, n_batches, label, outcome_index, gamma, seed, zero_stride, zero_head
 ):
     # The two-sum pass against full-length weights, posterior and terms
@@ -514,9 +514,9 @@ def test_batched_information_matches_the_full_length_reference(
     dim = d + extra
     model = build_counter(label, gamma, dim)
     outcome = model.outcomes[outcome_index % len(model.outcomes)]
-    populations = _zeroed(haar_populations(d, n_samples, seed), zero_stride, zero_head)
+    populations = _zeroed(d, n_samples, seed, zero_stride, zero_head)
     want = _gains(model, populations, outcome, n_batches, batched_reference)
-    got = _gains(model, populations, outcome, n_batches, batched_information)
+    got = _gains(model, populations, outcome, n_batches, streamed_gains)
     if isinstance(want, str):
         assert got == want
         return
@@ -549,10 +549,10 @@ def test_one_count_gains_do_not_depend_on_the_coupling(
     # two-sum error bound (oracles.gain_error_bounds).  All-zero rows and a
     # zero head that empties the first batches come from zero_stride and
     # zero_head.
-    populations = _zeroed(haar_populations(d, n_samples, seed), zero_stride, zero_head)
+    populations = _zeroed(d, n_samples, seed, zero_stride, zero_head)
     runs = [
         _gains(build_counter(label, gamma, d + 2), populations, "1", n_batches,
-               batched_information)
+               streamed_gains)
         for gamma in (1e-150, 0.3)
     ]
     if isinstance(runs[0], str):

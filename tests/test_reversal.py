@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported before any tracing)
 import pytest
 from oracles import outcome_stats
 
@@ -213,28 +214,32 @@ class TestTrajectorySim:
         sigma = np.sqrt(target * (1 - target) / stats.one_counts)
         assert abs(stats.empirical_success_rate - target) < 4 * sigma
 
-    def test_memory_stays_block_sized(self, bloch):
-        # A memory bound, not a timing bound: every per-trial array holds
-        # one block of trials, whatever the trial count.
+    def test_memory_stays_node_sized(self, bloch):
+        # A memory bound, not a timing bound: the trials are drawn as
+        # per-node counts, so no array has one entry per trial.  With
+        # numpy.random already imported (its import alone peaks at 1.04
+        # MB), a call peaks at 25.6 KB; one byte per trial would be 4 MB
+        # here.
         tracemalloc.start()
         try:
             trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=4_000_000, seed=42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2**20
 
     def test_memory_does_not_grow_with_the_trial_count(self, bloch):
-        # Successes are counted per node, so beyond the block-sized arrays
-        # nothing grows with the trials.  Keeping every success fidelity
-        # peaked at 5.87 MB at 4e6 trials against 0.73 MB at 1e5.
+        # Visits, one-counts and successes are counted per node, so nothing
+        # grows with the trials: 25.6 KB at 10^5, 4 x 10^6 and 10^12
+        # trials.  Keeping every success fidelity peaked at 5.87 MB at 4e6
+        # trials against 0.73 MB at 1e5.
         peaks = []
-        for trials in (100_000, 4_000_000):
+        for trials in (100_000, 4_000_000, 10**12):
             tracemalloc.start()
             try:
                 trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=trials, seed=42)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
+        assert max(peaks) <= 1.5 * peaks[0]
 
