@@ -236,9 +236,9 @@ def streamed_information(
     leaves the gain as it is and keeps log2(S1 / m) near 0 on Haar rows, so
     the difference does not cancel at tiny couplings.  Raises ValueError if
     n_batches lies outside [1, n_rows], a conditional is negative or not
-    finite, or the blocks do not hold n_rows rows, and ZeroProbability if an
-    effect vanishes on the support (before the first block is read) or a
-    batch has zero total probability.
+    finite, or the blocks do not hold n_rows rows (at the first block past
+    them), and ZeroProbability if an effect vanishes on the support (before
+    the first block is read) or a batch has zero total probability.
     """
     if not 1 <= n_batches <= n_rows:
         raise ValueError(f"n_batches = {n_batches} outside [1, {n_rows}]")
@@ -251,16 +251,19 @@ def streamed_information(
     j = np.arange(n_batches + 1)
     edges = size * j + np.minimum(j, larger)
     sums = np.zeros((len(scaled), 2, n_batches))  # S1 and S2 of each batch
-    start = 0
+    start = stop = 0
     for rows in blocks:
+        stop += len(rows)
+        if stop > n_rows:
+            break  # refused below, before this block is summed or another read
         # The block's rows up to each batch edge inside it, and past the
         # last one, belong to consecutive batches.
-        first, last = np.searchsorted(edges, [start, start + len(rows) - 1], side="right")
+        first, last = np.searchsorted(edges, [start, stop - 1], side="right")
         cuts = np.r_[start, edges[first:last]] - start
         sums[:, :, first - 1 : last] += _block_sums(rows, scaled, cuts)
-        start += len(rows)
-    if start != n_rows:
-        raise ValueError(f"blocks hold {start} rows, not n_rows = {n_rows}")
+        start = stop
+    if stop != n_rows:
+        raise ValueError(f"blocks hold {stop} rows, not n_rows = {n_rows}")
     if (sums[:, 0] <= 0.0).any():
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
 

@@ -5,7 +5,8 @@ when M has a bounded left inverse there; the reversing measurement is the
 two-outcome model {success, fail} with success operator eta * pinv(M) and a
 Hermitian square-root completion on the fail branch.  |eta|^2 is the
 background of M, its largest valid value, where the success probability
-conditioned on a one-count equals the reversibility figure of the counter.
+conditioned on a one-count equals the reversibility figure of the counter,
+and it holds the M it undoes.  trajectory_sim returns finite figures or raises.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .counters import MeasurementModel, background
 from .ensemble import Ensemble
-from .errors import NonReversible, ZeroProbability
+from .errors import NonReversible, PhotocountError, ZeroProbability
+from .fock import read_only
 
 
 # Unreachable-state floor of post_measurement_state, relative to ||op||_F^2.
@@ -28,19 +30,23 @@ _PROB_FLOOR = 1e-15
 _INVERSE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReversingMeasurement:
-    """Two-outcome model undoing one target outcome on a support subspace."""
+    """Two-outcome model undoing one target outcome, of operator target_op, on
+    a support subspace; it holds read-only arrays and compares by identity."""
 
     target_outcome: str
+    target_op: np.ndarray
     success_op: np.ndarray
     fail_op: np.ndarray
     eta_sq: float
 
+    def __post_init__(self):
+        for name in ("target_op", "success_op", "fail_op"):
+            object.__setattr__(self, name, read_only(getattr(self, name), complex))
 
-def build_reversing(
-    model: MeasurementModel, outcome: str, support_dim: int
-) -> ReversingMeasurement:
+
+def build_reversing(model: MeasurementModel, outcome: str, support_dim: int) -> ReversingMeasurement:
     """Reversing measurement for one outcome of a model on the lowest
     support_dim levels.
 
@@ -66,10 +72,7 @@ def build_reversing(
     eigvals, eigvecs = np.linalg.eigh(defect)
     fail = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
     return ReversingMeasurement(
-        target_outcome=outcome,
-        success_op=success,
-        fail_op=fail,
-        eta_sq=floor,
+        target_outcome=outcome, target_op=op, success_op=success, fail_op=fail, eta_sq=floor
     )
 
 
@@ -101,16 +104,15 @@ def post_measurement_state(op: np.ndarray, states: np.ndarray) -> np.ndarray:
     return images / np.sqrt(probs)[..., None]
 
 
-def verify_recovery(
-    states: np.ndarray, op: np.ndarray, rev: ReversingMeasurement
-) -> dict[str, np.ndarray]:
-    """Success probability and recovered-state fidelity for each row of states.
+def verify_recovery(states: np.ndarray, rev: ReversingMeasurement) -> dict[str, np.ndarray]:
+    """Success probability and recovered-state fidelity for each row of states,
+    measured with the operator rev undoes (rev.target_op), then reversed.
 
     For states inside the support the success probability equals
     eta_sq / p(m) and the recovered state matches the input exactly.  Raises
     ZeroProbability if the outcome cannot occur on some state.
     """
-    post = post_measurement_state(op, states)
+    post = post_measurement_state(rev.target_op, states)
     success_images = (rev.success_op @ post[..., None])[..., 0]
     norms = _norms(success_images)
     recovered = success_images / norms[..., None]
@@ -121,19 +123,18 @@ def verify_recovery(
 
 @dataclass(frozen=True)
 class TrajectoryStats:
-    trials: int
+    """Finite statistics of one trajectory_sim run, fields in print order."""
+
+    empirical_success_rate: float
+    mean_recovery_fidelity: float
     one_counts: int
     successes: int
-    mean_recovery_fidelity: float
-    empirical_success_rate: float
+    trials: int
     seed: int
 
 
 def trajectory_sim(
-    model: MeasurementModel,
-    ensemble: Ensemble,
-    trials: int,
-    seed: int,
+    model: MeasurementModel, ensemble: Ensemble, trials: int, seed: int
 ) -> TrajectoryStats:
     """Monte Carlo of draw-state, measure with the model, and (on its
     one-count outcome "1") try to reverse.
@@ -148,13 +149,23 @@ def trajectory_sim(
     bit, and nothing grows with the trial count, in time or memory.  The
     mean recovery fidelity is the success-weighted mean of the per-node
     fidelities.  The success rate conditioned on one-count converges to
-    the counter's reversibility.  Raises ValueError for fewer than 10^4
-    trials, a negative seed, or effects on the support that are not
-    outcome probabilities (MeasurementModel.support_effects), and
-    NonReversible if the one-count has zero background there.
+    the counter's reversibility.  Raises NonReversible for a model with no
+    outcome "1"; ValueError for fewer than 10^4 or more than 2^63 - 1
+    trials, a negative seed, or effects on the support that are not outcome
+    probabilities (MeasurementModel.support_effects); NonReversible if the
+    one-count has zero background there; and, after the draw,
+    PhotocountError if no trial gives a one-count or none is reversed, so
+    every returned field is finite.
     """
+    if "1" not in model.outcomes:
+        raise NonReversible(
+            f"counter {model.label!r} has no one-count outcome '1' to reverse;"
+            f" its outcomes are {', '.join(model.outcomes)}"
+        )
     if trials < 10_000:
         raise ValueError("at least 10^4 trials are required")
+    if trials > 2**63 - 1:  # multinomial counts them in a C long
+        raise ValueError(f"trials = {trials} is above 2^63 - 1")
     if seed < 0:
         raise ValueError(f"seed = {seed} is negative")
     if ensemble.dim != model.dim:
@@ -168,8 +179,7 @@ def trajectory_sim(
     cond_one = np.minimum(cond_one, 1.0)
     # The trajectory through a node is deterministic once the outcomes are
     # fixed, so each node's recovery fidelity is computed once.
-    recovery = verify_recovery(ensemble.states, model.operator_for("1"), rev)
-    fidelities = recovery["recovery_fidelity"]
+    fidelities = verify_recovery(ensemble.states, rev)["recovery_fidelity"]
 
     rng = np.random.Generator(np.random.Philox(seed))
     # multinomial would truncate a fractional trial count; index refuses it.
@@ -177,14 +187,16 @@ def trajectory_sim(
     one_counts = rng.binomial(visits, cond_one)
     successes = rng.binomial(one_counts, success_given_one)
     n_one = int(one_counts.sum())
+    if n_one == 0:
+        raise PhotocountError(f"no one-count in {trials} trials")
     n_success = int(successes.sum())
-    mean_fid = float(successes @ fidelities / n_success) if n_success else float("nan")
-    rate = n_success / n_one if n_one else float("nan")
+    if n_success == 0:
+        raise PhotocountError(f"no successful reversal in {n_one} one-counts")
     return TrajectoryStats(
-        trials=trials,
+        empirical_success_rate=n_success / n_one,
+        mean_recovery_fidelity=float(successes @ fidelities / n_success),
         one_counts=n_one,
         successes=n_success,
-        mean_recovery_fidelity=mean_fid,
-        empirical_success_rate=rate,
+        trials=trials,
         seed=seed,
     )

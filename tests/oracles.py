@@ -13,6 +13,7 @@ from photocount import (
     MeasurementModel,
     NumericInconsistency,
     OutcomeMetrics,
+    PhotocountError,
     TrajectoryStats,
     ZeroProbability,
     background,
@@ -448,16 +449,20 @@ def _trajectory_inputs(kind, gamma, ensemble):
 
 
 def _trajectory_stats(trials, seed, n_one, successes, fidelities):
-    """TrajectoryStats from the one-count total and the successes per node."""
+    """TrajectoryStats from the one-count total and the successes per node;
+    raises what trajectory_sim raises for a run with no one-count or no
+    success."""
     n_success = int(successes.sum())
-    mean_fid = float(successes @ fidelities / n_success) if n_success else float("nan")
-    rate = n_success / n_one if n_one else float("nan")
+    if n_one == 0:
+        raise PhotocountError(f"no one-count in {trials} trials")
+    if n_success == 0:
+        raise PhotocountError(f"no successful reversal in {n_one} one-counts")
     return TrajectoryStats(
-        trials=trials,
+        empirical_success_rate=n_success / n_one,
+        mean_recovery_fidelity=float(successes @ fidelities / n_success),
         one_counts=n_one,
         successes=n_success,
-        mean_recovery_fidelity=mean_fid,
-        empirical_success_rate=rate,
+        trials=trials,
         seed=seed,
     )
 

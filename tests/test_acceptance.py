@@ -221,9 +221,8 @@ def test_09_reversal_end_to_end(bloch):
         ok = ok and sim.mean_recovery_fidelity >= 1 - 1e-10
         details.append(f"{label}: mc={sim.empirical_success_rate:.5f} ({sigma:.1e} sd)")
 
-        op = model.operator_for("1")
         rev = pc.build_reversing(model, "1", bloch.support_dim)
-        recovery = pc.verify_recovery(bloch.states, op, rev)
+        recovery = pc.verify_recovery(bloch.states, rev)
         ok = ok and bool(np.all(recovery["recovery_fidelity"] >= 1 - 1e-10))
         probs = recovery["success_prob"]
         stats = outcome_stats(model, bloch)[1]

@@ -564,7 +564,7 @@ class TestTruncationEdge:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("flags", [
         *(["--dim", str(dim)] for dim in (-1, 0, 1, 2, 3)),
-        *(["--gamma", gamma] for gamma in ("0", "0.6", "nan")),
+        *(["--gamma", gamma] for gamma in ("0", "0.6", "nan", "inf", "1e-400")),
         ["--theta-nodes", "7"],
         ["--samples", "0"],
         ["--seed", "-1"],
@@ -576,6 +576,13 @@ class TestTruncationEdge:
         code, out, err = run_cli([command, *flags], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("samples", [2**63, 10**20])
+    def test_trial_count_past_int64_is_one_line_usage_error(self, samples, capsys):
+        # Generator.multinomial raised OverflowError (exit 1, a traceback);
+        # haar is left out: it has no upper bound and would start the draw.
+        argv = ["reverse", "--counter", "qc", "--samples", str(samples)]
+        assert run_cli(argv, capsys) == (2, "", f"error: trials = {samples} is above 2^63 - 1\n")
 
 
 class TestFreshProcess:

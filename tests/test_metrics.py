@@ -514,6 +514,23 @@ class TestBatchedInformation:
         with pytest.raises(ValueError, match=message):
             metrics.streamed_information("1", effect, blocks, n_rows)
 
+    def test_endless_stream_refused_at_the_first_block_past_n_rows(self):
+        # The row count was checked after the loop, so a stream longer than
+        # n_rows was read and summed to its end, and an endless one never
+        # returned; a seventh read fails the test instead of hanging it.
+        reads = 0
+
+        def endless():
+            nonlocal reads
+            while True:
+                reads += 1
+                assert reads <= 6, "a block past the first one over n_rows was read"
+                yield np.full((1_000, 1), 0.5)
+
+        with pytest.raises(ValueError, match="^blocks hold 6000 rows, not n_rows = 5000$"):
+            metrics.streamed_information("1", np.ones((1, 1)), endless(), 5_000)
+        assert reads == 6
+
     @pytest.mark.parametrize("support_dim", [0, 5])
     def test_support_outside_truncation_rejected(self, support_dim):
         # support_dim 0 is refused by support_effects, before haar_blocks

@@ -94,7 +94,7 @@ def test_no_module_imports_another_modules_private_name():
 
 def test_reversal_imports_nothing_from_metrics():
     imported = {target for module, target, _ in _package_imports() if module == "reversal"}
-    assert imported == {"counters", "ensemble", "errors"}
+    assert imported == {"counters", "ensemble", "errors", "fock"}
 
 
 def test_frozen_fields_are_set_only_in_post_init():

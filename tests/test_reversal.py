@@ -8,6 +8,7 @@ from oracles import outcome_stats
 from photocount import (
     Ensemble,
     NonReversible,
+    PhotocountError,
     ZeroProbability,
     bloch_two_state_ensemble,
     build_counter,
@@ -41,12 +42,11 @@ def random_support_state(rng, dim=5):
 
 class TestBuildReversing:
     def test_emitting_counter_cap_and_success_probabilities(self, bloch):
-        op = one_count("qc")
         rev = reversing("qc")
         assert abs(rev.eta_sq - 0.09) < 1e-14
         # success probability 1/(n1 + 1) on the two-level family
         states = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 0] / np.sqrt(2)])
-        res = verify_recovery(states, op, rev)
+        res = verify_recovery(states, rev)
         n1 = np.array([0.0, 1.0, 0.5])
         assert np.max(np.abs(res["success_prob"] - 1.0 / (n1 + 1.0))) < 1e-12
         assert np.min(res["recovery_fidelity"]) > 1 - 1e-10
@@ -63,10 +63,9 @@ class TestBuildReversing:
         # the background gamma^2 = 1e-16 is small but bounded away from zero
         # relative to the largest effect on the support (2 and 4 gamma^2)
         gamma = 1e-8
-        op = one_count(kind, gamma)
         rev = reversing(kind, gamma)
         assert abs(rev.eta_sq - gamma**2) <= 1e-12 * gamma**2
-        res = verify_recovery(np.eye(5)[1:2], op, rev)
+        res = verify_recovery(np.eye(5)[1:2], rev)
         assert res["recovery_fidelity"][0] > 1 - 1e-10
 
     def test_target_outcome_is_the_requested_outcome(self, bloch):
@@ -75,8 +74,9 @@ class TestBuildReversing:
         model = build_counter("joint", 0.3, 5)
         rev = build_reversing(model, "11", bloch.support_dim)
         assert rev.target_outcome == "11"
+        assert rev.target_op.tobytes() == model.operator_for("11").tobytes()
         assert abs(rev.eta_sq - 0.3**4) < 1e-15
-        res = verify_recovery(np.eye(5)[:2], model.operator_for("11"), rev)
+        res = verify_recovery(np.eye(5)[:2], rev)
         assert np.max(np.abs(res["success_prob"] - [1.0, 0.25])) < 1e-12
         assert np.min(res["recovery_fidelity"]) > 1 - 1e-10
 
@@ -94,6 +94,23 @@ class TestBuildReversing:
         total = rev.success_op.conj().T @ rev.success_op + rev.fail_op.conj().T @ rev.fail_op
         assert np.linalg.norm(total - np.eye(5), 2) < 1e-10
 
+    def test_compares_and_hashes_by_identity(self):
+        # Field-wise equality compared arrays, which raised ValueError, and
+        # a frozen dataclass with eq hashed its arrays, which raised TypeError.
+        a, b = reversing("qc"), reversing("qc")
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_arrays_are_read_only(self):
+        # An assignment into success_op changed what verify_recovery
+        # returned afterwards.
+        rev = reversing("qc")
+        before = verify_recovery(np.eye(5)[:2], rev)["success_prob"]
+        for name in ("target_op", "success_op", "fail_op"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rev, name)[0, 0] = 99
+        assert verify_recovery(np.eye(5)[:2], rev)["success_prob"].tobytes() == before.tobytes()
+
 
 class TestVerifyRecovery:
     @pytest.mark.parametrize("kind", ["qc", "qqc"])
@@ -103,28 +120,27 @@ class TestVerifyRecovery:
         rev = reversing(kind)
         states = np.array([random_support_state(rng) for _ in range(1000)])
         p = np.linalg.norm(states @ op.T, axis=1) ** 2
-        res = verify_recovery(states, op, rev)
+        res = verify_recovery(states, rev)
         assert np.max(np.abs(res["success_prob"] * p - rev.eta_sq)) < 1e-12
         assert np.min(res["recovery_fidelity"]) > 1 - 1e-10
 
     def test_qnd_quantum_on_vacuum_always_succeeds(self, bloch):
-        op = one_count("qqc")
         rev = reversing("qqc")
-        res = verify_recovery(np.eye(5)[:1], op, rev)
+        res = verify_recovery(np.eye(5)[:1], rev)
         assert abs(res["success_prob"][0] - 1.0) < 1e-12
 
     def test_impossible_outcome_raises(self, bloch):
-        # gamma * a annihilates the vacuum, so its one-count cannot occur
+        # the truncated gamma * a^dag annihilates |4> of dim 5, so the qc
+        # one-count cannot occur there
         rev = reversing("qc")
         with pytest.raises(ZeroProbability):
-            verify_recovery(np.eye(5)[:2], one_count("pc"), rev)
+            verify_recovery(np.eye(5)[4:], rev)
 
     def test_posterior_average_matches_reversibility(self, bloch):
         model = build_counter("qc", 0.3, 5)
-        op = model.operator_for("1")
         rev = build_reversing(model, "1", bloch.support_dim)
         stats = outcome_stats(model, bloch)[1]
-        success = verify_recovery(bloch.states, op, rev)["success_prob"]
+        success = verify_recovery(bloch.states, rev)["success_prob"]
         averaged = float(np.sum(stats.posterior * success))
         assert abs(averaged - 2 / 3) < 1e-12
         assert abs(averaged - evaluate(model, bloch).per_outcome["1"].reversibility) < 1e-12
@@ -132,10 +148,9 @@ class TestVerifyRecovery:
     def test_successful_reversal_erases_the_information(self, bloch):
         # p(a | one-count, success) = p(1|a) * (eta^2/p(1|a)) * w_a / norm = w_a
         model = build_counter("qqc", 0.3, 5)
-        op = model.operator_for("1")
         rev = build_reversing(model, "1", bloch.support_dim)
         stats = outcome_stats(model, bloch)[1]
-        success = verify_recovery(bloch.states, op, rev)["success_prob"]
+        success = verify_recovery(bloch.states, rev)["success_prob"]
         joint = bloch.weights * stats.conditional * success
         posterior = joint / joint.sum()
         assert np.max(np.abs(posterior - bloch.weights)) < 1e-10
@@ -166,8 +181,39 @@ class TestTrajectorySim:
                 trajectory_sim(build_counter(kind, 0.3, 5), bloch, trials=10_000, seed=1)
 
     def test_trial_floor_enforced(self, bloch):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^at least 10\^4 trials are required$"):
             trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=100, seed=1)
+
+    @pytest.mark.parametrize("trials", [2**63, 10**20])
+    def test_trial_count_past_int64_refused_by_count(self, bloch, trials):
+        # Generator.multinomial raised OverflowError on a count past a C long.
+        with pytest.raises(ValueError, match=rf"^trials = {trials} is above 2\^63 - 1$"):
+            trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=trials, seed=1)
+
+    def test_largest_int64_trial_count_runs(self, bloch):
+        stats = trajectory_sim(build_counter("qc", 0.3, 5), bloch, trials=2**63 - 1, seed=1)
+        assert stats.successes <= stats.one_counts <= stats.trials == 2**63 - 1
+
+    def test_model_without_a_one_count_refused(self, bloch):
+        # The joint counter's outcomes are 00, 01, 10 and 11; without this
+        # check effect_for("1") raised KeyError.
+        with pytest.raises(NonReversible, match=(
+            "^counter 'joint' has no one-count outcome '1' to reverse;"
+            " its outcomes are 00, 01, 10, 11$"
+        )):
+            trajectory_sim(build_counter("joint", 0.3, 5), bloch, trials=10_000, seed=1)
+
+    def test_run_without_a_one_count_refused(self, bloch):
+        # p(1) ~ 1e-8 draws no one-count in 10^4 trials, so the success rate
+        # was NaN.
+        with pytest.raises(PhotocountError, match="^no one-count in 10000 trials$"):
+            trajectory_sim(build_counter("qc", 1e-4, 5), bloch, trials=10_000, seed=42)
+
+    def test_run_without_a_success_refused(self, bloch):
+        # Seed 4 draws a single one-count, and its reversal fails, so the
+        # mean recovery fidelity was NaN.
+        with pytest.raises(PhotocountError, match="^no successful reversal in 1 one-counts$"):
+            trajectory_sim(build_counter("qc", 0.005, 5), bloch, trials=10_000, seed=4)
 
     def test_fractional_trial_count_refused(self, bloch):
         # The count-level draw would otherwise run 10^4 trials and report
