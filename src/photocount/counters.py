@@ -55,10 +55,10 @@ class MeasurementModel:
     ``operators`` is one read-only complex (outcomes, dim, dim) array, so
     every outcome can be applied in one matmul.  ``effects[k]`` is the
     diagonal of the effect M_k^dag M_k in the number basis, so p(k|psi) =
-    sum_n |c_n|^2 effects[k, n].  Every model here has finite operators
-    and diagonal effects; construction rejects one that does not.  Models
-    compare and hash by identity, since an array field has no single truth
-    value.
+    sum_n |c_n|^2 effects[k, n]: sums of squares, so no entry is negative
+    or -0.0.  Every model here has finite operators and diagonal effects;
+    construction rejects one that does not.  Models compare and hash by
+    identity, since an array field has no single truth value.
     """
 
     label: str
@@ -144,7 +144,7 @@ def background(model: MeasurementModel, outcome: str, support_dim: int) -> float
     """Infimum of p(m|psi) over unit states on the lowest support_dim levels:
     the smallest diagonal effect entry there, since the effect is diagonal."""
     _check_support(model, support_dim)
-    return max(0.0, float(np.min(model.effect_for(outcome)[:support_dim])))
+    return float(np.min(model.effect_for(outcome)[:support_dim]))
 
 
 # Per paper counter: the (row, column) where the one-count operator's

@@ -8,14 +8,14 @@ populations |c_n|^2 are kept beside them for statistics of effects that are
 diagonal in the number basis.  Monte Carlo draws from the unitarily
 invariant (Haar) measure on a d-dimensional subspace feed only such
 statistics (every effect is diagonal), so no state array is built:
-haar_blocks streams the populations block by block into
-metrics.batched_information, which never holds them all.
+haar_blocks streams the populations into metrics.batched_information,
+which never holds them all, in the plain slices of block_bounds (BLOCK_ROWS
+rows each, the last one shorter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
 from typing import Iterator, Optional
 
 import numpy as np
@@ -31,14 +31,10 @@ from .fock import read_only
 BLOCK_ROWS = 16_384
 
 
-def block_bounds(n_rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of BLOCK_ROWS rows that covers n_rows rows.
-
-    A lone last row joins the block before it: numpy forms a one-row
-    product with dot, which rounds differently from the matrix-vector
-    product, so no block's conditionals depend on where the blocks fall.
-    """
-    return list(pairwise([0, *range(BLOCK_ROWS, n_rows - 1, BLOCK_ROWS), n_rows]))
+def block_bounds(n_rows: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of BLOCK_ROWS rows that covers n_rows
+    rows, in order; only the last block may be shorter."""
+    return ((start, min(start + BLOCK_ROWS, n_rows)) for start in range(0, n_rows, BLOCK_ROWS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,26 +132,27 @@ def haar_blocks(d: int, n_samples: int, seed: int) -> Iterator[np.ndarray]:
     Deterministic for a given seed: all real parts are drawn before all
     imaginary parts, row by row.  The real parts come from one
     default_rng(seed) and the imaginary parts from a second one on the same
-    seed, first run past the n_samples * d real draws, so the stream holds
-    one block at a time and the amplitudes never exist for the whole
-    family at once.  A model that reads them checks that d stays clear of
-    its truncation edge (support_effects).  Raises ValueError for d < 2,
-    fewer than 10^4 samples or a negative seed, at the call; nothing is
-    drawn before the first block is asked for.
+    seed, first run past the n_samples * d real draws block by block, so
+    the stream holds one block at a time and the amplitudes never exist for
+    the whole family at once.  A model that reads them checks that d stays
+    clear of its truncation edge (support_effects).  Raises ValueError for
+    d < 2, fewer than 10^4 or more than 2^63 - 1 samples or a negative
+    seed, at the call; nothing is drawn before the first block is asked
+    for.
     """
     if d < 2:
         raise ValueError("support dimension must be at least 2")
     if n_samples < 10_000:
         raise ValueError("at least 10^4 samples are required")
+    if n_samples > 2**63 - 1:  # streamed_information's batch edges are int64
+        raise ValueError(f"n_samples = {n_samples} is above 2^63 - 1")
     if seed < 0:
         raise ValueError(f"seed = {seed} is negative")
 
     def blocks():
         real_rng, imag_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        skipped = np.empty(BLOCK_ROWS * d)
-        for start in range(0, n_samples * d, skipped.size):
-            imag_rng.standard_normal(out=skipped[: n_samples * d - start])
-        del skipped
+        for start, stop in block_bounds(n_samples):
+            imag_rng.standard_normal((stop - start, d))
         for start, stop in block_bounds(n_samples):
             block = np.empty((stop - start, d), dtype=complex)
             block.real = real_rng.standard_normal(block.shape)

@@ -123,7 +123,7 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     # the pass holds one (K, N, dim) complex array at a time.
     products = np.multiply(ensemble.states.conj(), images, out=images)
     overlaps = np.abs(products.sum(axis=2))
-    floors = np.fmax(effects.min(axis=1), 0.0)
+    floors = effects.min(axis=1)
     backgrounds = dict(zip(model.outcomes, floors.tolist()))
     weights = ensemble.weights
 
@@ -203,14 +203,12 @@ def full_report(label: str, gamma: float, ensemble: Ensemble) -> CounterReport:
 
 def _block_sums(rows: np.ndarray, scaled: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Sums of c and c log2 c (0 log 0 = 0), (K, 2, len(cuts)), over the
-    segments of rows that start at cuts, with c = rows @ scaled[k]; one
-    product per effect, so c keeps its bits however many effects share it.
-    Raises ValueError if some c is negative or not finite (a NaN gave a NaN
-    gain, a negative c a wrong one)."""
+    segments of rows that start at cuts, with c = rows @ scaled[k] for all
+    K effects from one product.  Raises ValueError if some c is negative or
+    not finite (a NaN gave a NaN gain, a negative c a wrong one)."""
     terms = np.empty((len(scaled), 2, len(rows)))
-    for effect, out in zip(scaled, terms[:, 0]):
-        np.matmul(rows, effect, out=out)
     cond, c_log_c = terms[:, 0], terms[:, 1]
+    np.matmul(scaled, rows.T, out=cond)
     if not (cond.min() >= 0.0 and cond.max() < np.inf):
         raise ValueError("conditionals must be finite and non-negative")
     c_log_c.fill(0.0)

@@ -287,7 +287,7 @@ def batched_reference(model, populations, outcome="1", n_batches=100):
 #   2u relative.
 # streamed_information: x log2 x is within 3u |x log2 x|.  Each of S1 and
 # S2 passes a term through at most h additions: a reduceat within a block
-# of at most BLOCK_ROWS + 1 rows, one per block the batch touches (at most
+# of at most BLOCK_ROWS rows, one per block the batch touches (at most
 # m // BLOCK_ROWS + 2), and for the whole sample the pairwise sum of the
 # batch sums.  So S1 is within h u relative, S2 within (h + 3) u M S1, and
 # q within (2h + 4) u M; S1 / m is within (h + 1) u, which moves l by
@@ -318,7 +318,7 @@ def gain_error_bounds(populations, effect, n_batches, conditional_ulps, streamed
     n, d = populations.shape
     x = populations @ (effect / effect.mean())
     batches = np.array_split(x, n_batches)
-    block_depth = _sum_depth(BLOCK_ROWS + 1)
+    block_depth = _sum_depth(BLOCK_ROWS)
 
     def bound(x, h):
         positive = x[x > 0.0]
@@ -380,6 +380,29 @@ def two_level_gain(reversibility):
         return 0.0
     mean = (1.0 + r) / 2.0
     mean_c_ln_c = r * r * math.log(r) / (2.0 * (r - 1.0)) - (r + 1.0) / 4.0
+    return (mean_c_ln_c / mean - math.log(mean)) / math.log(2.0)
+
+
+def haar_gain(effect):
+    """Exact information gain, in bits, of an outcome with diagonal effect
+    entries e_0, ..., e_(d-1) (distinct) on the Haar family of d levels.
+
+    The populations p are uniform on the simplex, so by the
+    Hermite-Genocchi formula E[c ln c] = (d - 1)! Phi[e_0, ..., e_(d-1)],
+    a divided difference, for c = e.p, with Phi(x) = x^d / d! (ln x - H_d
+    + 1) (Phi(0) = 0) and H_d the d-th harmonic number; with T = E[c] =
+    mean(e) the gain is (E[c ln c] / T - ln T) / ln 2."""
+    d = len(effect)
+    if len(set(effect)) < d:
+        raise ValueError("effect entries must be distinct")
+    harmonic = sum(1.0 / k for k in range(1, d + 1))
+
+    def phi(x):
+        return 0.0 if x == 0.0 else x**d / math.factorial(d) * (math.log(x) - harmonic + 1.0)
+
+    divided = sum(phi(x) / math.prod(x - y for y in effect if y != x) for x in effect)
+    mean_c_ln_c = math.factorial(d - 1) * divided
+    mean = sum(effect) / d
     return (mean_c_ln_c / mean - math.log(mean)) / math.log(2.0)
 
 

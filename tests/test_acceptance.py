@@ -6,6 +6,7 @@ binomial/batch error bars; two values are frozen regression anchors from the
 pinned seed.
 """
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -272,6 +273,19 @@ def test_11_three_level_information_ordering():
         diff > 3 * diff_se and anchored,
         f"diff = {diff:.5f} ({diff / diff_se:.0f} se); anchors held: {anchored}",
     )
+
+
+def test_haar_anchors_equal_the_benchmark_check_anchors():
+    # The Haar stream's bytes are pinned twice, here and in the benchmark's
+    # output checks; the two copies must not drift apart.  checks.py uses
+    # only the standard library, so it loads by path.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    pinned = {"pc": HAAR_D3_GAIN_PC, "qpc": HAAR_D3_GAIN_QPC}
+    check("11 anchors equal the benchmark's", checks.HAAR_D3_SEED42 == pinned,
+          f"perfbench/checks.py: {checks.HAAR_D3_SEED42}")
 
 
 def test_12_cli_determinism():

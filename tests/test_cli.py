@@ -307,8 +307,8 @@ class TestHaar:
         # The command sums both counters' conditionals over the streamed
         # draw in one pass; its gains are those of streamed_information on
         # the populations of the dense reference draw cut at the same
-        # blocks, bit for bit.  114,689 is 7 x 16,384 + 1 rows, whose lone
-        # last row joins the block before it.
+        # blocks, bit for bit.  114,689 is 7 x 16,384 + 1 rows, whose last
+        # block is one row.
         got = []
         streamed = metrics.streamed_information
 
@@ -579,10 +579,20 @@ class TestTruncationEdge:
 
     @pytest.mark.parametrize("samples", [2**63, 10**20])
     def test_trial_count_past_int64_is_one_line_usage_error(self, samples, capsys):
-        # Generator.multinomial raised OverflowError (exit 1, a traceback);
-        # haar is left out: it has no upper bound and would start the draw.
+        # Generator.multinomial raised OverflowError (exit 1, a traceback)
         argv = ["reverse", "--counter", "qc", "--samples", str(samples)]
         assert run_cli(argv, capsys) == (2, "", f"error: trials = {samples} is above 2^63 - 1\n")
+
+    @pytest.mark.parametrize("samples", [2**63, 10**20])
+    def test_sample_count_past_int64_is_one_line_usage_error(self, samples, capsys, monkeypatch):
+        # haar drew until killed; the refusal comes before any generator is
+        # made, so a draw fails this test at once instead of running on.
+        def default_rng(*_):
+            raise AssertionError("the draw began")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        argv = ["haar", "--samples", str(samples)]
+        assert run_cli(argv, capsys) == (2, "", f"error: n_samples = {samples} is above 2^63 - 1\n")
 
 
 class TestFreshProcess:

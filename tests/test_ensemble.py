@@ -162,13 +162,17 @@ class TestHaarEnsemble:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_blocks_stream_the_populations(self, d):
-        # 16,385 and 114,689 rows end in a lone row, which joins the block
-        # before it, so no block is a single row
+        # 16,385 and 114,689 rows end in a block of one row
         for n in (10_000, 16_385, 114_689):
             blocks = list(haar_blocks(d, n, 17))
             assert [len(rows) for rows in blocks] == [b - a for a, b in block_bounds(n)]
-            assert min(len(rows) for rows in blocks) > 1
             assert np.array_equal(np.concatenate(blocks), np.abs(haar_states(d, n, 17, d)) ** 2)
+
+    @pytest.mark.parametrize("n", [2**63, 10**20])
+    def test_sample_count_past_int64_refused_at_the_call(self, n):
+        # streamed_information's int64 batch edges would wrap past it
+        with pytest.raises(ValueError, match=rf"^n_samples = {n} is above 2\^63 - 1$"):
+            haar_blocks(3, n, 0)
 
     def test_negative_seed_rejected_by_name(self):
         # numpy's own refusal, "expected non-negative integer", names nothing

@@ -4,11 +4,13 @@ from oracles import (
     OutcomeStats,
     gain_error_bounds,
     gain_rounding_bound,
+    haar_gain,
     haar_states,
     information_gain,
     ladder,
     outcome_stats,
     streamed_gains,
+    two_level_gain,
 )
 
 import photocount.metrics as metrics
@@ -545,6 +547,36 @@ class TestBatchedInformation:
             batched_information([model], 4, 10_000, 1)
         (full,), _ = batched_information([model], 3, 10_000, 1)
         assert full > 0.0
+
+
+class TestExactHaarGains:
+    """oracles.haar_gain, the closed form of a Haar gain, and the streamed
+    Monte Carlo gains held to it: a check of the draw's distribution that
+    does not read its bytes."""
+
+    @pytest.mark.parametrize("effect", [(0.0, 1.0), (1.0, 2.0), (1.0, 4.0), (0.3, 0.01)])
+    def test_two_levels_equal_two_level_gain(self, effect):
+        reversibility = 2 * min(effect) / sum(effect)
+        assert haar_gain(effect) == pytest.approx(two_level_gain(reversibility), rel=1e-12)
+
+    @pytest.mark.parametrize("d,pc,qpc", [
+        (2, 0.2786525, 0.2786525), (3, 0.1310875, 0.1941219), (4, 0.0849502, 0.1467647),
+    ])
+    def test_values_of_the_one_count_gains(self, d, pc, qpc):
+        # pc and qpc one-counts have effects proportional to n and n^2
+        n = np.arange(d, dtype=float)
+        assert haar_gain(n) == pytest.approx(pc, abs=5e-8)
+        assert haar_gain(n * n) == pytest.approx(qpc, abs=5e-8)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_monte_carlo_gains_lie_within_four_standard_errors(self, d, seed):
+        models = [build_counter(label, 0.3, d + 2) for label in ("pc", "qpc")]
+        gains, batches = batched_information(models, d, 10**6, seed)
+        errors = np.std(batches, axis=1, ddof=1) / np.sqrt(batches.shape[1])
+        for model, gain, error in zip(models, gains, errors):
+            exact = haar_gain(model.support_effects(d)[1])
+            assert abs(gain - exact) <= 4 * error
 
 
 class TestTruncationEdge:

@@ -42,6 +42,7 @@ from oracles import (
 
 from photocount import (
     Ensemble,
+    MeasurementModel,
     NonReversible,
     PhotocountError,
     ZeroProbability,
@@ -307,13 +308,38 @@ def test_polar_structure_properties(kind, gamma, dim):
 )
 def test_background_is_the_minimum_eigenvalue_of_the_effect(gamma, label, dim, support_dim):
     # The smallest diagonal effect entry against the dense eigensolver on
-    # M^dag M, for every outcome of the model.
+    # M^dag M, for every outcome of the model.  The entries are sums of
+    # squares, never negative, NaN or -0.0, so background and evaluate read
+    # their minima unclamped.
     model = build_counter(label, gamma, dim)
+    assert not np.signbit(model.effects).any()
     for outcome, op in zip(model.outcomes, model.operators):
         oracle = max(0.0, min_effect_eigenvalue(op, support_dim))
         assert background(model, outcome, support_dim) == pytest.approx(
             oracle, rel=1e-15, abs=0.0
         )
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    dim=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    entries=st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+                 min_size=8, max_size=8),
+        min_size=1, max_size=4,
+    ),
+)
+def test_effects_of_rotated_square_roots_have_no_sign_bit(dim, seed, entries):
+    # M_k = U_k diag(sqrt(e_k)) with U_k unitary and e_k >= 0, exact zeros
+    # and subnormals included, has the diagonal effect e_k up to rounding.
+    rng = np.random.default_rng(seed)
+    gaussian = rng.standard_normal((len(entries), dim, dim, 2)) @ [1.0, 1j]
+    unitaries = np.linalg.qr(gaussian)[0]
+    operators = unitaries * np.sqrt(np.array(entries)[:, None, :dim])
+    outcomes = tuple(str(k) for k in range(len(entries)))
+    model = MeasurementModel(label="u", outcomes=outcomes, operators=operators, gamma=0.1)
+    assert not np.signbit(model.effects).any()
 
 
 @settings(derandomize=True, deadline=None, database=None)
@@ -492,7 +518,7 @@ def _zeroed(d, n_samples, seed, zero_stride, zero_head):
     d=4, extra=2, n_samples=3 * 65_536, n_batches=128, label="pc", outcome_index=1,
     gamma=0.3, seed=42, zero_stride=0, zero_head=0,
 )
-# One row past a block boundary (65,537 is 4 x BLOCK_ROWS + 1), on a
+# A last block of one row (65,537 is 4 x BLOCK_ROWS + 1), on a
 # no-count gain near 2.5e-5, where the two sums nearly cancel.
 @example(
     d=5, extra=2, n_samples=65_537, n_batches=100, label="pc", outcome_index=0,
