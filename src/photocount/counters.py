@@ -56,9 +56,15 @@ class MeasurementModel:
     every outcome can be applied in one matmul.  ``effects[k]`` is the
     diagonal of the effect M_k^dag M_k in the number basis, so p(k|psi) =
     sum_n |c_n|^2 effects[k, n]: sums of squares, so no entry is negative
-    or -0.0.  Every model here has finite operators and diagonal effects;
-    construction rejects one that does not.  Models compare and hash by
-    identity, since an array field has no single truth value.
+    or -0.0.  ``reach[j]`` is one past the last row in which some operator
+    has a nonzero entry in columns 0..j (0 if there is none), so every
+    image of a state on the lowest j + 1 levels is exactly zero from row
+    reach[j] on: exact for the band operators built here (min(j + 2, dim)
+    when some outcome raises, j + 1 otherwise), an upper bound on the rows
+    an image needs when products cancel.  Every model here has finite
+    operators and diagonal effects; construction rejects one that does
+    not.  Models compare and hash by identity, since an array field has no
+    single truth value.
     """
 
     label: str
@@ -66,6 +72,7 @@ class MeasurementModel:
     operators: np.ndarray
     gamma: float
     effects: np.ndarray = field(init=False, repr=False)
+    reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = read_only(self.operators, complex)
@@ -78,13 +85,20 @@ class MeasurementModel:
         diagonal = grams[:, :: stack.shape[1] + 1]
         effects = diagonal.real.copy()
         diagonal[:] = 0.0
-        off_diagonal = np.abs(grams).max(axis=1) > _DIAGONAL_TOL * effects.max()
-        if off_diagonal.any():
-            outcome = self.outcomes[int(np.argmax(off_diagonal))]
+        off_diagonal = np.abs(grams)
+        bound = _DIAGONAL_TOL * effects.max()
+        if off_diagonal.max() > bound:
+            outcome = self.outcomes[int(np.argmax(off_diagonal.max(axis=1) > bound))]
             raise ValueError(f"effect of outcome {outcome!r} is not diagonal in the number basis")
+        # One past the last row that some outcome reaches from each column,
+        # then its running maximum over the columns.
+        rows = np.arange(1, stack.shape[1] + 1)[:, None]
+        reach = np.maximum.accumulate(np.where(stack.any(axis=0), rows, 0).max(axis=0))
         effects.setflags(write=False)
+        reach.setflags(write=False)
         object.__setattr__(self, "operators", stack)
         object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "reach", reach)
 
     @property
     def dim(self) -> int:

@@ -45,9 +45,12 @@ class Ensemble:
     ``support_dim`` basis vectors (every later amplitude is exactly zero);
     ``weights`` are positive and sum to one.  ``populations`` holds |c_n|^2
     of each row over those ``support_dim`` levels; each row of it sums to
-    one within the weights' 1e-12, so every amplitude is finite.  Ensembles
-    compare and hash by identity, since an array field has no single truth
-    value.
+    one within the weights' 1e-12, so every amplitude is finite.
+    ``amplitudes`` holds the same ``support_dim`` amplitudes level-major,
+    one row per level (support_dim, n_samples), the form in which
+    metrics.evaluate applies every operator to the family at once.  Both
+    are read-only copies built once at construction.  Ensembles compare
+    and hash by identity, since an array field has no single truth value.
     """
 
     support_dim: int
@@ -55,6 +58,7 @@ class Ensemble:
     weights: np.ndarray
     thetas: Optional[np.ndarray] = field(default=None, repr=False)
     populations: np.ndarray = field(init=False, repr=False)
+    amplitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = read_only(self.states, complex)
@@ -74,10 +78,13 @@ class Ensemble:
         populations **= 2
         if not np.all(np.abs(populations.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("states must have unit norm")
+        amplitudes = states[:, : self.support_dim].T.copy()
         populations.setflags(write=False)
+        amplitudes.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "populations", populations)
+        object.__setattr__(self, "amplitudes", amplitudes)
         if self.thetas is not None:
             object.__setattr__(self, "thetas", read_only(self.thetas, float))
 

@@ -10,18 +10,23 @@ reversing measurement.  Averages over outcomes use the exact outcome
 probabilities of the truncated operators.
 
 evaluate(model, ensemble) is the one evaluation of a (model, ensemble) pair,
-in one stacked pass over all outcomes: one matmul gives the images
-M|psi(a)> of every outcome and state, and reductions over the stacked
-arrays give every per-outcome figure and mean in a CounterReport (p(m|a)
-and the fidelity overlaps both read the same images; the backgrounds read
-the effects).  If some conditional is zero, each outcome is reduced on its
-own, over the states it can occur on.  The two identities (mean information
-equals the mutual information H(M) - H(M|A) computed from the prior and
-p(m|a); mean reversibility equals the sum of backgrounds) are checked once,
-to 1e-10, in that pass.  full_report is evaluate on the model that
-counters.build_counter builds and validates once for a counter label, also
-for 'joint'; a caller that needs one figure reads it from the report.  Both
-raise ZeroProbability when some outcome has zero total probability.
+in one stacked pass over all outcomes: one matmul of the operators' support
+columns with the family's level-major amplitudes (Ensemble.amplitudes)
+gives the images M|psi(a)> of every outcome and state down to the last row
+those columns reach (MeasurementModel.reach), (K, rows, N), and reductions
+over the stacked arrays give every per-outcome figure and mean in a
+CounterReport (p(m|a) sums those rows, the fidelity overlaps the support
+rows of the same images; the backgrounds read the effects).  Every product
+left out is an exact zero: on the two-level family each operator is read
+on 2 columns and at most 3 rows, not dim of each.  If some conditional is
+zero, each outcome is reduced on its own, over the states it can occur on.
+The two identities (mean information equals the mutual information H(M) -
+H(M|A) computed from the prior and p(m|a); mean reversibility equals the
+sum of backgrounds) are checked once, to 1e-10, in that pass.
+full_report is evaluate on the model that counters.build_counter builds
+and validates once for a counter label, also for 'joint'; a caller that
+needs one figure reads it from the report.  Both raise ZeroProbability
+when some outcome has zero total probability.
 evaluate and batched_information read the effects on the support through
 MeasurementModel.support_effects, which raises ValueError when they are not
 outcome probabilities there.
@@ -33,7 +38,7 @@ With equal weights a gain needs only the sums of c and c log2 c of the
 conditionals c, so that pass reads the populations |c_n|^2 block by block
 (ensemble.BLOCK_ROWS, 16,384 rows) and adds each block's two sums into
 those of its batches: nothing it holds grows with the sample count.
-evaluate keeps the dense images M|psi>: the populations form rounds
+evaluate keeps the images M|psi>, not the populations: that form rounds
 differently and moves the 12th printed digit of some metrics and sweep
 outputs.
 """
@@ -77,19 +82,25 @@ def _figures(weights, cond, post, totals, overlaps, backgrounds) -> np.ndarray:
     """Information gain, mutual-information share, and the fidelity and
     reversibility sums of R outcomes, one column of a (4, R) array each,
     from R rows of conditionals (every one positive), posteriors and
-    overlaps, and the R totals and backgrounds."""
-    figures = np.empty((4, len(totals)))
-    terms = cond / totals[:, None]
-    np.log2(terms, out=terms)
-    terms *= post
-    terms.sum(axis=1, out=figures[0])
+    overlaps, and the R totals and backgrounds: the four integrands fill
+    one (4, R, N) array, which one sum reduces."""
+    terms = np.empty((4,) + cond.shape)
+    gain, share, fid, rev = terms
+    np.divide(cond, totals[:, None], out=gain)
+    np.log2(gain, out=gain)
+    gain *= post
     # This outcome's share of H(M) - H(M|A), from the prior and p(m|a).
-    shares = (weights * cond * np.log2(cond)).sum(axis=1)
-    np.subtract(shares, totals * np.log2(totals), out=figures[1])
+    np.log2(cond, out=share)
+    share *= weights * cond
     # Fidelity: posterior average of |<psi(a)|psi(m,a)>|; reversibility:
     # posterior average of background / p(m|a).
-    (post * (overlaps / np.sqrt(cond))).sum(axis=1, out=figures[2])
-    (post * (backgrounds[:, None] / cond)).sum(axis=1, out=figures[3])
+    np.sqrt(cond, out=fid)
+    np.divide(overlaps, fid, out=fid)
+    fid *= post
+    np.divide(backgrounds[:, None], cond, out=rev)
+    rev *= post
+    figures = terms.sum(axis=2)
+    figures[1] -= totals * np.log2(totals)
     return figures
 
 
@@ -105,37 +116,41 @@ def evaluate(model: MeasurementModel, ensemble: Ensemble) -> CounterReport:
     """
     if ensemble.dim != model.dim:
         raise ValueError("ensemble and model dimensions differ")
-    # Images M|psi(a)> of every outcome and state, (K, N, dim), and from
-    # their squared norms the conditionals p(m|a) (K, N), totals p(m) (K,)
-    # and posteriors p(a|m) (K, N).
-    images = ensemble.states @ model.operators.transpose(0, 2, 1)
+    support = ensemble.support_dim
+    effects = model.support_effects(support)
+    # Images M|psi(a)> of every outcome and state, level-major (K, rows, N):
+    # only the support columns multiply a nonzero amplitude, and no
+    # operator maps them past row reach[support - 1], so every product left
+    # out is an exact zero.  From their squared norms the conditionals
+    # p(m|a) (K, N), totals p(m) (K,) and posteriors p(a|m) (K, N).
+    rows = max(support, int(model.reach[support - 1]))
+    images = model.operators[:, :rows, :support] @ ensemble.amplitudes
     squares = np.abs(images)
     squares **= 2
-    cond = squares.sum(axis=2)
+    cond = squares.sum(axis=1)
     posterior = ensemble.weights * cond
     totals = posterior.sum(axis=1)
-    effects = model.support_effects(ensemble.support_dim)
-    if (totals <= 0.0).any():
+    if totals.min() <= 0.0:
         outcome = model.outcomes[int(np.argmax(totals <= 0.0))]
         raise ZeroProbability(f"outcome {outcome!r} has zero total probability")
     posterior /= totals[:, None]
-    # The products overwrite the images, which nothing reads afterwards, so
-    # the pass holds one (K, N, dim) complex array at a time.
-    products = np.multiply(ensemble.states.conj(), images, out=images)
-    overlaps = np.abs(products.sum(axis=2))
+    # <psi(a)|M|psi(a)> reads the support rows only; the products overwrite
+    # those images, which nothing reads afterwards.
+    products = images[:, :support]
+    products *= ensemble.amplitudes.conj()
+    overlaps = np.abs(products.sum(axis=1))
     floors = effects.min(axis=1)
     backgrounds = dict(zip(model.outcomes, floors.tolist()))
     weights = ensemble.weights
 
-    positive = cond > 0.0
-    if positive.all():
+    if cond.min() > 0.0:
         # Stacked fast path: the two-level family puts no node on a pole.
         figures = _figures(weights, cond, posterior, totals, overlaps, floors)
     else:
         # Each outcome over the states it can occur on; a row reduced alone
         # gives the bits it gives inside a stack.
         figures = np.empty((4, len(model.outcomes)))
-        for k, mask in enumerate(positive):
+        for k, mask in enumerate(cond > 0.0):
             figures[:, k] = _figures(
                 weights[mask],
                 cond[k, mask][None],

@@ -304,7 +304,8 @@ def batched_reference(model, populations, outcome="1", n_batches=100):
 _U = 2.0**-53
 
 
-def _sum_depth(k):
+def sum_depth(k):
+    """Additions a term passes through in a numpy sum of k terms (above)."""
     return 24 + int(k).bit_length()
 
 
@@ -318,7 +319,7 @@ def gain_error_bounds(populations, effect, n_batches, conditional_ulps, streamed
     n, d = populations.shape
     x = populations @ (effect / effect.mean())
     batches = np.array_split(x, n_batches)
-    block_depth = _sum_depth(BLOCK_ROWS)
+    block_depth = sum_depth(BLOCK_ROWS)
 
     def bound(x, h):
         positive = x[x > 0.0]
@@ -333,10 +334,10 @@ def gain_error_bounds(populations, effect, n_batches, conditional_ulps, streamed
         return _U * (conditional_ulps * v + rest)
 
     def depth(m):
-        return block_depth + m // BLOCK_ROWS + 2 if streamed else _sum_depth(m)
+        return block_depth + m // BLOCK_ROWS + 2 if streamed else sum_depth(m)
 
     largest = max(len(b) for b in batches)
-    whole = depth(largest) + _sum_depth(n_batches) if streamed else _sum_depth(n)
+    whole = depth(largest) + sum_depth(n_batches) if streamed else sum_depth(n)
     return bound(x, whole), np.array([bound(b, depth(len(b))) for b in batches])
 
 

@@ -98,10 +98,11 @@ class TestBuildCounter:
     @pytest.mark.parametrize("label", LABELS)
     def test_built_arrays_are_read_only(self, label):
         model = build_counter(label, 0.3, 5)
-        for array in (model.operators, model.effects):
+        for array in (model.operators, model.effects, model.reach):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+        assert model.reach.flags.owndata
 
     def test_every_operator_array_is_held_as_a_read_only_copy(self):
         arr = build_counter("qc", 0.3, 5).operators.copy()

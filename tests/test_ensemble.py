@@ -343,5 +343,16 @@ class TestImmutability:
         assert evaluate(model, ens) == evaluate(model, bloch64)
 
     def test_constructed_ensembles_are_read_only(self, bloch64):
-        for array in (bloch64.states, bloch64.weights, bloch64.populations, bloch64.thetas):
+        for array in (bloch64.states, bloch64.weights, bloch64.populations, bloch64.thetas,
+                      bloch64.amplitudes):
             assert not array.flags.writeable
+
+    def test_amplitudes_are_a_level_major_copy_of_the_support(self, bloch64):
+        amplitudes = bloch64.amplitudes
+        assert amplitudes.flags.c_contiguous and amplitudes.flags.owndata
+        assert not np.shares_memory(amplitudes, bloch64.states)
+        assert amplitudes.tobytes() == bloch64.states[:, :2].T.tobytes()
+        # One state: a (support, 1) slice of the states would already be
+        # contiguous, and is copied all the same.
+        single = Ensemble(support_dim=2, states=np.eye(4)[:1], weights=np.ones(1))
+        assert single.amplitudes.flags.owndata and not single.amplitudes.flags.writeable

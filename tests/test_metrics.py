@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
     OutcomeStats,
+    evaluate_reference,
     gain_error_bounds,
     gain_rounding_bound,
     haar_gain,
@@ -10,6 +13,7 @@ from oracles import (
     ladder,
     outcome_stats,
     streamed_gains,
+    sum_depth,
     two_level_gain,
 )
 
@@ -592,6 +596,162 @@ class TestTruncationEdge:
     def test_batched_information_refuses_a_support_at_the_edge(self):
         with pytest.raises(ValueError, match=self.EDGE):
             batched_information([build_counter("qc", 0.3, 4)], 4, 10_000, 0)
+
+
+def with_vacuum_member(ens):
+    """ens with an extra |0> member of weight 1/4."""
+    return Ensemble(
+        support_dim=ens.support_dim,
+        states=np.vstack([ens.states, np.eye(ens.dim)[:1]]),
+        weights=np.append(0.75 * ens.weights, 0.25),
+    )
+
+
+class TestSupportCut:
+    """evaluate applies the operators' support columns, down to row
+    reach[support - 1], to the level-major amplitudes; these models put
+    that cut where the closed forms do not."""
+
+    @pytest.mark.parametrize("dim", [5, 8, 12])
+    @pytest.mark.parametrize("vacuum", [False, True])
+    def test_outcome_to_the_top_level(self, dim, vacuum):
+        # The one-count maps |1> to |dim - 1>, so the images of the
+        # two-level family reach the top row.  Every image entry is one
+        # product, so the report is the reference's bit for bit.
+        ops = np.zeros((2, dim, dim))
+        ops[0] = np.diag(np.r_[1.0, np.sqrt(1.0 - 0.3**2), np.ones(dim - 2)])
+        ops[1, dim - 1, 1] = 0.3
+        model = MeasurementModel(label="top", outcomes=("0", "1"), operators=ops, gamma=0.3)
+        assert model.reach.tolist() == [1] + [dim] * (dim - 1)
+        ens = bloch_two_state_ensemble(64, dim)
+        ens = with_vacuum_member(ens) if vacuum else ens
+        assert repr(evaluate(model, ens)) == repr(evaluate_reference(model, ens))
+
+    @pytest.mark.parametrize("vacuum", [False, True])
+    def test_all_zero_support_column(self, vacuum):
+        # Both outcomes send |0> to nothing and |1> to |0>, so column 0 is
+        # zero, reach[1] = 1 lies below the support and the overlaps read a
+        # zero row 1.  On the |0> member every conditional is zero, so each
+        # outcome is reduced on its own.
+        dim = 6
+        ops = np.zeros((2, dim, dim))
+        ops[0, 0, 1], ops[1, 0, 1] = np.sqrt(1.0 - 0.3**2), 0.3
+        ops[0, 2:, 2:] = np.eye(dim - 2)
+        model = MeasurementModel(label="zero", outcomes=("0", "1"), operators=ops, gamma=0.3)
+        assert model.reach.tolist() == [0, 1, 3, 4, 5, 6]
+        ens = bloch_two_state_ensemble(64, dim)
+        ens = with_vacuum_member(ens) if vacuum else ens
+        assert repr(evaluate(model, ens)) == repr(evaluate_reference(model, ens))
+
+    @pytest.mark.parametrize("dim", [8, 10, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_off_band_model_on_a_full_support_family(self, dim, seed):
+        # Three outcomes M_k = U_k diag(sqrt(e_k)), U_k Haar unitaries and
+        # sum_k e_k = 1, on 200 random states over the s = dim - 2 support
+        # levels.  Every image entry is a sum of s products, which evaluate
+        # adds in the order of its (rows, s) @ (s, N) product and the
+        # reference in that of its (N, dim) @ (dim, dim) one; the
+        # conditionals then add dim squares in row order against numpy's
+        # pairwise sum.  So the figures agree within rounding bounds, to
+        # first order in u = 2^-53 (units below are multiples of u):
+        # - A complex product is within 2 sqrt(2) u of |a| |b| and a sum of
+        #   s of them adds sqrt(2) (s - 1) u of the sum of their moduli, in
+        #   any order, so an image entry y_r = sum_i M_ri c_i is within
+        #   sqrt(2) (s + 2) u A_r of exact, A_r = sum_i |M_ri| |c_i|.
+        #   Column i of M has the squared norm e_i, so by Cauchy-Schwarz
+        #   sum_r A_r^2 <= s c, with c = sum_i e_i |c_i|^2 the conditional,
+        #   and the image errors move c by 2 sqrt(2) (s + 2) sqrt(s) u c.
+        #   |y_r| is within 2u (1 ulp), its square within 5u, and the dim
+        #   squares add dim - 1 more: each conditional is within
+        #   [2 sqrt(2) (s + 2) sqrt(s) + dim + 4] u of exact, and the two
+        #   within e units of each other, twice that.
+        # - An overlap |sum_i conj(c_i) y_i| is within [sqrt(2) (s + 2)
+        #   sqrt(s) + sqrt(2) (s + 1)] u sqrt(c) of exact, from the image
+        #   errors on the support rows and its own s products.
+        # - Everything after that runs the same operations in both, and a
+        #   numpy sum of N terms passes a term through h = sum_depth(N)
+        #   additions.  Per outcome, with posterior weights pi, L = sum pi
+        #   |log2(c / p)|, fidelity F and reversibility R, each side's
+        #   roundings add to the difference the perturbation makes: p =
+        #   sum w c moves by (e + 2h + 2) u p; pi = w c / p by s_pi = 2e +
+        #   2h + 6 units relative; the gain sum pi log2(c / p) by u [(s_pi
+        #   + 2h + 6) L + (2e + 2h + 4) / ln 2] (log2 within 1 ulp); F =
+        #   sum pi overlap / sqrt(c) by u [(s_pi + e / 2 + 2h + 8) F + 2
+        #   sqrt(2) ((s + 2) sqrt(s) + s + 1)]; R = sum pi b / c by (s_pi +
+        #   e + 2h + 4) u R.  A mean sum_m p_m X_m moves by sum_m (|dp_m|
+        #   X_m + p_m |dX_m| + 2K u p_m X_m), and the efficiency I / (1 -
+        #   F) by |dI| / (1 - F) + I |dF| / (1 - F)^2 + 4u I / (1 - F).
+        #   The backgrounds read the same effects in both.
+        rng = np.random.default_rng(seed)
+        s, n, k = dim - 2, 200, 3
+        unitaries = np.linalg.qr(rng.standard_normal((k, dim, dim, 2)) @ [1.0, 1j])[0]
+        effects = rng.random((k, dim))
+        effects /= effects.sum(axis=0)
+        ops = unitaries * np.sqrt(effects)[:, None, :]
+        model = MeasurementModel(label="u", outcomes=("a", "b", "c"), operators=ops, gamma=0.1)
+        assert model.reach.tolist() == [dim] * dim
+        states = np.zeros((n, dim), dtype=complex)
+        states[:, :s] = rng.standard_normal((n, s, 2)) @ [1.0, 1j]
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        weights = rng.random(n)
+        ens = Ensemble(support_dim=s, states=states, weights=weights / weights.sum())
+        report, reference = evaluate(model, ens), evaluate_reference(model, ens)
+        assert report.backgrounds == reference.backgrounds
+
+        u, h = 2.0**-53, sum_depth(n)
+        e = 2 * (2 * np.sqrt(2) * (s + 2) * np.sqrt(s) + dim + 4)
+        s_pi = 2 * e + 2 * h + 6
+        overlap_units = 2 * np.sqrt(2) * ((s + 2) * np.sqrt(s) + s + 1)
+        moved = {}
+        for stats in outcome_stats(model, ens):
+            got, ref = report.per_outcome[stats.outcome], reference.per_outcome[stats.outcome]
+            logs = np.abs(np.log2(stats.conditional / stats.total))
+            bounds = {
+                "probability": (e + 2 * h + 2) * u * ref.probability,
+                "information_gain": u * ((s_pi + 2 * h + 6) * (stats.posterior @ logs)
+                                         + (2 * e + 2 * h + 4) / np.log(2)),
+                "fidelity": u * ((s_pi + e / 2 + 2 * h + 8) * ref.fidelity + overlap_units),
+                "reversibility": (s_pi + e + 2 * h + 4) * u * ref.reversibility,
+            }
+            loss = 1.0 - ref.fidelity
+            bounds["efficiency"] = (bounds["information_gain"] / loss
+                                    + ref.information_gain * bounds["fidelity"] / loss**2
+                                    + 4 * u * ref.efficiency)
+            for name, bound in bounds.items():
+                assert abs(getattr(got, name) - getattr(ref, name)) <= bound, name
+                assert bound < 1e-11  # the bound is not vacuous
+            moved[stats.outcome] = bounds
+        for mean, name in [("mean_information", "information_gain"),
+                           ("mean_fidelity", "fidelity"), ("mean_reversibility", "reversibility")]:
+            bound = sum(
+                moved[m]["probability"] * getattr(x, name) + x.probability * moved[m][name]
+                + 2 * k * u * x.probability * getattr(x, name)
+                for m, x in reference.per_outcome.items()
+            )
+            assert abs(getattr(report, mean) - getattr(reference, mean)) <= bound, mean
+
+    def test_evaluate_holds_no_dense_image_array(self):
+        # A structural guard, not a timing bound.  The pass holds the (K,
+        # rows, N) complex images and their float squares (1.5 K N rows
+        # complex entries), the conjugate support amplitudes (s N) and ten
+        # float arrays of K x N entries (conditionals, posteriors, summed
+        # products, overlaps, the four integrands and a temporary), 5 K N
+        # complex entries, at most 2.5 K N (s + rows) since s + rows >= 2:
+        # in all at most 4 K N (s + rows) complex entries.  The bound
+        # allows 5 for the interpreter's own objects, 160 KiB here; the
+        # dense (K, N, dim) images alone are 512 KiB at dim 64.
+        model = build_counter("qqc", 0.3, 64)
+        ens = bloch_two_state_ensemble(256, 64)
+        rows = max(ens.support_dim, int(model.reach[ens.support_dim - 1]))
+        bound = 5 * len(model.outcomes) * ens.n_samples * (ens.support_dim + rows) * 16
+        evaluate(model, ens)
+        tracemalloc.start()
+        try:
+            evaluate(model, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestOneValidatedModel:

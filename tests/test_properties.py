@@ -1,13 +1,13 @@
-"""Property tests of full_report and evaluate, of information as a function
-of reversibility on two levels, of the one-count orderings of the four
-counters, of the sweep's reversibility-loss fit, of the completeness
-residual, of the exact probe operators, of the backgrounds and reversing
-measurements, of the polar structure of the one-count operators, of the
-joint counter, of the stacked recovery, of the trajectory simulation and of
-the batched Monte Carlo gains over random couplings, truncations,
-quadrature sizes, sample counts, seeds and trial counts; and of the CLI's
-outputs and exit codes over random flags.  Derandomized, so every run draws
-the same examples."""
+"""Property tests of full_report and evaluate, of the row reach of sparse
+models, of information as a function of reversibility on two levels, of
+the one-count orderings of the four counters, of the sweep's
+reversibility-loss fit, of the completeness residual, of the exact probe
+operators, of the backgrounds and reversing measurements, of the polar
+structure of the one-count operators, of the joint counter, of the stacked
+recovery, of the trajectory simulation and of the batched Monte Carlo
+gains over random couplings, truncations, quadrature sizes, sample counts,
+seeds and trial counts; and of the CLI's outputs and exit codes over random
+flags.  Derandomized, so every run draws the same examples."""
 
 import contextlib
 import csv
@@ -121,6 +121,37 @@ def test_two_level_information_is_a_function_of_reversibility(label, gamma, quad
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
+    dim=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_reach_is_the_last_row_any_lower_column_reaches(dim, data):
+    # Each outcome sends every row to at most one column, so the effects
+    # stay diagonal under any sparsity pattern; entries may be 0.0 or
+    # -0.0, which reach no row.
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    columns = data.draw(st.lists(st.lists(st.integers(min_value=-1, max_value=dim - 1),
+                                          min_size=dim, max_size=dim),
+                                 min_size=k, max_size=k))
+    values = data.draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
+                                min_size=k * dim, max_size=k * dim))
+    operators = np.zeros((k, dim, dim), dtype=complex)
+    for outcome, row_columns in enumerate(columns):
+        for row, column in enumerate(row_columns):
+            if column >= 0:
+                operators[outcome, row, column] = values[outcome * dim + row]
+    model = MeasurementModel(label="sparse", outcomes=tuple(str(m) for m in range(k)),
+                             operators=operators, gamma=0.1)
+    expected, last = [], 0
+    for column in range(dim):
+        for row in range(dim):
+            if any(op[row, column] != 0 for op in operators):
+                last = max(last, row + 1)
+        expected.append(last)
+    assert model.reach.tolist() == expected
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
     gamma=st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
     nodes=st.integers(min_value=8, max_value=256),
     dim=st.integers(min_value=4, max_value=8),
@@ -205,7 +236,7 @@ def _outcome(fn, *args):
 @given(
     gamma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
     label=st.sampled_from(LABELS),
-    dim=st.integers(min_value=4, max_value=8),
+    dim=st.integers(min_value=4, max_value=12),
     nodes=st.integers(min_value=8, max_value=256),
     vacuum_weight=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5)),
 )
